@@ -39,7 +39,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <new>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -58,7 +57,6 @@
 #include "obs/trace.hpp"
 #include "runtime/session_executor.hpp"
 #include "runtime/thread_pool.hpp"
-#include "sim/batch_player.hpp"
 #include "sim/metrics.hpp"
 #include "sim/player.hpp"
 #include "sim/session_sink.hpp"
@@ -217,55 +215,6 @@ void run_streaming_obs(const BenchSetup& setup, std::size_t task, Scratch& s,
   *out = s.sink.metrics();
 }
 
-// The batched SoA kernel (this PR's hot path): lane-batches of sessions
-// through sim::simulate_session_batch. Outage-free sessions stream their
-// Markov trace lazily (no materialization at all); outage sessions bind the
-// materialized trace. Bit-identical to run_streaming for every session.
-constexpr std::size_t kLaneBatch = 8;
-
-struct BatchedScratch {
-  sim::BatchScratch batch;
-  std::vector<sim::BatchLane> lanes;
-  std::vector<net::CapacityTrace> traces;
-  std::vector<exp::UserEnvironment> envs;
-  net::TraceScratch trace_scratch;
-  core::Bba2 abr;
-
-  BatchedScratch()
-      : lanes(kLaneBatch),
-        traces(kLaneBatch, net::CapacityTrace::constant(1.0)),
-        envs(kLaneBatch) {}
-};
-
-void run_streaming_batched(const BenchSetup& setup, std::size_t first,
-                           std::size_t count, BatchedScratch& s,
-                           sim::SessionMetrics* out) {
-  for (std::size_t i = 0; i < count; ++i) {
-    const std::size_t task = first + i;
-    const exp::SessionKey key = key_of(setup, task);
-    s.envs[i] = setup.population.environment_for(key);
-    const exp::SessionSpec spec =
-        exp::session_for(*setup.library, setup.workload, key);
-    sim::BatchLane& lane = s.lanes[i];
-    lane = sim::BatchLane{};
-    lane.video = &setup.library->at(spec.video_index);
-    lane.abr = &s.abr;
-    lane.config = setup.player;
-    lane.config.watch_duration_s = spec.watch_duration_s;
-    if (s.envs[i].has_outages) {
-      setup.population.trace_for_into(s.envs[i], key, s.trace_scratch,
-                                      s.traces[i]);
-      lane.trace = &s.traces[i];
-    } else {
-      lane.stream = &s.envs[i].trace;
-      lane.stream_rng = exp::session_rng(key, exp::StreamClass::kTrace);
-    }
-    lane.out = &out[task];
-  }
-  sim::simulate_session_batch(
-      std::span<sim::BatchLane>(s.lanes.data(), count), s.batch);
-}
-
 bool metrics_identical(const sim::SessionMetrics& a,
                        const sim::SessionMetrics& b) {
   auto same = [](double x, double y) {
@@ -375,46 +324,17 @@ int main(int argc, char** argv) {
     run_streaming(setup, i, scratch, &streamed[i]);
   });
 
-  // --- Batched SoA kernel at 1 thread: lane batches of kLaneBatch. ------
-  BatchedScratch batched_scratch;
-  std::vector<sim::SessionMetrics> batched(setup.sessions);
-  auto batched_block = [&](std::size_t first) {
-    run_streaming_batched(setup, first,
-                          std::min(kLaneBatch, setup.sessions - first),
-                          batched_scratch, batched.data());
-  };
-  for (std::size_t i = 0; i < setup.sessions; i += kLaneBatch) {
-    batched_block(i);  // warmup: grows the kernel scratch to the workload
-  }
-  for (std::size_t i = 0; i < setup.sessions; ++i) {
-    identical = identical && metrics_identical(streamed[i], batched[i]);
-  }
-  long long max_batch_allocs = 0;
-  {
-    g_counting.store(true);
-    for (std::size_t i = 0; i < setup.sessions; i += kLaneBatch) {
-      const long long before = g_allocs.load();
-      batched_block(i);
-      max_batch_allocs = std::max(max_batch_allocs, g_allocs.load() - before);
-    }
-    g_counting.store(false);
-  }
-  time_direct("streaming_batched", [&](std::size_t i) {
-    if (i % kLaneBatch == 0) batched_block(i);
-  });
-
-  // Calibration tallies of the defaults the kernel ships with
-  // (use_trace_cursor + lazy stream bursts, memoized window sums): one
-  // instrumented pass over the workload, ratios recorded in the JSON so a
-  // regression in cursor locality or memo effectiveness is visible in CI
-  // diffs even when timings are noisy.
+  // Calibration tallies of the player defaults (use_trace_cursor,
+  // memoized window sums): one instrumented pass over the workload, ratios
+  // recorded in the JSON so a regression in cursor locality or memo
+  // effectiveness is visible in CI diffs even when timings are noisy.
   double cursor_rewind_ratio = 0.0, memo_hit_ratio = 0.0;
   {
     obs::MetricsRegistry calib_registry(1);
     {
       obs::SlotBinding bind(&calib_registry, 0);
-      for (std::size_t i = 0; i < setup.sessions; i += kLaneBatch) {
-        batched_block(i);
+      for (std::size_t i = 0; i < setup.sessions; ++i) {
+        run_streaming(setup, i, scratch, &streamed[i]);
       }
     }
     const obs::MetricsSnapshot snap = calib_registry.snapshot();
@@ -635,49 +555,10 @@ int main(int argc, char** argv) {
     };
     time_executor("recorded", false);
     time_executor("streaming", true);
-
-    // Batched kernel under the executor: one task = one lane block, each
-    // slot owning its kernel scratch. Results must stay bit-identical to
-    // the single-thread passes (checked below against streamed[]).
-    const std::size_t n_blocks =
-        (setup.sessions + kLaneBatch - 1) / kLaneBatch;
-    std::vector<BatchedScratch> batch_slots(executor.threads());
-    auto batched_pass = [&] {
-      executor.execute_slotted(
-          n_blocks,
-          [&](std::size_t b, std::size_t slot) {
-            const std::size_t first = b * kLaneBatch;
-            run_streaming_batched(setup, first,
-                                  std::min(kLaneBatch,
-                                           setup.sessions - first),
-                                  batch_slots[slot], batched.data());
-          },
-          [](std::size_t) {});
-    };
-    batched_pass();  // warmup for the per-slot scratch
-    double best = 1e100;
-    long long allocs = 0;
-    for (std::size_t p = 0; p < passes; ++p) {
-      g_allocs.store(0);
-      g_counting.store(true);
-      const auto start = std::chrono::steady_clock::now();
-      batched_pass();
-      const double s = seconds_since(start);
-      g_counting.store(false);
-      allocs = g_allocs.load();
-      best = std::min(best, s);
-    }
-    rows.push_back({"streaming_batched", hw, best,
-                    static_cast<double>(setup.sessions) / best,
-                    static_cast<double>(allocs) /
-                        static_cast<double>(setup.sessions)});
-    for (std::size_t i = 0; i < setup.sessions; ++i) {
-      identical = identical && metrics_identical(streamed[i], batched[i]);
-    }
   }
 
   double recorded_sps = 0.0, streaming_sps = 0.0, obs_sps = 0.0;
-  double batched_sps = 0.0, timeline_sps = 0.0, monitor_sps = 0.0;
+  double timeline_sps = 0.0, monitor_sps = 0.0;
   for (const Row& r : rows) {
     if (r.threads != 1) continue;
     if (std::string(r.mode) == "recorded") recorded_sps = r.sessions_per_sec;
@@ -689,14 +570,9 @@ int main(int argc, char** argv) {
     if (std::string(r.mode) == "streaming_monitor") {
       monitor_sps = r.sessions_per_sec;
     }
-    if (std::string(r.mode) == "streaming_batched") {
-      batched_sps = r.sessions_per_sec;
-    }
   }
   const double speedup =
       recorded_sps > 0.0 ? streaming_sps / recorded_sps : 0.0;
-  const double batched_speedup =
-      streaming_sps > 0.0 ? batched_sps / streaming_sps : 0.0;
   // Overhead of live observability (metrics + 1/64 tracing) vs plain
   // streaming. Informational: the ISSUE budget is <5%, tracked via the
   // committed BENCH json rather than a hard exit (CI timing noise on small
@@ -756,28 +632,23 @@ int main(int argc, char** argv) {
                     : 0.0);
   json += buf;
   std::snprintf(buf, sizeof buf,
-                ",\"calibration\":{\"lane_batch\":%zu,"
+                ",\"calibration\":{"
                 "\"use_trace_cursor\":true,\"cache_window_sums\":true,"
-                "\"stream_burst\":%zu,\"cursor_rewind_ratio\":%.5f,"
-                "\"memo_hit_ratio\":%.5f}",
-                kLaneBatch,
-                static_cast<std::size_t>(net::StreamSource::kBurst),
+                "\"cursor_rewind_ratio\":%.5f,\"memo_hit_ratio\":%.5f}",
                 cursor_rewind_ratio, memo_hit_ratio);
   json += buf;
   std::snprintf(buf, sizeof buf,
                 ",\"speedup_streaming_vs_recorded\":%.2f,"
-                "\"batched_speedup_vs_streaming\":%.2f,"
                 "\"obs_overhead_frac\":%.3f,"
                 "\"timeline_overhead_frac\":%.3f,"
                 "\"monitor_overhead_frac\":%.3f,"
                 "\"max_allocs_per_steady_session\":%lld,"
-                "\"max_allocs_per_steady_batch\":%lld,"
                 "\"max_allocs_per_timeline_session\":%lld,"
                 "\"max_allocs_per_monitor_session\":%lld,"
                 "\"bit_identical\":%s}",
-                speedup, batched_speedup, obs_overhead_frac,
+                speedup, obs_overhead_frac,
                 timeline_overhead_frac, monitor_overhead_frac,
-                max_session_allocs, max_batch_allocs, max_timeline_allocs,
+                max_session_allocs, max_timeline_allocs,
                 max_monitor_allocs, identical ? "true" : "false");
   json += buf;
 
@@ -802,27 +673,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "FAIL: streaming speedup %.2fx below the 1.5x target\n",
                  speedup);
-    ok = false;
-  }
-  if (max_batch_allocs != 0) {
-    std::fprintf(stderr,
-                 "FAIL: batched kernel allocated on a steady-state batch "
-                 "(max %lld allocs)\n",
-                 max_batch_allocs);
-    ok = false;
-  }
-  // The batched kernel runs 2.3-3.0x the streaming scalar path on the CI
-  // host (the ratio wanders with VM noise; docs/perf.md derives why ~3x is
-  // the single-core structural ceiling: the scalar baseline already
-  // streams its metrics with zero allocations, so the kernel's wins are
-  // lazy trace generation and the fused decision loop only). The hard
-  // floor sits below the observed band so a real regression fails while
-  // an unlucky scheduler slice does not.
-  if (batched_speedup < 2.0) {
-    std::fprintf(stderr,
-                 "FAIL: batched kernel speedup %.2fx over streaming below "
-                 "the 2x floor\n",
-                 batched_speedup);
     ok = false;
   }
   if (max_timeline_allocs != 0) {

@@ -52,37 +52,6 @@ struct Observation {
   const media::Video* video = nullptr;
 };
 
-/// A flattened, plain-data description of a BBA decision policy, consumed
-/// by the batched session kernel (sim/batch_player.hpp). The kernel inlines
-/// the whole per-chunk decision -- reservoir, chunk map, hysteresis
-/// barriers, BBA-2's startup ramp -- so it cannot call through the virtual
-/// choose_rate() interface; instead an algorithm that is exactly one of the
-/// kernel-supported policies exports its configuration here and the kernel
-/// reproduces its decisions bit for bit (enforced by tests/test_sim_batch).
-/// Plain fields only: abr must not depend on core.
-struct BatchDecisionProfile {
-  /// True: BBA-2 (startup ramp active from chunk 0, outage accrual gated
-  /// on startup exit). False: BBA-1 (steady-state algorithm throughout).
-  bool startup = false;
-  /// BBA-2 startup Delta-B thresholds (fractions of V); unused for BBA-1.
-  double threshold_at_empty = 0.875;
-  double threshold_at_knee = 0.5;
-
-  // core::Bba1Config / ReservoirConfig mirror.
-  double lookahead_s = 480.0;
-  double reservoir_min_s = 8.0;
-  double reservoir_max_s = 140.0;
-  bool cache_window_sums = true;
-  double upper_knee_fraction = 0.9;
-  std::size_t start_index = 0;
-  bool monotone_reservoir = false;
-  bool outage_protection = true;
-  double outage_accrual_s = 0.4;
-  double outage_cap_s = 80.0;
-  double outage_accrue_below_fraction = 0.75;
-  double min_cushion_s = 60.0;
-};
-
 /// Base class for rate-adaptation algorithms. Implementations are
 /// single-session state machines; call `reset()` (or construct fresh) per
 /// session.
@@ -99,17 +68,6 @@ class RateAdaptation {
 
   /// Short algorithm name for reports ("control", "bba0", ...).
   virtual std::string name() const = 0;
-
-  /// Fills `out` with an exact plain-data description of this algorithm's
-  /// decision policy and returns true, or returns false when no such
-  /// description exists (the default). Overriders must guarantee the
-  /// batched kernel driven by `out` chooses the identical rate sequence as
-  /// choose_rate() on every input -- which is why core::Bba1/Bba2 only
-  /// answer for their exact dynamic type, never for derived classes.
-  virtual bool batch_profile(BatchDecisionProfile* out) const {
-    (void)out;
-    return false;
-  }
 };
 
 }  // namespace bba::abr

@@ -6,27 +6,21 @@
 
 namespace bba::abr {
 
-namespace {
-
-/// Normalized utility of rendition m: 1 + ln(S_m / S_0), so the lowest
-/// rendition has utility exactly 1 (the dash.js BOLA convention).
-double utility(const Observation& obs, std::size_t m) {
-  const auto& chunks = obs.video->chunks();
-  return 1.0 + std::log(chunks.mean_size_bits(m) / chunks.mean_size_bits(0));
-}
-
-}  // namespace
-
 BolaAbr::BolaAbr(BolaConfig cfg) : cfg_(cfg) {
   BBA_ASSERT(cfg_.min_threshold_s > 0.0 &&
                  cfg_.max_threshold_s > cfg_.min_threshold_s,
              "BOLA thresholds must satisfy 0 < min < max");
 }
 
-double BolaAbr::objective(const Observation& obs, std::size_t m) const {
-  BBA_ASSERT(obs.video != nullptr, "observation must carry the video");
-  const auto& chunks = obs.video->chunks();
-  const double u_top = utility(obs, obs.video->ladder().max_index());
+void BolaAbr::prepare(const media::Video& video) const {
+  const auto& chunks = video.chunks();
+  const std::size_t n = video.ladder().size();
+  // Each term is the expression the per-call objective used to evaluate,
+  // in the same order, so decisions are bit-identical.
+  auto utility = [&](std::size_t m) {
+    return 1.0 + std::log(chunks.mean_size_bits(m) / chunks.mean_size_bits(0));
+  };
+  const double u_top = utility(video.ladder().max_index());
   // dash.js parameterization: gp fixes the spread of the per-rendition
   // buffer bands; Vp scales them so the lowest band starts at the minimum
   // threshold.
@@ -36,17 +30,29 @@ double BolaAbr::objective(const Observation& obs, std::size_t m) const {
                 (cfg_.max_threshold_s / cfg_.min_threshold_s - 1.0)
           : 1.0;
   const double vp = cfg_.min_threshold_s / gp;
-  return (vp * (utility(obs, m) + gp) - obs.buffer_s) /
-         chunks.mean_size_bits(m);
+  numerator_.resize(n);
+  size_.resize(n);
+  for (std::size_t m = 0; m < n; ++m) {
+    numerator_[m] = vp * (utility(m) + gp);
+    size_[m] = chunks.mean_size_bits(m);
+  }
+  prepared_for_ = &video;
+}
+
+double BolaAbr::objective(const Observation& obs, std::size_t m) const {
+  BBA_ASSERT(obs.video != nullptr, "observation must carry the video");
+  if (obs.video != prepared_for_) prepare(*obs.video);
+  return (numerator_[m] - obs.buffer_s) / size_[m];
 }
 
 std::size_t BolaAbr::choose_rate(const Observation& obs) {
   BBA_ASSERT(obs.video != nullptr, "observation must carry the video");
-  const auto& ladder = obs.video->ladder();
+  if (obs.video != prepared_for_) prepare(*obs.video);
+  const std::size_t n = numerator_.size();
   std::size_t best = 0;
-  double best_value = objective(obs, 0);
-  for (std::size_t m = 1; m < ladder.size(); ++m) {
-    const double value = objective(obs, m);
+  double best_value = (numerator_[0] - obs.buffer_s) / size_[0];
+  for (std::size_t m = 1; m < n; ++m) {
+    const double value = (numerator_[m] - obs.buffer_s) / size_[m];
     if (value > best_value) {
       best_value = value;
       best = m;

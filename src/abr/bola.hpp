@@ -14,6 +14,8 @@
 // the paper's thesis. This is BOLA-BASIC on nominal chunk sizes.
 #pragma once
 
+#include <vector>
+
 #include "abr/abr.hpp"
 
 namespace bba::abr {
@@ -33,6 +35,9 @@ class BolaAbr final : public RateAdaptation {
   explicit BolaAbr(BolaConfig cfg = {});
 
   std::size_t choose_rate(const Observation& obs) override;
+  /// Drops the prepared state: a new session may stream another title
+  /// (possibly a new Video object at a reused address).
+  void reset() override { prepared_for_ = nullptr; }
   std::string name() const override { return "bola"; }
 
   /// The drift-plus-penalty objective for rendition `m` at buffer level
@@ -41,7 +46,18 @@ class BolaAbr final : public RateAdaptation {
   double objective(const Observation& obs, std::size_t m) const;
 
  private:
+  /// Computes the per-video terms of the objective once per session: the
+  /// utilities, gp and Vp depend only on the ladder's mean chunk sizes, so
+  /// each decision is then one subtraction and one division per rendition
+  /// instead of a logarithm per rendition per objective call.
+  void prepare(const media::Video& video) const;
+
   BolaConfig cfg_;
+  // Prepared state for `prepared_for_` (mutable: a cache behind the const
+  // objective()). numerator_[m] = Vp * (utility_m + gp); size_[m] = S_m.
+  mutable const media::Video* prepared_for_ = nullptr;
+  mutable std::vector<double> numerator_;
+  mutable std::vector<double> size_;
 };
 
 }  // namespace bba::abr

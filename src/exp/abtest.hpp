@@ -85,16 +85,6 @@ struct AbTestConfig {
   PopulationConfig population;
   WorkloadConfig workload;
   sim::PlayerConfig player;
-
-  /// Run each key's group sessions through the batched SoA kernel
-  /// (sim/batch_player.hpp) when they qualify: outage-free sessions stream
-  /// their capacity trace lazily (generated once per key, shared by every
-  /// group) and skip trace materialization entirely. Bit-identical to the
-  /// scalar path -- metrics, obs registry, and trace-file bytes -- at every
-  /// thread count; the flag exists so benchmarks and CI can diff the two
-  /// paths (tools/abtest_cli --no-batch). Fault-injection runs and lanes
-  /// the kernel cannot express fall back to the scalar player either way.
-  bool batch_sessions = true;
 };
 
 /// Full experiment output: cells[group][day][window].

@@ -81,12 +81,6 @@ double ChunkTable::video_duration_s() const {
   return chunk_duration_s_ * static_cast<double>(num_chunks());
 }
 
-double ChunkTable::size_bits(std::size_t rate, std::size_t k) const {
-  BBA_ASSERT(rate < num_rates(), "rate index out of range");
-  BBA_ASSERT(k < num_chunks(), "chunk index out of range");
-  return sizes_bits_[rate][k];
-}
-
 double ChunkTable::mean_size_bits(std::size_t rate) const {
   BBA_ASSERT(rate < num_rates(), "rate index out of range");
   return mean_bits_[rate];

@@ -30,11 +30,6 @@ EncodingLadder EncodingLadder::netflix_2013_rmin560() {
                          kbps(2350), kbps(3000), kbps(5000)});
 }
 
-double EncodingLadder::rate_bps(std::size_t i) const {
-  BBA_ASSERT(i < rates_bps_.size(), "rate index out of range");
-  return rates_bps_[i];
-}
-
 std::size_t EncodingLadder::up(std::size_t i) const {
   BBA_ASSERT(i < rates_bps_.size(), "rate index out of range");
   return i + 1 < rates_bps_.size() ? i + 1 : i;

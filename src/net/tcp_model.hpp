@@ -17,8 +17,11 @@
 // trace integration).
 #pragma once
 
+#include <algorithm>
+
 #include "net/capacity_trace.hpp"
 #include "net/trace_cursor.hpp"
+#include "util/assert.hpp"
 
 namespace bba::net {
 
@@ -49,8 +52,11 @@ class TcpDownloadModel {
 
   /// Cursor variant for hot loops: bit-identical to the trace overload
   /// (the slow-start probes and the final integration are monotone in
-  /// time, so the cursor's hint advances instead of re-searching).
-  double finish_time_s(TraceCursor& cursor, double start_s, double bits,
+  /// time, so the cursor's hint advances instead of re-searching). Any
+  /// trace reader with TraceCursor's rate_at_bps/finish_time_s works --
+  /// the session player passes its trace Source.
+  template <class Cursor>
+  double finish_time_s(Cursor& cursor, double start_s, double bits,
                        double idle_s) const;
 
   const TcpModelConfig& config() const { return cfg_; }
@@ -58,5 +64,42 @@ class TcpDownloadModel {
  private:
   TcpModelConfig cfg_;
 };
+
+template <class Cursor>
+double TcpDownloadModel::finish_time_s(Cursor& cursor, double start_s,
+                                       double bits, double idle_s) const {
+  BBA_ASSERT(start_s >= 0.0 && bits >= 0.0, "invalid download request");
+  if (bits == 0.0) return start_s;
+
+  double t = start_s;
+  double remaining = bits;
+
+  if (idle_s >= cfg_.idle_reset_s) {
+    // Cold window: walk RTT rounds, doubling the window, until the window
+    // reaches the instantaneous path rate (then the path limits).
+    double window_bits = cfg_.init_window_bits;
+    for (int round = 0; round < 64; ++round) {
+      const double path_bps = cursor.rate_at_bps(t);
+      if (path_bps <= 0.0) {
+        // Outage: nothing moves this round; skip to when capacity returns
+        // by handing the remainder to the exact trace integration (which
+        // waits through the outage).
+        return cursor.finish_time_s(t, remaining);
+      }
+      const double path_round_bits = path_bps * cfg_.rtt_s;
+      if (window_bits >= path_round_bits) break;  // window caught up
+      const double sendable = std::min(window_bits, remaining);
+      if (sendable >= remaining) {
+        // Finishes inside this round: delivery is spread over the RTT.
+        return t + cfg_.rtt_s * remaining / window_bits;
+      }
+      remaining -= sendable;
+      t += cfg_.rtt_s;
+      window_bits *= 2.0;
+    }
+  }
+  // Warm (or caught-up) connection: capacity-limited, exact integration.
+  return cursor.finish_time_s(t, remaining);
+}
 
 }  // namespace bba::net

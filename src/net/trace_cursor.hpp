@@ -34,6 +34,8 @@ class TraceCursor {
   explicit TraceCursor(const CapacityTrace& trace) : trace_(&trace) {}
 
   const CapacityTrace& trace() const { return *trace_; }
+  double cycle_duration_s() const { return trace_->cycle_duration_s(); }
+  bool loops() const { return trace_->loops(); }
 
   /// Bit-identical to CapacityTrace::rate_at_bps.
   double rate_at_bps(double t_s);

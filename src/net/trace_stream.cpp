@@ -2,13 +2,11 @@
 
 namespace bba::net {
 
-void TraceStream::reserve_for(double max_duration_s) {
-  const std::size_t cap = static_cast<std::size_t>(max_duration_s / 0.5) + 64;
-  if (tp_buf.size() < cap + 1) {
-    tp_buf.resize(cap + 1);
-    bp_buf.resize(cap + 1);
-    rate_buf.resize(cap);
-  }
+void TraceStream::grow() {
+  const std::size_t cap = std::max<std::size_t>(256, 2 * rate_buf.size());
+  tp_buf.resize(cap + 1);
+  bp_buf.resize(cap + 1);
+  rate_buf.resize(cap);
   tp = tp_buf.data();
   bp = bp_buf.data();
   rate = rate_buf.data();
@@ -23,7 +21,7 @@ void TraceStream::reset(const MarkovTraceConfig& cfg, util::Rng r) {
   max_bps = cfg.max_bps;
   rng = r;
   base_t = 0.0;
-  reserve_for(cfg.duration_s);
+  if (rate_buf.empty()) grow();
   n = 0;
   tp[0] = 0.0;
   bp[0] = 0.0;
@@ -42,6 +40,7 @@ void TraceStream::step_one() {
   const double dwell = std::max(0.5, rng.exponential(mean_dwell_s));
   const double level = std::clamp(rng.lognormal(mu, sigma), min_bps, max_bps);
   base_t += dwell;
+  if (n == rate_buf.size()) grow();
   rate[n] = level;
   tp[n + 1] = tp[n] + dwell;
   bp[n + 1] = bp[n] + level * dwell;

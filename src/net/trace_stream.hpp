@@ -1,4 +1,4 @@
-// Incremental capacity-trace generation for the batched session kernel.
+// Incremental capacity-trace generation for the session player.
 //
 // The scalar hot path materializes a session's whole Markov trace (7200 s,
 // ~700 segments) before the player consumes, typically, the first tenth of
@@ -13,10 +13,10 @@
 // the outage draws without defeating its own laziness. Those sessions
 // materialize their trace exactly as before and run through FixedSource.
 //
-// LaneCursor is the batched kernel's counterpart of net::TraceCursor:
-// bit-identical finish times AND identical query/rewind tallies over either
-// source (enforced by tests/test_sim_batch.cpp), with the walk running over
-// raw prefix arrays the lane caches for its whole lifetime.
+// StreamCursor is net::TraceCursor's counterpart over either source:
+// bit-identical finish times, rates AND query/rewind tallies (enforced by
+// tests/test_net_cursor.cpp and the golden digests), with the walk running
+// over raw prefix arrays.
 #pragma once
 
 #include <algorithm>
@@ -33,9 +33,10 @@
 namespace bba::net {
 
 /// Lazily generated Markov capacity trace in structure-of-arrays form.
-/// Committed segments are exposed through stable raw pointers into
-/// preallocated buffers: a commit is three stores and an increment, and
-/// consumers can cache tp/bp/rate for the stream's whole lifetime.
+/// Committed segments are exposed through raw pointers into reused
+/// buffers: a commit is three stores and an increment. The buffers grow
+/// (doubling) when a commit needs room, which moves the pointers, so
+/// consumers re-read tp/bp/rate after asking for more segments.
 /// tp (segment start times) and bp (bits prefix) carry n+1 entries.
 struct TraceStream {
   double duration_s = 0.0, mean_dwell_s = 0.0, mu = 0.0, sigma = 0.0,
@@ -51,13 +52,8 @@ struct TraceStream {
   bool done = false;
   double cycle_s = 0.0, cycle_bits = 0.0;
 
-  /// Sizes the buffers for any trace of at most `max_duration_s`: base
-  /// dwells are clamped to >= 0.5 s, so duration/0.5 bounds the segment
-  /// count. Sized once per lane, reused forever.
-  void reserve_for(double max_duration_s);
-
   /// Rebinds the stream to a fresh (config, rng) pair. No allocation once
-  /// the buffers have grown to the workload's longest trace.
+  /// the buffers have grown to the longest prefix the workload reads.
   void reset(const MarkovTraceConfig& cfg, util::Rng r);
 
   std::size_t num_segments() const { return n; }
@@ -73,9 +69,13 @@ struct TraceStream {
   void ensure_done() {
     while (!done) step_one();
   }
+
+ private:
+  /// Doubles the buffers (keeping the committed prefix) and repoints.
+  void grow();
 };
 
-/// Trace-source policies for the templated LaneCursor. Both expose the same
+/// Trace-source policies for StreamCursor. Both expose the same
 /// inline surface; StreamSource generates on demand, FixedSource wraps a
 /// materialized CapacityTrace (strided Segment rates).
 struct StreamSource {
@@ -130,52 +130,123 @@ struct FixedSource {
   inline void gen_burst() {}
 };
 
-/// Stateful segment cursor over a StreamSource or FixedSource, replicating
-/// net::TraceCursor::finish_time_s bit for bit on looping traces --
-/// including the kCursorQueries / kCursorRewinds tallies (the scalar cursor
-/// seeks twice per finish_time_s call: once for the bits prefix, once to
-/// start the walk; seek2 deduplicates the walk but counts both).
-struct LaneCursor {
-  std::size_t hint = 0;
-  std::uint64_t queries = 0, rewinds = 0;
+/// Stateful segment cursor over a StreamSource or FixedSource: the session
+/// player's trace Source for looping traces. Replicates net::TraceCursor
+/// bit for bit -- finish times, rates, AND the kCursorQueries /
+/// kCursorRewinds tallies (the scalar cursor seeks twice per finish_time_s
+/// call: once for the bits prefix, once to start the walk; seek2
+/// deduplicates the walk but counts both) -- while the walk runs over raw
+/// prefix arrays and a lazy source only generates what the session reads.
+template <class Src>
+class StreamCursor {
+ public:
+  explicit StreamCursor(Src src) : tr_(src) {}
 
-  template <class Src>
-  static inline std::size_t bsearch(const Src& tr, double pos) {
-    const double* begin = tr.tp();
-    const double* end = begin + tr.count() + 1;
-    const double* it = std::upper_bound(begin, end, pos);
-    std::size_t i = static_cast<std::size_t>(it - begin) - 1;
-    return std::min(i, tr.count() - 1);
+  std::uint64_t queries() const { return queries_; }
+  std::uint64_t rewinds() const { return rewinds_; }
+  bool loops() const { return true; }
+  /// Generates the whole trace if it is still lazy: only fault attribution
+  /// needs the cycle length.
+  double cycle_duration_s() {
+    tr_.ensure_done();
+    return tr_.cycle_s();
   }
 
-  /// The two scalar seeks of one finish_time_s call, deduplicated: counts
-  /// queries += 2 and evaluates the first seek's rewind predicate, but
-  /// walks once (the second scalar seek starts from the hint the first one
-  /// just wrote, so it can never rewind).
-  template <class Src>
-  inline std::size_t seek2(const Src& tr, double pos) {
-    queries += 2;
-    const double* tp = tr.tp();
-    const std::size_t last = tr.count() - 1;
-    std::size_t i = hint;
+  /// Bit-identical to TraceCursor::rate_at_bps on the materialized trace.
+  double rate_at_bps(double t_s) {
+    tr_.ensure_beyond(t_s);
+    if (tr_.done() && t_s >= tr_.cycle_s()) {
+      t_s = std::fmod(t_s, tr_.cycle_s());
+    }
+    ++queries_;
+    return tr_.rate_at(seek(t_s));
+  }
+
+  /// Bit-identical to TraceCursor::finish_time_s on the materialized trace,
+  /// including query/rewind tallies. The walk is a tight loop over the
+  /// committed prefix; the source is only asked to generate when the walk
+  /// exhausts it.
+  double finish_time_s(double start_s, double bits) {
+    if (bits == 0.0) return start_s;
+    double cycles_done = 0.0;
+    double pos = start_s;
+    tr_.ensure_beyond(pos);
+    if (tr_.done() && pos >= tr_.cycle_s()) {
+      cycles_done = std::floor(pos / tr_.cycle_s());
+      pos -= cycles_done * tr_.cycle_s();
+      tr_.ensure_beyond(pos);
+    }
+    queries_ += 2;
+    const std::size_t idx0 = seek(pos);
+    if (tr_.done()) {
+      const double bp_at_pos =
+          tr_.bp()[idx0] + tr_.rate_at(idx0) * (pos - tr_.tp()[idx0]);
+      const double avail = tr_.cycle_bits() - bp_at_pos;
+      if (avail < bits) {
+        return finish_slow(pos, cycles_done, bits, bp_at_pos);
+      }
+    }
+    double remaining = bits;
+    std::size_t idx = idx0;
+    double t = pos;
+    while (true) {
+      const std::size_t count = tr_.count();
+      const double* tp = tr_.tp();
+      while (idx < count) {
+        const double r = tr_.rate_at(idx);
+        const double seg_end = tp[idx + 1];
+        const double avail = r * (seg_end - t);
+        if (avail >= remaining && r > 0.0) {
+          t += remaining / r;
+          hint_ = idx;
+          return cycles_done == 0.0 ? t : cycles_done * tr_.cycle_s() + t;
+        }
+        remaining -= avail;
+        t = seg_end;
+        ++idx;
+      }
+      if (tr_.done()) {
+        const double bp_at_pos =
+            tr_.bp()[idx0] + tr_.rate_at(idx0) * (pos - tr_.tp()[idx0]);
+        return finish_slow(pos, cycles_done, bits, bp_at_pos);
+      }
+      tr_.gen_burst();
+    }
+  }
+
+ private:
+  std::size_t bsearch(double pos) const {
+    const double* begin = tr_.tp();
+    const double* end = begin + tr_.count() + 1;
+    const double* it = std::upper_bound(begin, end, pos);
+    std::size_t i = static_cast<std::size_t>(it - begin) - 1;
+    return std::min(i, tr_.count() - 1);
+  }
+
+  /// TraceCursor::seek without the query tally (callers count): advances
+  /// the hint, binary-searches on a rewind. The prefix must extend beyond
+  /// `pos` (or be complete), which makes the index equal the full trace's.
+  std::size_t seek(double pos) {
+    const double* tp = tr_.tp();
+    const std::size_t last = tr_.count() - 1;
+    std::size_t i = hint_;
     if (i > last || tp[i] > pos) {
-      ++rewinds;
-      i = bsearch(tr, pos);
+      ++rewinds_;
+      i = bsearch(pos);
     } else {
       while (i < last && tp[i + 1] <= pos) ++i;
     }
-    hint = i;
+    hint_ = i;
     return i;
   }
 
   /// Verbatim TraceCursor::finish_time_s over the fully generated trace,
   /// used for the wrap (slow) path and the rare FP-residue fallback.
-  template <class Src>
-  double finish_slow(Src& tr, double pos, double cycles_done, double bits,
+  double finish_slow(double pos, double cycles_done, double bits,
                      double bp_at_pos) {
     constexpr double kInf = std::numeric_limits<double>::infinity();
-    const double cycle_s = tr.cycle_s();
-    const double cycle_bits = tr.cycle_bits();
+    const double cycle_s = tr_.cycle_s();
+    const double cycle_bits = tr_.cycle_bits();
     double remaining = bits;
     const double avail0 = cycle_bits - bp_at_pos;
     bool wrapped = false;
@@ -196,39 +267,25 @@ struct LaneCursor {
     }
     // The scalar path re-seeks here (its walk seek). On the wrap path that
     // is a real second seek at pos == 0 whose rewind predicate fires
-    // whenever the hint segment starts after 0.
-    std::size_t idx;
-    const double* tp = tr.tp();
-    if (wrapped) {
-      const std::size_t last = tr.count() - 1;
-      if (hint > last || tp[hint] > pos) {
-        ++rewinds;
-        idx = bsearch(tr, pos);
-      } else {
-        idx = hint;
-        while (idx < last && tp[idx + 1] <= pos) ++idx;
-      }
-      hint = idx;
-    } else {
-      // FP-residue fallback: seek2 already walked to idx(pos) and counted
-      // both queries; recompute without recounting.
-      idx = bsearch(tr, pos);
-    }
+    // whenever the hint segment starts after 0; otherwise (FP-residue
+    // fallback) the first seek already counted both queries.
+    std::size_t idx = wrapped ? seek(pos) : bsearch(pos);
+    const double* tp = tr_.tp();
     double t = pos;
     while (true) {
-      const double r = tr.rate_at(idx);
+      const double r = tr_.rate_at(idx);
       const double seg_end = tp[idx + 1];
       const double span = seg_end - t;
       const double avail = r * span;
       if (avail >= remaining && r > 0.0) {
         t += remaining / r;
-        hint = idx;
+        hint_ = idx;
         return cycles_done * cycle_s + t;
       }
       remaining -= avail;
       t = seg_end;
       ++idx;
-      if (idx == tr.count()) {
+      if (idx == tr_.count()) {
         idx = 0;
         t = 0.0;
         cycles_done += 1.0;
@@ -237,58 +294,9 @@ struct LaneCursor {
     }
   }
 
-  /// Bit-identical to TraceCursor::finish_time_s on the materialized trace
-  /// (looping traces only -- the caller gates on trace.loops()), including
-  /// query/rewind tallies. The walk is a tight loop over the committed
-  /// prefix; the source is only asked to generate when the walk exhausts
-  /// it.
-  template <class Src>
-  double finish_time_s(Src& tr, double start_s, double bits) {
-    if (bits == 0.0) return start_s;
-    double cycles_done = 0.0;
-    double pos = start_s;
-    tr.ensure_beyond(pos);
-    if (tr.done() && pos >= tr.cycle_s()) {
-      cycles_done = std::floor(pos / tr.cycle_s());
-      pos -= cycles_done * tr.cycle_s();
-      tr.ensure_beyond(pos);
-    }
-    const std::size_t idx0 = seek2(tr, pos);
-    if (tr.done()) {
-      const double bp_at_pos =
-          tr.bp()[idx0] + tr.rate_at(idx0) * (pos - tr.tp()[idx0]);
-      const double avail = tr.cycle_bits() - bp_at_pos;
-      if (avail < bits) {
-        return finish_slow(tr, pos, cycles_done, bits, bp_at_pos);
-      }
-    }
-    double remaining = bits;
-    std::size_t idx = idx0;
-    double t = pos;
-    while (true) {
-      const std::size_t count = tr.count();
-      const double* tp = tr.tp();
-      while (idx < count) {
-        const double r = tr.rate_at(idx);
-        const double seg_end = tp[idx + 1];
-        const double avail = r * (seg_end - t);
-        if (avail >= remaining && r > 0.0) {
-          t += remaining / r;
-          hint = idx;
-          return cycles_done == 0.0 ? t : cycles_done * tr.cycle_s() + t;
-        }
-        remaining -= avail;
-        t = seg_end;
-        ++idx;
-      }
-      if (tr.done()) {
-        const double bp_at_pos =
-            tr.bp()[idx0] + tr.rate_at(idx0) * (pos - tr.tp()[idx0]);
-        return finish_slow(tr, pos, cycles_done, bits, bp_at_pos);
-      }
-      tr.gen_burst();
-    }
-  }
+  Src tr_;
+  std::size_t hint_ = 0;
+  std::uint64_t queries_ = 0, rewinds_ = 0;
 };
 
 }  // namespace bba::net

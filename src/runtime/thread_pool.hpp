@@ -54,6 +54,9 @@ class ThreadPool {
       std::size_t begin, std::size_t end, std::size_t grain,
       const std::function<void(std::size_t, std::size_t)>& body);
 
+  /// The chunk size grain == 0 selects for a loop of `count` indices.
+  std::size_t default_grain(std::size_t count) const;
+
   /// std::thread::hardware_concurrency() with a floor of 1.
   static std::size_t hardware_threads();
 

@@ -84,7 +84,9 @@ struct PlayerConfig {
 /// reset() at session start. Deterministic: no internal randomness. This
 /// is the allocation-free core: with a reusable sink it performs no heap
 /// allocation (trace integration runs through an incremental
-/// net::TraceCursor).
+/// net::TraceCursor). It is the virtual-dispatch instantiation of the
+/// session player template (sim/simulate.hpp), which callers that know
+/// the ABR's exact type, the sink's, or a lazy trace source use directly.
 void simulate_session(const media::Video& video,
                       const net::CapacityTrace& trace,
                       abr::RateAdaptation& abr, const PlayerConfig& config,

@@ -18,7 +18,9 @@
 #include "runtime/session_executor.hpp"
 #include "runtime/thread_pool.hpp"
 #include "sim/metrics.hpp"
+#include "net/trace_gen.hpp"
 #include "sim/player.hpp"
+#include "sim/session_sink.hpp"
 #include "util/rng.hpp"
 
 namespace bba {
@@ -169,6 +171,69 @@ TEST(ChunkTableMemo, ConcurrentFirstAccessIsSafeAndConsistent) {
     }
   });
   EXPECT_EQ(mismatches.load(), 0);
+}
+
+TEST(ThreadPool, DefaultGrainGivesManyClaimsPerThread) {
+  runtime::ThreadPool pool(4);
+  // ~64 claims per thread: fine enough that the last claim of a loop is a
+  // short tail, never below one index.
+  EXPECT_EQ(pool.default_grain(24000), 24000u / (4 * 64));
+  EXPECT_EQ(pool.default_grain(10), 1u);
+  EXPECT_EQ(pool.default_grain(0), 1u);
+}
+
+TEST(SessionExecutor, SessionResultsBitIdenticalAtEveryGrain) {
+  // Real session work through slot-indexed scratch, folded in index order:
+  // the folded bytes must not depend on how the indices were chunked --
+  // one index per claim, the default grain, or the whole range at once.
+  const media::VideoLibrary library = media::VideoLibrary::standard(4);
+  const exp::Population population{exp::PopulationConfig{}};
+  const exp::WorkloadConfig workload;
+  constexpr std::size_t kSessions = 240;
+  auto run = [&](std::size_t grain) {
+    runtime::SessionExecutor executor(4);
+    struct Scratch {
+      net::TraceScratch trace_scratch;
+      net::CapacityTrace trace = net::CapacityTrace::constant(1.0);
+      sim::StreamingMetricsSink sink;
+      abr::RMinAlways abr;
+    };
+    std::vector<Scratch> scratch(executor.threads());
+    std::vector<sim::SessionMetrics> produced(kSessions);
+    std::vector<unsigned char> folded;
+    executor.execute_slotted(
+        kSessions,
+        [&](std::size_t i, std::size_t slot) {
+          Scratch& s = scratch[slot];
+          const exp::SessionKey key{2014, 0, i % exp::kWindowsPerDay, i};
+          const exp::UserEnvironment env = population.environment_for(key);
+          const exp::SessionSpec spec =
+              exp::session_for(library, workload, key);
+          population.trace_for_into(env, key, s.trace_scratch, s.trace);
+          sim::PlayerConfig cfg;
+          cfg.watch_duration_s = spec.watch_duration_s;
+          sim::simulate_session(library.at(spec.video_index), s.trace, s.abr,
+                                cfg, s.sink);
+          produced[i] = s.sink.metrics();
+        },
+        [&](std::size_t i) {
+          const auto* p =
+              reinterpret_cast<const unsigned char*>(&produced[i].play_s);
+          folded.insert(folded.end(), p, p + sizeof(double));
+          const auto* r =
+              reinterpret_cast<const unsigned char*>(&produced[i].rebuffer_s);
+          folded.insert(folded.end(), r, r + sizeof(double));
+          const auto* a =
+              reinterpret_cast<const unsigned char*>(&produced[i].avg_rate_bps);
+          folded.insert(folded.end(), a, a + sizeof(double));
+        },
+        grain);
+    return folded;
+  };
+  const std::vector<unsigned char> one = run(1);
+  ASSERT_EQ(one.size(), kSessions * 3 * sizeof(double));
+  EXPECT_EQ(run(0), one);
+  EXPECT_EQ(run(kSessions), one);
 }
 
 TEST(SessionExecutor, FoldRunsSequentiallyInIndexOrder) {

@@ -95,9 +95,6 @@ void usage(const char* argv0) {
       "                          e.g. 'outage:every=300,dur=20..35;spike:\n"
       "                          every=240,depth=0.1..0.3'; docs/faults.md.\n"
       "                          Default: $BBA_FAULTS, else off)\n"
-      "          [--no-batch]    (disable the batched session kernel and\n"
-      "                          run the scalar player; bit-identical\n"
-      "                          output, for differential benchmarking)\n"
       "          [--sequential]  (best-arm identification with early\n"
       "                          stopping, docs/sequential.md; the fixed\n"
       "                          budget is groups*sessions*days*12)\n"
@@ -180,8 +177,6 @@ int main(int argc, char** argv) {
       if (!tools::parse_count0(v, &cfg.threads)) {
         bad_value("--threads", "a thread count >= 0 (0 = hardware)", v);
       }
-    } else if (arg == "--no-batch") {
-      cfg.batch_sessions = false;
     } else if (arg == "--metric") {
       metric_name = next("--metric");
     } else if (arg == "--baseline") {
