@@ -1,7 +1,8 @@
-// Chunk-major decision table for the batched session kernel.
+// Chunk-major decision table for table-driven BBA decisions
+// (core/bba_table.hpp).
 //
 // A BBA decision at chunk k reads the dynamic reservoir for k plus the
-// sizes of chunk k at every ladder rate. The scalar path gathers those from
+// sizes of chunk k at every ladder rate. The classes gather those from
 // n_rates separate ChunkTable rows plus the window-sum memo; this table
 // packs everything one decision touches into a single row
 //   [ raw_reservoir_k, size_bits(0, k), ..., size_bits(R-1, k) ]
@@ -28,20 +29,17 @@ struct DecisionTable {
   std::vector<double> szt;
   std::size_t row_stride = 0;
 
-  std::vector<double> rate_bps;  ///< ladder rates by index
-  double chunk_min_mean = 0.0;   ///< mean chunk bits at R_min
-  double chunk_max_mean = 0.0;   ///< mean chunk bits at R_max
-  double V = 0.0;                ///< chunk duration
-  double rmin_bps = 0.0;
-  std::size_t n = 0;        ///< chunks
-  std::size_t n_rates = 0;  ///< ladder size
+  double chunk_min_mean = 0.0;  ///< mean chunk bits at R_min
+  double chunk_max_mean = 0.0;  ///< mean chunk bits at R_max
+  double V = 0.0;               ///< chunk duration
+  std::size_t n_rates = 0;      ///< ladder size
 };
 
 /// Per-scratch (per executor slot) cache of decision tables, keyed by
 /// (video, window_chunks). Building an entry performs exactly one real
 /// ChunkTable::window_sums call -- the genuine build-or-memo-hit event the
-/// obs registry counts -- which is what the batched kernel's memo-hit
-/// accounting (sim/batch_player.cpp) is balanced against. Not thread-safe:
+/// obs registry counts -- which is what core::BbaTable's memo-hit
+/// accounting is balanced against. Not thread-safe:
 /// each worker slot owns its own cache.
 class DecisionTableCache {
  public:

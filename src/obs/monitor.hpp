@@ -5,8 +5,8 @@
 // per-day, per-window dashboards of rebuffer rate and video rate across
 // A/B traffic. The HealthMonitor is the layer that reacts to that stream:
 // it rides the canonical sequential fold in exp::SessionBlockRunner (the
-// same single-writer point the TimelineAggregator uses, so scalar,
-// batched-kernel, and replayed sessions all feed it identically) and runs
+// same single-writer point the TimelineAggregator uses, so fused,
+// virtual-dispatch, and replayed sessions all feed it identically) and runs
 // per-(group, metric) online detectors over per-(day, window) cell
 // aggregates:
 //

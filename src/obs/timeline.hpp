@@ -4,7 +4,7 @@
 // The source paper is a measurement study -- Netflix dashboards of rebuffer
 // rate and video rate per time-of-day across days of A/B traffic. The
 // TimelineAggregator reproduces that view for the harness: every finished
-// session (scalar player, batch kernel, and recorded paths alike -- all of
+// session (fused and virtual player paths and replays alike -- all of
 // them funnel through the SessionBlockRunner fold) is folded into one
 // per-(day, time-of-day window, group) cell, plus per-group quantile
 // sketches for video rate, startup delay, and buffer occupancy.

@@ -1,75 +1,28 @@
 #include "sim/metrics.hpp"
 
-#include <algorithm>
-
-#include "util/assert.hpp"
-#include "util/units.hpp"
+#include "sim/session_sink.hpp"
 
 namespace bba::sim {
 
 SessionMetrics compute_metrics(const SessionResult& result,
                                double steady_after_s) {
-  BBA_ASSERT(steady_after_s > 0.0, "steady_after_s must be > 0");
-  SessionMetrics m;
-  m.play_s = result.played_s;
-  m.join_s = result.join_s;
-  m.abandoned = result.abandoned;
-  m.rebuffer_count = static_cast<long long>(result.rebuffers.size());
-  for (const auto& rb : result.rebuffers) {
-    m.rebuffer_s += rb.duration_s;
-    if (rb.during_fault) ++m.fault_stall_count;
-  }
-
-  const double play_hours = util::to_hours(result.played_s);
-  if (play_hours > 0.0) {
-    m.rebuffers_per_hour = static_cast<double>(m.rebuffer_count) / play_hours;
-  }
-
-  // Delivered video rate: each chunk's nominal rate weighted by how much of
-  // that chunk's video interval [iV, (i+1)V) was actually played.
-  const double V = result.chunk_duration_s;
-  double total_weight = 0.0, total_rate = 0.0;
-  double start_weight = 0.0, start_rate = 0.0;
-  double steady_weight = 0.0, steady_rate = 0.0;
-  double buffer_sum = 0.0;
-  for (const auto& c : result.chunks) {
-    buffer_sum += c.buffer_after_s;
-    const double lo = c.position_s;
-    const double played_portion =
-        std::clamp(result.played_s - lo, 0.0, V);
-    if (played_portion <= 0.0) continue;
-    total_weight += played_portion;
-    total_rate += c.rate_bps * played_portion;
-    // Overlap with the startup window [0, steady_after_s).
-    const double start_overlap =
-        std::clamp(std::min(steady_after_s, result.played_s) - lo, 0.0,
-                   played_portion);
-    start_weight += start_overlap;
-    start_rate += c.rate_bps * start_overlap;
-    const double steady_overlap = played_portion - start_overlap;
-    steady_weight += steady_overlap;
-    steady_rate += c.rate_bps * steady_overlap;
-  }
-  if (!result.chunks.empty()) {
-    m.avg_buffer_s = buffer_sum / static_cast<double>(result.chunks.size());
-  }
-  if (total_weight > 0.0) m.avg_rate_bps = total_rate / total_weight;
-  if (start_weight > 0.0) m.startup_rate_bps = start_rate / start_weight;
-  if (steady_weight > 0.0) {
-    m.steady_rate_bps = steady_rate / steady_weight;
-    m.has_steady = true;
-    m.steady_play_s = steady_weight;
-  }
-
-  for (std::size_t i = 1; i < result.chunks.size(); ++i) {
-    if (result.chunks[i].rate_index != result.chunks[i - 1].rate_index) {
-      ++m.switch_count;
-    }
-  }
-  if (play_hours > 0.0) {
-    m.switches_per_hour = static_cast<double>(m.switch_count) / play_hours;
-  }
-  return m;
+  // A replay through the streaming fold. Reporting nothing played while
+  // the chunks arrive defers every chunk to the end-of-session fold, which
+  // weights each chunk's nominal rate by how much of its video interval
+  // [position, position + V) was played, in download order.
+  StreamingMetricsSink sink(steady_after_s);
+  sink.on_session_start(result.chunk_duration_s);
+  for (const ChunkRecord& c : result.chunks) sink.on_chunk(c, 0.0);
+  for (const RebufferEvent& e : result.rebuffers) sink.on_rebuffer(e);
+  SessionSummary summary;
+  summary.chunk_duration_s = result.chunk_duration_s;
+  summary.join_s = result.join_s;
+  summary.played_s = result.played_s;
+  summary.wall_s = result.wall_s;
+  summary.started = result.started;
+  summary.abandoned = result.abandoned;
+  sink.on_session_end(summary);
+  return sink.metrics();
 }
 
 }  // namespace bba::sim

@@ -31,8 +31,8 @@ struct SessionMetrics {
   /// Mean buffer level right after each chunk landed, over all downloaded
   /// chunks (0 with no chunks) -- the session's buffer-occupancy summary
   /// for the fleet telemetry sketches. Accumulated in download order by
-  /// every metric path, so it is bit-identical across recorded, streaming,
-  /// and batched execution like the rest of the struct.
+  /// every metric path, so it is bit-identical across recorded and
+  /// streaming execution like the rest of the struct.
   double avg_buffer_s = 0.0;
 
   bool abandoned = false;
