@@ -1,7 +1,5 @@
 #include "core/bba_others.hpp"
 
-#include <algorithm>
-
 #include "util/assert.hpp"
 
 namespace bba::core {
@@ -13,42 +11,10 @@ BbaOthersConfig BbaOthers::defaults() {
   return cfg;
 }
 
-BbaOthers::BbaOthers(BbaOthersConfig cfg) : Bba2(cfg.base), cfg3_(cfg) {
-  BBA_ASSERT(cfg3_.max_lookahead_chunks >= 1,
+BbaOthers::BbaOthers(BbaOthersConfig cfg)
+    : Bba2(cfg.base, cfg.max_lookahead_chunks) {
+  BBA_ASSERT(cfg.max_lookahead_chunks >= 1,
              "lookahead must be at least one chunk");
-}
-
-std::size_t BbaOthers::lookahead_chunks(double buffer_s,
-                                        double chunk_duration_s) const {
-  BBA_ASSERT(chunk_duration_s > 0.0, "chunk duration must be > 0");
-  // "We look ahead the same number of chunks as what we have in the buffer"
-  // -- at least the next chunk, at most 60.
-  const auto buffered =
-      static_cast<std::size_t>(buffer_s / chunk_duration_s);
-  return std::clamp<std::size_t>(buffered, 1, cfg3_.max_lookahead_chunks);
-}
-
-std::size_t BbaOthers::filter_up_switch(const abr::Observation& obs,
-                                        std::size_t candidate,
-                                        std::size_t prev, double map_bits) {
-  const auto& chunks = obs.video->chunks();
-  const auto& ladder = obs.video->ladder();
-  const std::size_t window =
-      lookahead_chunks(obs.buffer_s, chunks.chunk_duration_s());
-  // Hold an up-switch that would soon be undone: after moving to rate r,
-  // the map triggers a step-down when its allowable size falls to the size
-  // of an upcoming chunk at the next-lower rate. Accept the highest rate
-  // (up to the candidate) whose lookahead window stays clear of that
-  // down-barrier; otherwise hold the current rate. Only increases are
-  // smoothed ("it does not smooth decreases so as to avoid increasing the
-  // likelihood of rebuffering").
-  for (std::size_t r = candidate; r > prev; --r) {
-    if (chunks.max_size_in_window_bits(ladder.down(r), obs.chunk_index,
-                                       window) < map_bits) {
-      return r;
-    }
-  }
-  return prev;
 }
 
 }  // namespace bba::core
