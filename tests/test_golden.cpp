@@ -2,12 +2,13 @@
 //
 // Every digest below is FNV-1a 64 over raw bytes: the IEEE-754 bits of
 // every per-session SessionMetrics field, every ChunkRecord/RebufferEvent
-// of recorded seek sessions, and the exact stdout and trace-file bytes of
-// the bba_abtest and bba_paper_report tools. The constants were recorded
-// from the reference implementation; any change to session semantics, to
-// floating-point evaluation order, or to an output format moves at least
-// one of them. A deliberate re-baseline must update the constants and say
-// why.
+// of recorded seek sessions, the exact stdout and trace-file bytes of the
+// bba_abtest and bba_paper_report tools, and the checkpoint container
+// bytes (every section, plus a checkpointed btrace run). The constants
+// were recorded from the reference implementation; any change to session
+// semantics, to floating-point evaluation order, or to an output format
+// moves at least one of them. A deliberate re-baseline must update the
+// constants and say why.
 //
 // The population is small but covers every execution path of the player:
 // all seven paper/comparison groups (BOLA included), outage sessions, a
@@ -29,12 +30,17 @@
 #include "core/map_families.hpp"
 #include "exp/abtest.hpp"
 #include "exp/block.hpp"
+#include "exp/checkpoint.hpp"
 #include "exp/population.hpp"
 #include "exp/session_key.hpp"
 #include "exp/workload.hpp"
 #include "media/video.hpp"
 #include "net/fault_inject.hpp"
 #include "net/trace_gen.hpp"
+#include "obs/btrace.hpp"
+#include "obs/monitor.hpp"
+#include "obs/obs.hpp"
+#include "obs/timeline.hpp"
 #include "sim/player.hpp"
 
 namespace {
@@ -335,6 +341,174 @@ TEST(GoldenDigest, PaperReportStdout) {
   d.value(status);
   d.text(out.substr(body));
   expect_digest("paper report", d.h, 0xffd2bc82cceff685ull);
+}
+
+// --- Checkpoint container bytes ---------------------------------------------
+
+obs::MonitorSpec tight_monitor_spec() {
+  obs::MonitorSpec spec;
+  std::string error;
+  // Tight bands and instant warmup so the small runs below fire alerts.
+  EXPECT_TRUE(obs::MonitorSpec::parse("warmup=2,ewma_k=1.5,cusum_h=1", &spec,
+                                      &error))
+      << error;
+  return spec;
+}
+
+/// A checkpoint carrying all six sections (RUN0, CELL, TLIN, TRCE, SEQS,
+/// ALRT), with adversarial doubles and live detector state.
+exp::Checkpoint six_section_checkpoint() {
+  exp::Checkpoint ck;
+  ck.kind = 1;
+  ck.seed = 0xfeedface;
+  ck.days = 2;
+  ck.windows_per_day = exp::kWindowsPerDay;
+  ck.sessions_per_window = 4;
+  ck.shard_index = 2;
+  ck.shard_count = 3;
+  ck.total_keys = 2 * exp::kWindowsPerDay * 4;
+  ck.cursor = 29;
+  ck.groups = {"control", "bba2", "we\"ird"};
+  ck.cells.assign(3, std::vector<std::vector<exp::WindowMetrics>>(
+                         2, std::vector<exp::WindowMetrics>(
+                                exp::kWindowsPerDay)));
+  exp::WindowMetrics& cell = ck.cells[1][1][7];
+  cell.sessions = 3;
+  cell.play_hours = 0.1;
+  cell.rebuffer_count = -0.0;
+  cell.rebuffer_s = 5e-324;
+  cell.avg_rate_bps = 1.0 / 3.0;
+  cell.startup_rate_bps = 1e300;
+  cell.steady_rate_bps = -2.5e-10;
+  cell.switch_count = 3.0;
+  cell.steady_play_hours = 0.30000000000000004;
+  cell.fault_stall_count = 1.0;
+  ck.cells[2][0][0].sessions = 1;
+  ck.cells[2][0][0].play_hours = 2.0;
+
+  sim::SessionMetrics m;
+  m.play_s = 1234.5;
+  m.join_s = 1.25;
+  m.rebuffer_count = 2;
+  m.rebuffer_s = 3.5;
+  m.avg_rate_bps = 2.1e6;
+  m.avg_buffer_s = 17.0;
+  m.switch_count = 5;
+  ck.has_timeline = true;
+  ck.timeline.begin_run(ck.seed, ck.groups, 2, exp::kWindowsPerDay);
+  ck.timeline.record(0, 3, 1, m);
+  m.abandoned = true;
+  ck.timeline.record(1, 11, 2, m);
+
+  ck.has_trace = true;
+  ck.trace.format = "btrace";
+  ck.trace.sample = 4;
+  ck.trace.anomaly_rebuffer_s = 30.0;
+  ck.trace.sessions_written = 9;
+  ck.trace.anomalies_written = 2;
+  ck.trace.bytes_written = 40960;
+  ck.trace.write_errors = 1;
+  ck.trace.file_size = 40960;
+
+  ck.has_seq = true;
+  ck.seq.rounds = 4;
+  ck.seq.sessions_used = 240;
+  ck.seq.budget_sessions = 720;
+  ck.seq.next_key = 120;
+  ck.seq.batch_sessions = 30;
+  ck.seq.min_batches = 2;
+  ck.seq.baseline = 0;
+  ck.seq.confidence = 0.95;
+  ck.seq.metric = "rate";
+  exp::CheckpointSeq::Arm arm;
+  arm.n = 120;
+  arm.mean = -0.125;
+  arm.m2 = 17.5;
+  arm.lo = -0.5;
+  arm.hi = 0.25;
+  ck.seq.arms = {exp::CheckpointSeq::Arm{}, arm, arm};
+  ck.seq.arms[2].candidate = false;
+  ck.seq.arms[2].eliminated_round = 3;
+  ck.seq.decision_log = "{\"round\":1}\n{\"round\":2}\n";
+
+  obs::HealthMonitor mon(tight_monitor_spec());
+  mon.begin_run(ck.seed, ck.groups, 2, exp::kWindowsPerDay);
+  for (std::size_t w = 0; w < 5; ++w) {
+    for (std::size_t g = 0; g < ck.groups.size(); ++g) {
+      sim::SessionMetrics s;
+      s.play_s = 100.0;
+      s.join_s = w == 4 && g == 1 ? 42.0 : 1.0 + 0.1 * static_cast<double>(w);
+      s.avg_rate_bps = 2.0e6;
+      mon.record(0, w, g, g, s);
+    }
+  }
+  ck.has_alerts = true;
+  ck.alerts = mon.state();
+  ck.alerts_spec_json = mon.spec().to_json();
+  return ck;
+}
+
+TEST(GoldenDigest, CheckpointAllSections) {
+  const std::string bytes =
+      exp::serialize_checkpoint(six_section_checkpoint());
+  Digest d;
+  d.value(bytes.size());
+  d.text(bytes);
+  expect_digest("checkpoint sections", d.h, 0xd186201d07ba3071ull);
+}
+
+/// A small checkpointed run with a btrace trace, a timeline and an alerting
+/// monitor: the final checkpoint bytes and the finalized trace bytes.
+TEST(GoldenDigest, CheckpointedRunWithBtrace) {
+  const std::string ckpt = temp_path("run.ckpt");
+  const std::string trace = temp_path("run.btrace");
+  std::remove(ckpt.c_str());
+  std::remove(trace.c_str());
+  {
+    obs::Observability handle;
+    obs::TraceConfig tc;
+    tc.path = trace;
+    tc.sample = 2;
+    handle.trace = std::make_unique<obs::BinaryTraceCollector>(tc);
+    handle.timeline = std::make_unique<obs::TimelineAggregator>();
+    handle.monitor = std::make_unique<obs::HealthMonitor>(tight_monitor_spec());
+    obs::install(&handle);
+    exp::CheckpointOptions opts;
+    opts.out = ckpt;
+    opts.every = 10;
+    exp::AbTestResult result;
+    std::string error;
+    const media::VideoLibrary library = media::VideoLibrary::standard(2014);
+    std::vector<exp::Group> groups = seven_groups();
+    groups.resize(3);
+    EXPECT_TRUE(exp::run_ab_test_checkpointed(groups, library,
+                                              small_config(2), opts, &result,
+                                              &error))
+        << error;
+    obs::install(nullptr);
+  }
+  // The trace must carry an alert capture, so the digest pins the block's
+  // alert-marker field too.
+  obs::BtraceReader reader;
+  std::string error, jsonl;
+  ASSERT_TRUE(reader.open(trace, &error)) << error;
+  for (std::size_t i = 0; i < reader.session_count(); ++i) {
+    ASSERT_TRUE(reader.read_session(i, &jsonl, nullptr, &error)) << error;
+  }
+  EXPECT_NE(jsonl.find("\"ev\":\"alert\""), std::string::npos);
+
+  const std::string ckpt_bytes = slurp(ckpt);
+  const std::string trace_bytes = slurp(trace);
+  std::remove(ckpt.c_str());
+  std::remove(trace.c_str());
+  ASSERT_FALSE(ckpt_bytes.empty());
+  ASSERT_FALSE(trace_bytes.empty());
+  Digest d;
+  d.value(ckpt_bytes.size());
+  d.text(ckpt_bytes);
+  d.value(trace_bytes.size());
+  d.text(trace_bytes);
+  expect_digest("checkpointed run", d.h, 0xae76058c64cbf109ull);
 }
 
 }  // namespace
