@@ -1,12 +1,10 @@
 #include "exp/checkpoint.hpp"
 
 #include <algorithm>
-#include <array>
-#include <bit>
 #include <cerrno>
+#include <concepts>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <span>
 #include <string_view>
 
@@ -15,169 +13,125 @@
 #include "obs/obs.hpp"
 #include "obs/profile.hpp"
 #include "util/assert.hpp"
+#include "util/binio.hpp"
 
 namespace bba::exp {
 
 namespace {
 
-// --- Primitive serialization ----------------------------------------------
-// Little-endian, independent of host order; same discipline as the btrace
-// container (obs/btrace.cpp).
+using util::Cursor;
+using util::put_varint;
 
-void put_u32(std::string& out, std::uint32_t v) {
-  char b[4];
-  for (int i = 0; i < 4; ++i) b[i] = static_cast<char>(v >> (8 * i));
-  out.append(b, 4);
-}
+// --- Field lists ------------------------------------------------------------
+// A record type lists its fields once, in file order, in a template over
+// the direction: Put appends them, Get reads them back and reports whether
+// the payload held them. Integers are varints, doubles raw IEEE bits (the
+// window cells are order-sensitive incremental means, so restored doubles
+// must be bit-exact), bools one byte, strings util::put_string.
 
-void put_u64(std::string& out, std::uint64_t v) {
-  char b[8];
-  for (int i = 0; i < 8; ++i) b[i] = static_cast<char>(v >> (8 * i));
-  out.append(b, 8);
-}
+struct Put {
+  std::string& p;
 
-void put_f64(std::string& out, double v) {
-  // Raw IEEE-754 bits: the window cells are order-sensitive incremental
-  // means, so the restored doubles must be the exact bit patterns.
-  put_u64(out, std::bit_cast<std::uint64_t>(v));
-}
-
-void put_varint(std::string& out, std::uint64_t v) {
-  while (v >= 0x80) {
-    out += static_cast<char>(0x80 | (v & 0x7f));
-    v >>= 7;
-  }
-  out += static_cast<char>(v);
-}
-
-void put_string(std::string& out, const std::string& s) {
-  put_varint(out, s.size());
-  out += s;
-}
-
-std::uint32_t load_u32(const unsigned char* p) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-  return v;
-}
-
-std::uint64_t load_u64(const unsigned char* p) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-  return v;
-}
-
-// --- CRC32 (IEEE 802.3, the zlib polynomial) ------------------------------
-
-constexpr std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> t{};
-  for (std::uint32_t i = 0; i < 256; ++i) {
-    std::uint32_t c = i;
-    for (int k = 0; k < 8; ++k) {
-      c = (c & 1) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-    }
-    t[i] = c;
-  }
-  return t;
-}
-
-constexpr std::array<std::uint32_t, 256> kCrcTable = make_crc_table();
-
-std::uint32_t crc32(const char* data, std::size_t n) {
-  std::uint32_t c = 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < n; ++i) {
-    c = kCrcTable[(c ^ static_cast<unsigned char>(data[i])) & 0xFFu] ^
-        (c >> 8);
-  }
-  return c ^ 0xFFFFFFFFu;
-}
-
-// --- Bounds-checked read cursor -------------------------------------------
-
-struct Cursor {
-  const unsigned char* p;
-  const unsigned char* end;
-  bool fail = false;
-
-  bool need(std::size_t n) {
-    if (static_cast<std::size_t>(end - p) < n) {
-      fail = true;
-      return false;
-    }
+  template <typename... T>
+  bool operator()(const T&... v) {
+    (one(v), ...);
     return true;
   }
-  std::uint8_t u8() {
-    if (!need(1)) return 0;
-    return *p++;
-  }
-  std::uint32_t u32() {
-    if (!need(4)) return 0;
-    const std::uint32_t v = load_u32(p);
-    p += 4;
-    return v;
-  }
-  double f64() {
-    if (!need(8)) return 0.0;
-    const std::uint64_t v = load_u64(p);
-    p += 8;
-    return std::bit_cast<double>(v);
-  }
-  std::uint64_t varint() {
-    std::uint64_t v = 0;
-    for (int shift = 0; shift < 64; shift += 7) {
-      if (p == end) break;
-      const unsigned char c = *p++;
-      v |= static_cast<std::uint64_t>(c & 0x7f) << shift;
-      if ((c & 0x80) == 0) return v;
-    }
-    fail = true;
-    return 0;
-  }
-  bool str(std::string* out) {
-    const std::uint64_t n = varint();
-    if (fail || !need(static_cast<std::size_t>(n))) return false;
-    out->assign(reinterpret_cast<const char*>(p),
-                static_cast<std::size_t>(n));
-    p += n;
+  /// A vector length; Get resizes every listed vector to it.
+  template <typename V, typename... W>
+  bool count(std::uint64_t /*cap*/, const V& v, const W&...) {
+    put_varint(p, v.size());
     return true;
+  }
+  void one(double v) { util::put_f64(p, v); }
+  void one(bool v) { p += static_cast<char>(v ? 1 : 0); }
+  void one(const std::string& v) { util::put_string(p, v); }
+  void one(std::integral auto v) {
+    put_varint(p, static_cast<std::uint64_t>(v));
   }
 };
 
+struct Get {
+  Cursor& c;
+
+  template <typename... T>
+  bool operator()(T&... v) {
+    (one(v), ...);
+    return !c.fail;
+  }
+  /// Rejects a length above `cap`: a corrupt varint must not turn into a
+  /// giant allocation.
+  template <typename... V>
+  bool count(std::uint64_t cap, V&... v) {
+    const std::uint64_t n = c.varint();
+    if (c.fail || n > cap) return false;
+    (v.resize(static_cast<std::size_t>(n)), ...);
+    return true;
+  }
+  void one(double& v) { v = c.f64(); }
+  void one(bool& v) { v = (c.u8() & 1) != 0; }
+  void one(std::string& v) { c.str(&v); }
+  template <std::integral T>
+  void one(T& v) {
+    v = static_cast<T>(c.varint());
+  }
+};
+
+/// The group list of a RUN0, TLIN or ALRT section.
+void put_groups(std::string& p, const std::vector<std::string>& groups) {
+  put_varint(p, groups.size());
+  for (const std::string& g : groups) util::put_string(p, g);
+}
+
+/// Reads a put_groups list. Its length and the grid dimensions its section
+/// read before it must pass sanity caps, so that a corrupt varint cannot
+/// turn into a giant allocation.
+bool parse_groups(Cursor& c, std::uint64_t days, std::uint64_t windows,
+                  std::vector<std::string>* groups) {
+  const std::uint64_t n = c.varint();
+  if (c.fail || n == 0 || n > 4096 || days == 0 || days > (1u << 20) ||
+      windows == 0 || windows > (1u << 16)) {
+    return false;
+  }
+  groups->resize(static_cast<std::size_t>(n));
+  for (std::string& g : *groups) {
+    if (!c.str(&g)) return false;
+  }
+  return true;
+}
+
+template <class IO, class Cell>
+bool window_cell(IO io, Cell& m) {
+  return io(m.sessions, m.play_hours, m.rebuffer_count, m.rebuffer_s,
+            m.avg_rate_bps, m.startup_rate_bps, m.steady_rate_bps,
+            m.switch_count, m.steady_play_hours, m.fault_stall_count);
+}
+
+template <class IO, class Cell>
+bool timeline_cell(IO io, Cell& t) {
+  return io(t.sessions, t.abandoned, t.rebuffers, t.fault_stalls, t.switches,
+            t.play_micro, t.rebuffer_micro, t.join_micro, t.rate_play_kbit);
+}
+
 // --- Section payloads ------------------------------------------------------
 
+/// RUN0 between its leading u32 kind and its group list.
+template <class IO, class Ck>
+bool run_fields(IO io, Ck& ck) {
+  return io(ck.seed, ck.days, ck.windows_per_day, ck.sessions_per_window,
+            ck.shard_index, ck.shard_count, ck.total_keys, ck.cursor);
+}
+
 void put_run_section(std::string& p, const Checkpoint& ck) {
-  put_u32(p, ck.kind);
-  put_varint(p, ck.seed);
-  put_varint(p, ck.days);
-  put_varint(p, ck.windows_per_day);
-  put_varint(p, ck.sessions_per_window);
-  put_varint(p, ck.shard_index);
-  put_varint(p, ck.shard_count);
-  put_varint(p, ck.total_keys);
-  put_varint(p, ck.cursor);
-  put_varint(p, ck.groups.size());
-  for (const std::string& g : ck.groups) put_string(p, g);
+  util::put_u32(p, ck.kind);
+  run_fields(Put{p}, ck);
+  put_groups(p, ck.groups);
 }
 
 bool parse_run_section(Cursor& c, Checkpoint* out) {
   out->kind = c.u32();
-  out->seed = c.varint();
-  out->days = c.varint();
-  out->windows_per_day = c.varint();
-  out->sessions_per_window = c.varint();
-  out->shard_index = c.varint();
-  out->shard_count = c.varint();
-  out->total_keys = c.varint();
-  out->cursor = c.varint();
-  const std::uint64_t n_groups = c.varint();
-  if (c.fail || n_groups == 0 || n_groups > 4096) return false;
-  out->groups.resize(static_cast<std::size_t>(n_groups));
-  for (std::string& g : out->groups) {
-    if (!c.str(&g)) return false;
-  }
-  // Sanity caps: a corrupt varint must not turn into a giant allocation.
-  if (out->days == 0 || out->days > (1u << 20) ||
-      out->windows_per_day == 0 || out->windows_per_day > (1u << 16)) {
+  if (!run_fields(Get{c}, *out) ||
+      !parse_groups(c, out->days, out->windows_per_day, &out->groups)) {
     return false;
   }
   out->cells.assign(
@@ -186,7 +140,7 @@ bool parse_run_section(Cursor& c, Checkpoint* out) {
           static_cast<std::size_t>(out->days),
           std::vector<WindowMetrics>(
               static_cast<std::size_t>(out->windows_per_day))));
-  return !c.fail;
+  return true;
 }
 
 void put_cells_section(std::string& p, const Checkpoint& ck) {
@@ -202,19 +156,8 @@ void put_cells_section(std::string& p, const Checkpoint& ck) {
       for (std::size_t w = 0; w < ck.cells[g][d].size(); ++w) {
         const WindowMetrics& cell = ck.cells[g][d][w];
         if (cell.sessions == 0) continue;
-        put_varint(p, g);
-        put_varint(p, d);
-        put_varint(p, w);
-        put_varint(p, static_cast<std::uint64_t>(cell.sessions));
-        put_f64(p, cell.play_hours);
-        put_f64(p, cell.rebuffer_count);
-        put_f64(p, cell.rebuffer_s);
-        put_f64(p, cell.avg_rate_bps);
-        put_f64(p, cell.startup_rate_bps);
-        put_f64(p, cell.steady_rate_bps);
-        put_f64(p, cell.switch_count);
-        put_f64(p, cell.steady_play_hours);
-        put_f64(p, cell.fault_stall_count);
+        Put{p}(g, d, w);
+        window_cell(Put{p}, cell);
       }
     }
   }
@@ -230,19 +173,9 @@ bool parse_cells_section(Cursor& c, Checkpoint* out) {
         w >= out->windows_per_day) {
       return false;
     }
-    WindowMetrics& cell =
-        out->cells[static_cast<std::size_t>(g)][static_cast<std::size_t>(d)]
-                  [static_cast<std::size_t>(w)];
-    cell.sessions = static_cast<long long>(c.varint());
-    cell.play_hours = c.f64();
-    cell.rebuffer_count = c.f64();
-    cell.rebuffer_s = c.f64();
-    cell.avg_rate_bps = c.f64();
-    cell.startup_rate_bps = c.f64();
-    cell.steady_rate_bps = c.f64();
-    cell.switch_count = c.f64();
-    cell.steady_play_hours = c.f64();
-    cell.fault_stall_count = c.f64();
+    window_cell(Get{c}, out->cells[static_cast<std::size_t>(g)]
+                                  [static_cast<std::size_t>(d)]
+                                  [static_cast<std::size_t>(w)]);
   }
   return !c.fail;
 }
@@ -283,11 +216,8 @@ bool parse_sketch(Cursor& c, stats::QuantileSketch* s) {
 }
 
 void put_timeline_section(std::string& p, const obs::TimelineAggregator& t) {
-  put_varint(p, t.seed());
-  put_varint(p, t.days());
-  put_varint(p, t.windows_per_day());
-  put_varint(p, t.num_groups());
-  for (const std::string& g : t.group_names()) put_string(p, g);
+  Put{p}(t.seed(), t.days(), t.windows_per_day());
+  put_groups(p, t.group_names());
   std::uint64_t n = 0;
   for (std::size_t d = 0; d < t.days(); ++d) {
     for (std::size_t w = 0; w < t.windows_per_day(); ++w) {
@@ -302,18 +232,8 @@ void put_timeline_section(std::string& p, const obs::TimelineAggregator& t) {
       for (std::size_t g = 0; g < t.num_groups(); ++g) {
         const obs::TimelineCell& cell = t.cell(d, w, g);
         if (cell.empty()) continue;
-        put_varint(p, d);
-        put_varint(p, w);
-        put_varint(p, g);
-        put_varint(p, cell.sessions);
-        put_varint(p, cell.abandoned);
-        put_varint(p, cell.rebuffers);
-        put_varint(p, cell.fault_stalls);
-        put_varint(p, cell.switches);
-        put_varint(p, cell.play_micro);
-        put_varint(p, cell.rebuffer_micro);
-        put_varint(p, cell.join_micro);
-        put_varint(p, cell.rate_play_kbit);
+        Put{p}(d, w, g);
+        timeline_cell(Put{p}, cell);
       }
     }
   }
@@ -329,15 +249,9 @@ bool parse_timeline_section(Cursor& c, obs::TimelineAggregator* t) {
   const std::uint64_t seed = c.varint();
   const std::uint64_t days = c.varint();
   const std::uint64_t windows = c.varint();
-  const std::uint64_t n_groups = c.varint();
-  if (c.fail || n_groups == 0 || n_groups > 4096 || days == 0 ||
-      days > (1u << 20) || windows == 0 || windows > (1u << 16)) {
-    return false;
-  }
-  std::vector<std::string> names(static_cast<std::size_t>(n_groups));
-  for (std::string& g : names) {
-    if (!c.str(&g)) return false;
-  }
+  std::vector<std::string> names;
+  if (!parse_groups(c, days, windows, &names)) return false;
+  const std::uint64_t n_groups = names.size();
   t->begin_run(seed, names, static_cast<std::size_t>(days),
                static_cast<std::size_t>(windows));
   const std::uint64_t n = c.varint();
@@ -346,18 +260,9 @@ bool parse_timeline_section(Cursor& c, obs::TimelineAggregator* t) {
     const std::uint64_t w = c.varint();
     const std::uint64_t g = c.varint();
     if (c.fail || d >= days || w >= windows || g >= n_groups) return false;
-    obs::TimelineCell& cell = t->mutable_cell(
-        static_cast<std::size_t>(d), static_cast<std::size_t>(w),
-        static_cast<std::size_t>(g));
-    cell.sessions = c.varint();
-    cell.abandoned = c.varint();
-    cell.rebuffers = c.varint();
-    cell.fault_stalls = c.varint();
-    cell.switches = c.varint();
-    cell.play_micro = c.varint();
-    cell.rebuffer_micro = c.varint();
-    cell.join_micro = c.varint();
-    cell.rate_play_kbit = c.varint();
+    timeline_cell(Get{c}, t->mutable_cell(static_cast<std::size_t>(d),
+                                          static_cast<std::size_t>(w),
+                                          static_cast<std::size_t>(g)));
   }
   for (std::uint64_t g = 0; g < n_groups && !c.fail; ++g) {
     obs::GroupSketches& s = t->mutable_sketches(static_cast<std::size_t>(g));
@@ -369,100 +274,51 @@ bool parse_timeline_section(Cursor& c, obs::TimelineAggregator* t) {
   return !c.fail;
 }
 
-void put_trace_section(std::string& p, const obs::TraceResumeState& st) {
-  put_string(p, st.format);
-  put_varint(p, st.sample);
-  put_f64(p, st.anomaly_rebuffer_s);
-  put_varint(p, st.sessions_written);
-  put_varint(p, st.anomalies_written);
-  put_varint(p, st.bytes_written);
-  put_varint(p, st.write_errors);
-  put_varint(p, st.file_size);
+template <class IO, class S>
+bool trace_section(IO io, S& st) {
+  return io(st.format, st.sample, st.anomaly_rebuffer_s, st.sessions_written,
+            st.anomalies_written, st.bytes_written, st.write_errors,
+            st.file_size);
 }
 
-bool parse_trace_section(Cursor& c, obs::TraceResumeState* st) {
-  if (!c.str(&st->format)) return false;
-  st->sample = c.varint();
-  st->anomaly_rebuffer_s = c.f64();
-  st->sessions_written = c.varint();
-  st->anomalies_written = c.varint();
-  st->bytes_written = c.varint();
-  st->write_errors = c.varint();
-  st->file_size = c.varint();
-  return !c.fail;
-}
-
-void put_seq_section(std::string& p, const CheckpointSeq& s) {
-  put_varint(p, s.rounds);
-  put_varint(p, s.sessions_used);
-  put_varint(p, s.budget_sessions);
-  put_varint(p, s.next_key);
-  put_varint(p, s.batch_sessions);
-  put_varint(p, s.min_batches);
-  put_varint(p, s.baseline);
-  put_f64(p, s.confidence);
-  put_string(p, s.metric);
-  put_string(p, s.verdict);
-  put_varint(p, s.arms.size());
-  for (const CheckpointSeq::Arm& a : s.arms) {
-    p += static_cast<char>(a.candidate ? 1 : 0);
-    put_varint(p, a.eliminated_round);
-    put_varint(p, static_cast<std::uint64_t>(a.n));
-    put_f64(p, a.mean);
-    put_f64(p, a.m2);
-    put_f64(p, a.lo);
-    put_f64(p, a.hi);
+template <class IO, class S>
+bool seq_section(IO io, S& s) {
+  if (!io(s.rounds, s.sessions_used, s.budget_sessions, s.next_key,
+          s.batch_sessions, s.min_batches, s.baseline, s.confidence,
+          s.metric, s.verdict) ||
+      !io.count(4096, s.arms)) {
+    return false;
   }
-  put_string(p, s.decision_log);
-}
-
-bool parse_seq_section(Cursor& c, CheckpointSeq* s) {
-  s->rounds = c.varint();
-  s->sessions_used = c.varint();
-  s->budget_sessions = c.varint();
-  s->next_key = c.varint();
-  s->batch_sessions = c.varint();
-  s->min_batches = c.varint();
-  s->baseline = c.varint();
-  s->confidence = c.f64();
-  if (!c.str(&s->metric) || !c.str(&s->verdict)) return false;
-  const std::uint64_t n_arms = c.varint();
-  if (c.fail || n_arms > 4096) return false;
-  s->arms.resize(static_cast<std::size_t>(n_arms));
-  for (CheckpointSeq::Arm& a : s->arms) {
-    a.candidate = (c.u8() & 1) != 0;
-    a.eliminated_round = c.varint();
-    a.n = static_cast<long long>(c.varint());
-    a.mean = c.f64();
-    a.m2 = c.f64();
-    a.lo = c.f64();
-    a.hi = c.f64();
+  for (auto& a : s.arms) {
+    io(a.candidate, a.eliminated_round, a.n, a.mean, a.m2, a.lo, a.hi);
   }
-  return c.str(&s->decision_log) && !c.fail;
+  return io(s.decision_log);
 }
 
-void put_timeline_cell(std::string& p, const obs::TimelineCell& cell) {
-  put_varint(p, cell.sessions);
-  put_varint(p, cell.abandoned);
-  put_varint(p, cell.rebuffers);
-  put_varint(p, cell.fault_stalls);
-  put_varint(p, cell.switches);
-  put_varint(p, cell.play_micro);
-  put_varint(p, cell.rebuffer_micro);
-  put_varint(p, cell.join_micro);
-  put_varint(p, cell.rate_play_kbit);
-}
-
-void parse_timeline_cell(Cursor& c, obs::TimelineCell* cell) {
-  cell->sessions = c.varint();
-  cell->abandoned = c.varint();
-  cell->rebuffers = c.varint();
-  cell->fault_stalls = c.varint();
-  cell->switches = c.varint();
-  cell->play_micro = c.varint();
-  cell->rebuffer_micro = c.varint();
-  cell->join_micro = c.varint();
-  cell->rate_play_kbit = c.varint();
+/// The ALRT payload after its grid and cells: detector state, alert log,
+/// offender candidates and the capture queue. The per-group vectors are
+/// sized from the grid before a read.
+template <class IO, class S>
+bool monitor_detectors(IO io, S& st) {
+  for (auto& e : st.ewma) {
+    io(e.base.n, e.base.mean, e.base.m2, e.ewma, e.sd, e.ready);
+  }
+  for (auto& s : st.cusum) {
+    io(s.base.n, s.base.mean, s.base.m2, s.sd, s.ready, s.s_pos, s.s_neg);
+  }
+  for (auto& b : st.burn) io(b.streak, b.armed);
+  io(st.alert_seq, st.alert_log);
+  for (auto& cand : st.cand) {
+    if (!io.count(4096, cand.sessions, cand.scores)) return false;
+    for (std::size_t i = 0; i < cand.sessions.size(); ++i) {
+      io(cand.sessions[i], cand.scores[i]);
+    }
+  }
+  if (!io.count(1u << 20, st.pending)) return false;
+  for (auto& cap : st.pending) {
+    io(cap.day, cap.window, cap.group, cap.session, cap.marker);
+  }
+  return io();
 }
 
 /// The ALRT payload: the monitor's complete MonitorState, detector doubles
@@ -470,82 +326,28 @@ void parse_timeline_cell(Cursor& c, obs::TimelineCell* cell) {
 /// changed --alert-spec.
 void put_alerts_section(std::string& p, const std::string& spec_json,
                         const obs::MonitorState& st) {
-  put_string(p, spec_json);
-  p += static_cast<char>(st.deferred ? 1 : 0);
-  put_varint(p, st.seed);
-  put_varint(p, st.days);
-  put_varint(p, st.windows);
-  put_varint(p, st.groups.size());
-  for (const std::string& g : st.groups) put_string(p, g);
-  put_varint(p, st.consumed);
-  put_varint(p, st.open);
+  Put{p}(spec_json, st.deferred, st.seed, st.days, st.windows);
+  put_groups(p, st.groups);
+  Put{p}(st.consumed, st.open);
   std::uint64_t n = 0;
   for (const obs::TimelineCell& cell : st.cells) n += cell.empty() ? 0 : 1;
   put_varint(p, n);
   for (std::size_t i = 0; i < st.cells.size(); ++i) {
     if (st.cells[i].empty()) continue;
     put_varint(p, i);
-    put_timeline_cell(p, st.cells[i]);
+    timeline_cell(Put{p}, st.cells[i]);
   }
-  for (const stats::EwmaState& e : st.ewma) {
-    put_varint(p, e.base.n);
-    put_f64(p, e.base.mean);
-    put_f64(p, e.base.m2);
-    put_f64(p, e.ewma);
-    put_f64(p, e.sd);
-    p += static_cast<char>(e.ready ? 1 : 0);
-  }
-  for (const stats::CusumState& s : st.cusum) {
-    put_varint(p, s.base.n);
-    put_f64(p, s.base.mean);
-    put_f64(p, s.base.m2);
-    put_f64(p, s.sd);
-    p += static_cast<char>(s.ready ? 1 : 0);
-    put_f64(p, s.s_pos);
-    put_f64(p, s.s_neg);
-  }
-  for (const stats::BurnState& b : st.burn) {
-    put_varint(p, b.streak);
-    p += static_cast<char>(b.armed ? 1 : 0);
-  }
-  put_varint(p, st.alert_seq);
-  put_string(p, st.alert_log);
-  for (const obs::MonitorCandidates& cand : st.cand) {
-    put_varint(p, cand.sessions.size());
-    for (std::size_t i = 0; i < cand.sessions.size(); ++i) {
-      put_varint(p, cand.sessions[i]);
-      put_f64(p, cand.scores[i]);
-    }
-  }
-  put_varint(p, st.pending.size());
-  for (const obs::MonitorCapture& cap : st.pending) {
-    put_varint(p, cap.day);
-    put_varint(p, cap.window);
-    put_varint(p, cap.group);
-    put_varint(p, cap.session);
-    put_string(p, cap.marker);
-  }
+  monitor_detectors(Put{p}, st);
 }
 
 bool parse_alerts_section(Cursor& c, std::string* spec_json,
                           obs::MonitorState* st) {
-  if (!c.str(spec_json)) return false;
-  st->deferred = (c.u8() & 1) != 0;
-  st->seed = c.varint();
-  st->days = static_cast<std::size_t>(c.varint());
-  st->windows = static_cast<std::size_t>(c.varint());
-  const std::uint64_t n_groups = c.varint();
-  if (c.fail || n_groups == 0 || n_groups > 4096 || st->days == 0 ||
-      st->days > (1u << 20) || st->windows == 0 ||
-      st->windows > (1u << 16)) {
+  Get io{c};
+  if (!io(*spec_json, st->deferred, st->seed, st->days, st->windows) ||
+      !parse_groups(c, st->days, st->windows, &st->groups) ||
+      !io(st->consumed, st->open)) {
     return false;
   }
-  st->groups.resize(static_cast<std::size_t>(n_groups));
-  for (std::string& g : st->groups) {
-    if (!c.str(&g)) return false;
-  }
-  st->consumed = c.varint();
-  st->open = c.varint();
   const std::size_t g = st->groups.size();
   const std::uint64_t n_cells =
       static_cast<std::uint64_t>(st->days) * st->windows * g;
@@ -555,56 +357,13 @@ bool parse_alerts_section(Cursor& c, std::string* spec_json,
   for (std::uint64_t i = 0; i < n && !c.fail; ++i) {
     const std::uint64_t idx = c.varint();
     if (c.fail || idx >= n_cells) return false;
-    parse_timeline_cell(c, &st->cells[static_cast<std::size_t>(idx)]);
+    timeline_cell(io, st->cells[static_cast<std::size_t>(idx)]);
   }
   st->ewma.assign(g * obs::kNumMonitorMetrics, stats::EwmaState{});
-  for (stats::EwmaState& e : st->ewma) {
-    e.base.n = c.varint();
-    e.base.mean = c.f64();
-    e.base.m2 = c.f64();
-    e.ewma = c.f64();
-    e.sd = c.f64();
-    e.ready = (c.u8() & 1) != 0;
-  }
   st->cusum.assign(g * obs::kNumMonitorMetrics, stats::CusumState{});
-  for (stats::CusumState& s : st->cusum) {
-    s.base.n = c.varint();
-    s.base.mean = c.f64();
-    s.base.m2 = c.f64();
-    s.sd = c.f64();
-    s.ready = (c.u8() & 1) != 0;
-    s.s_pos = c.f64();
-    s.s_neg = c.f64();
-  }
   st->burn.assign(g * obs::kNumMonitorSlos, stats::BurnState{});
-  for (stats::BurnState& b : st->burn) {
-    b.streak = c.varint();
-    b.armed = (c.u8() & 1) != 0;
-  }
-  st->alert_seq = c.varint();
-  if (!c.str(&st->alert_log)) return false;
   st->cand.assign(g * obs::kNumMonitorMetrics, obs::MonitorCandidates{});
-  for (obs::MonitorCandidates& cand : st->cand) {
-    const std::uint64_t n_cand = c.varint();
-    if (c.fail || n_cand > 4096) return false;
-    cand.sessions.resize(static_cast<std::size_t>(n_cand));
-    cand.scores.resize(static_cast<std::size_t>(n_cand));
-    for (std::size_t i = 0; i < cand.sessions.size(); ++i) {
-      cand.sessions[i] = c.varint();
-      cand.scores[i] = c.f64();
-    }
-  }
-  const std::uint64_t n_pending = c.varint();
-  if (c.fail || n_pending > (1u << 20)) return false;
-  st->pending.resize(static_cast<std::size_t>(n_pending));
-  for (obs::MonitorCapture& cap : st->pending) {
-    cap.day = c.varint();
-    cap.window = c.varint();
-    cap.group = c.varint();
-    cap.session = c.varint();
-    if (!c.str(&cap.marker)) return false;
-  }
-  return !c.fail;
+  return monitor_detectors(io, *st);
 }
 
 /// Strict base-10 u64 parse for --shard and the env knobs (no atoll:
@@ -627,25 +386,17 @@ std::string serialize_checkpoint(const Checkpoint& ck) {
   BBA_ASSERT(ck.cells.size() == ck.groups.size(),
              "checkpoint cells/groups shape mismatch");
   std::string out;
-  out.append(kCkptMagic, 8);
-  put_u32(out, kCkptVersion);
-  put_u32(out, 0);  // reserved
+  util::put_header(out, kCkptMagic, kCkptVersion);
 
-  struct Sec {
-    std::uint32_t magic;
-    std::uint64_t offset;
-    std::uint64_t length;
-  };
-  std::vector<Sec> secs;
-  std::string payload;
+  std::string footer, payload;
+  std::uint64_t n_sections = 0;
   auto add_section = [&](std::uint32_t magic) {
-    const std::uint64_t offset = out.size();
-    put_u32(out, magic);
-    put_u32(out, static_cast<std::uint32_t>(payload.size()));
-    put_u32(out, crc32(payload.data(), payload.size()));
-    out += payload;
-    secs.push_back(Sec{magic, offset, 12 + payload.size()});
+    util::put_u32(footer, magic);
+    put_varint(footer, out.size());
+    put_varint(footer, util::kRecordFramingSize + payload.size());
+    util::put_record(out, magic, payload);
     payload.clear();
+    ++n_sections;
   };
 
   put_run_section(payload, ck);
@@ -657,11 +408,11 @@ std::string serialize_checkpoint(const Checkpoint& ck) {
     add_section(kCkptSectionTimeline);
   }
   if (ck.has_trace) {
-    put_trace_section(payload, ck.trace);
+    trace_section(Put{payload}, ck.trace);
     add_section(kCkptSectionTrace);
   }
   if (ck.has_seq) {
-    put_seq_section(payload, ck.seq);
+    seq_section(Put{payload}, ck.seq);
     add_section(kCkptSectionSeq);
   }
   if (ck.has_alerts) {
@@ -669,144 +420,111 @@ std::string serialize_checkpoint(const Checkpoint& ck) {
     add_section(kCkptSectionAlerts);
   }
 
-  put_u32(out, kCkptFooterMagic);
   std::string body;
-  put_varint(body, secs.size());
-  for (const Sec& s : secs) {
-    put_u32(body, s.magic);
-    put_varint(body, s.offset);
-    put_varint(body, s.length);
-  }
-  out += body;
-  put_u32(out, crc32(body.data(), body.size()));
-  put_u64(out, body.size());
-  out.append(kCkptTrailerMagic, 8);
+  put_varint(body, n_sections);
+  body += footer;
+  util::put_footer(out, kCkptFooterMagic, body, kCkptTrailerMagic);
   return out;
 }
 
 bool parse_checkpoint(const std::string& bytes, Checkpoint* out,
                       std::string* error) {
-  auto fail = [&](const char* msg) {
-    *error = msg;
+  auto fail = [&](const char* what) {
+    *error = std::string("checkpoint: ") + what;
     return false;
   };
-  constexpr std::size_t kHeader = 16;
-  constexpr std::size_t kTrailer = 20;
-  if (bytes.size() < kHeader + 4 + kTrailer) {
-    return fail("checkpoint file too short");
-  }
-  if (std::memcmp(bytes.data(), kCkptMagic, 8) != 0) {
-    return fail("not a bbackpt checkpoint (bad magic)");
-  }
+  if (bytes.size() < util::kContainerMinSize) return fail("file too short");
   const unsigned char* base =
       reinterpret_cast<const unsigned char*>(bytes.data());
-  if (load_u32(base + 8) != kCkptVersion) {
-    return fail("unsupported checkpoint version");
+  if (const char* what =
+          util::check_header(base, kCkptMagic, kCkptVersion)) {
+    return fail(what);
   }
-  const unsigned char* trailer = base + bytes.size() - kTrailer;
-  if (std::memcmp(trailer + 12, kCkptTrailerMagic, 8) != 0) {
-    return fail("bad checkpoint trailer (file truncated?)");
+  util::FooterSpan span;
+  if (const char* what = util::locate_footer(
+          base + bytes.size() - util::kContainerTrailerSize, bytes.size(),
+          kCkptTrailerMagic, &span)) {
+    return fail(what);
   }
-  const std::uint32_t footer_crc = load_u32(trailer);
-  const std::uint64_t footer_len = load_u64(trailer + 4);
-  if (footer_len > bytes.size() - kHeader - 4 - kTrailer) {
-    return fail("checkpoint footer length out of range");
-  }
-  const unsigned char* body = trailer - footer_len;
-  if (load_u32(body - 4) != kCkptFooterMagic) {
-    return fail("bad checkpoint footer magic");
-  }
-  if (crc32(reinterpret_cast<const char*>(body),
-            static_cast<std::size_t>(footer_len)) != footer_crc) {
-    return fail("checkpoint footer CRC mismatch");
+  if (const char* what = util::check_footer(base + span.records_end(),
+                                            kCkptFooterMagic, span)) {
+    return fail(what);
   }
 
-  Cursor fc{body, trailer};
+  Cursor fc{base + span.begin, base + span.begin + span.length};
   const std::uint64_t n_sections = fc.varint();
   if (fc.fail || n_sections == 0 || n_sections > 64) {
-    return fail("corrupt checkpoint footer");
+    return fail("corrupt footer (malformed index)");
   }
+  // Every section is bounds-checked before any is read.
   struct Sec {
     std::uint32_t magic;
-    std::uint64_t offset;
-    std::uint64_t length;
+    std::string_view record;
   };
   std::vector<Sec> secs;
-  const std::uint64_t data_end = bytes.size() - kTrailer - footer_len - 4;
   for (std::uint64_t i = 0; i < n_sections; ++i) {
-    Sec s;
-    s.magic = fc.u32();
-    s.offset = fc.varint();
-    s.length = fc.varint();
-    if (fc.fail || s.offset < kHeader || s.length < 12 ||
-        s.offset + s.length > data_end) {
-      return fail("corrupt checkpoint footer");
+    const std::uint32_t magic = fc.u32();
+    const std::uint64_t offset = fc.varint();
+    const std::uint64_t length = fc.varint();
+    if (fc.fail ||
+        !util::record_in_bounds(offset, length, span.records_end())) {
+      return fail("corrupt footer (malformed index)");
     }
-    secs.push_back(s);
+    secs.push_back(Sec{magic, std::string_view(bytes).substr(
+                                  static_cast<std::size_t>(offset),
+                                  static_cast<std::size_t>(length))});
   }
-
-  // Validates one section's framing + CRC and returns its payload span.
-  auto payload_of = [&](const Sec& s, Cursor* c) -> bool {
-    const unsigned char* p = base + s.offset;
-    if (load_u32(p) != s.magic) return false;
-    const std::uint32_t plen = load_u32(p + 4);
-    const std::uint32_t pcrc = load_u32(p + 8);
-    if (plen + 12 != s.length) return false;
-    if (crc32(reinterpret_cast<const char*>(p + 12), plen) != pcrc) {
-      return false;
-    }
-    *c = Cursor{p + 12, p + 12 + plen};
-    return true;
-  };
 
   *out = Checkpoint{};
   // RUN0 declares the grid, so it parses first regardless of file order.
   bool have_run = false;
   for (const Sec& s : secs) {
     if (s.magic != kCkptSectionRun) continue;
-    Cursor c{nullptr, nullptr};
-    if (!payload_of(s, &c)) return fail("checkpoint run section corrupt");
-    if (!parse_run_section(c, out)) {
-      return fail("checkpoint run section corrupt");
+    Cursor c;
+    if (util::check_record(s.record, s.magic, &c) != nullptr ||
+        !parse_run_section(c, out)) {
+      return fail("run section corrupt");
     }
     have_run = true;
     break;
   }
-  if (!have_run) return fail("checkpoint has no run section");
+  if (!have_run) return fail("no run section");
 
   for (const Sec& s : secs) {
-    Cursor c{nullptr, nullptr};
+    Cursor c;
     if (s.magic == kCkptSectionRun) continue;
-    if (!payload_of(s, &c)) return fail("checkpoint section CRC mismatch");
+    if (util::check_record(s.record, s.magic, &c) != nullptr) {
+      return fail("section CRC mismatch");
+    }
     if (s.magic == kCkptSectionCells) {
       if (!parse_cells_section(c, out)) {
-        return fail("checkpoint cell section corrupt");
+        return fail("cell section corrupt");
       }
     } else if (s.magic == kCkptSectionTimeline) {
       if (!parse_timeline_section(c, &out->timeline)) {
-        return fail("checkpoint timeline section corrupt");
+        return fail("timeline section corrupt");
       }
       out->has_timeline = true;
     } else if (s.magic == kCkptSectionTrace) {
-      if (!parse_trace_section(c, &out->trace)) {
-        return fail("checkpoint trace section corrupt");
+      if (!trace_section(Get{c}, out->trace)) {
+        return fail("trace section corrupt");
       }
       out->has_trace = true;
     } else if (s.magic == kCkptSectionSeq) {
-      if (!parse_seq_section(c, &out->seq)) {
-        return fail("checkpoint seq section corrupt");
+      if (!seq_section(Get{c}, out->seq)) {
+        return fail("seq section corrupt");
       }
       out->has_seq = true;
     } else if (s.magic == kCkptSectionAlerts) {
       if (!parse_alerts_section(c, &out->alerts_spec_json, &out->alerts)) {
-        return fail("checkpoint alerts section corrupt");
+        return fail("alerts section corrupt");
       }
       out->has_alerts = true;
     }
     // Unknown sections skip silently: forward compatibility.
   }
   if (out->cursor > out->total_keys) {
-    return fail("checkpoint cursor past its key count");
+    return fail("cursor past its key count");
   }
   return true;
 }
@@ -838,21 +556,8 @@ bool save_checkpoint(const Checkpoint& ck, const std::string& path,
 
 bool load_checkpoint(const std::string& path, Checkpoint* out,
                      std::string* error) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    *error = "could not open checkpoint " + path;
-    return false;
-  }
   std::string bytes;
-  char buf[1 << 16];
-  std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) bytes.append(buf, n);
-  const bool read_ok = std::ferror(f) == 0;
-  std::fclose(f);
-  if (!read_ok) {
-    *error = "could not read checkpoint " + path;
-    return false;
-  }
+  if (!util::read_file(path, &bytes, error)) return false;  // names path
   if (!parse_checkpoint(bytes, out, error)) {
     *error = path + ": " + *error;
     return false;

@@ -1,8 +1,8 @@
 // Checkpoint/resume and sharded runs for the experiment harness.
 //
-// A "bbackpt" checkpoint is a binary container (same framing discipline as
-// the btrace trace container, docs/file_formats.md) holding the complete
-// resumable state of an A/B or paper-report run at a canonical-key cursor:
+// A "bbackpt" checkpoint is a binary container (the one btrace traces use,
+// util/binio.hpp) holding the complete resumable state of an A/B or
+// paper-report run at a canonical-key cursor:
 //
 //   * the cursor itself -- how far the strictly sequential fold has walked
 //     the canonical (day, window, session) key sequence;
@@ -31,16 +31,9 @@
 // single-run checkpoint (cell union + integer-exact timeline merge), which
 // `--resume` then renders without simulating anything.
 //
-// Container layout ("bbackpt", little-endian throughout):
-//
-//   [16-byte file header]  "BBACKPT1", u32 version, u32 reserved
-//   [section]*             u32 magic, u32 payload length,
-//                          u32 CRC32(payload), payload
-//   [footer]               u32 footer magic, varint section count,
-//                          (u32 magic, varint offset, varint length)*
-//   [20-byte trailer]      u32 CRC32(footer body), u64 footer body
-//                          length, "BBACKIDX"
-//
+// The schema on that container (docs/file_formats.md): header magic
+// "BBACKPT1", one record per section, and a footer listing each section's
+// (u32 magic, varint offset, varint length) behind the "BBACKIDX" trailer.
 // Sections: "RUN0" (dimensions, groups, shard, cursor), "CELL" (window
 // cells), "TLIN" (timeline), "TRCE" (trace tallies), "SEQS" (sequential
 // engine state), "ALRT" (health monitor detector state + alert log).

@@ -1,7 +1,5 @@
 #include "obs/btrace.hpp"
 
-#include <array>
-#include <bit>
 #include <cstring>
 
 #include "net/fault_inject.hpp"
@@ -12,44 +10,10 @@ namespace bba::obs {
 
 namespace {
 
-// --- Primitive serialization ----------------------------------------------
-// Everything is little-endian, independent of host order.
-
-void put_u32(std::string& out, std::uint32_t v) {
-  char b[4];
-  for (int i = 0; i < 4; ++i) b[i] = static_cast<char>(v >> (8 * i));
-  out.append(b, 4);
-}
-
-void put_u64(std::string& out, std::uint64_t v) {
-  char b[8];
-  for (int i = 0; i < 8; ++i) b[i] = static_cast<char>(v >> (8 * i));
-  out.append(b, 8);
-}
-
-void put_f64(std::string& out, double v) {
-  put_u64(out, std::bit_cast<std::uint64_t>(v));
-}
-
-void put_varint(std::string& out, std::uint64_t v) {
-  while (v >= 0x80) {
-    out += static_cast<char>(0x80 | (v & 0x7f));
-    v >>= 7;
-  }
-  out += static_cast<char>(v);
-}
-
-std::uint32_t load_u32(const unsigned char* p) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-  return v;
-}
-
-std::uint64_t load_u64(const unsigned char* p) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-  return v;
-}
+using util::Cursor;
+using util::put_f64;
+using util::put_string;
+using util::put_varint;
 
 /// Zigzag maps a wrapped (mod 2^64) delta to an unsigned varint-friendly
 /// value: small positive and small negative deltas both encode short. The
@@ -57,74 +21,6 @@ std::uint64_t load_u64(const unsigned char* p) {
 /// overflow case to special-case.
 std::uint64_t zz(std::uint64_t d) { return (d << 1) ^ (0 - (d >> 63)); }
 std::uint64_t unzz(std::uint64_t z) { return (z >> 1) ^ (0 - (z & 1)); }
-
-// --- CRC32 (IEEE 802.3, the zlib polynomial) ------------------------------
-
-constexpr std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> t{};
-  for (std::uint32_t i = 0; i < 256; ++i) {
-    std::uint32_t c = i;
-    for (int k = 0; k < 8; ++k) {
-      c = (c & 1) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-    }
-    t[i] = c;
-  }
-  return t;
-}
-
-constexpr std::array<std::uint32_t, 256> kCrcTable = make_crc_table();
-
-std::uint32_t crc32(const char* data, std::size_t n) {
-  std::uint32_t c = 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < n; ++i) {
-    c = kCrcTable[(c ^ static_cast<unsigned char>(data[i])) & 0xFFu] ^
-        (c >> 8);
-  }
-  return c ^ 0xFFFFFFFFu;
-}
-
-// --- Bounds-checked read cursor -------------------------------------------
-
-struct Cursor {
-  const unsigned char* p;
-  const unsigned char* end;
-  bool fail = false;
-
-  bool need(std::size_t n) {
-    if (static_cast<std::size_t>(end - p) < n) {
-      fail = true;
-      return false;
-    }
-    return true;
-  }
-  std::uint8_t u8() {
-    if (!need(1)) return 0;
-    return *p++;
-  }
-  std::uint32_t u32() {
-    if (!need(4)) return 0;
-    const std::uint32_t v = load_u32(p);
-    p += 4;
-    return v;
-  }
-  double f64() {
-    if (!need(8)) return 0.0;
-    const std::uint64_t v = load_u64(p);
-    p += 8;
-    return std::bit_cast<double>(v);
-  }
-  std::uint64_t varint() {
-    std::uint64_t v = 0;
-    for (int shift = 0; shift < 64; shift += 7) {
-      if (p == end) break;
-      const unsigned char c = *p++;
-      v |= static_cast<std::uint64_t>(c & 0x7f) << shift;
-      if ((c & 0x80) == 0) return v;
-    }
-    fail = true;
-    return 0;
-  }
-};
 
 // --- Column codecs --------------------------------------------------------
 // A "num column" is a sequence of jsonl::Num values. Fast-path values store
@@ -246,24 +142,31 @@ bool parse_prefix(Cursor& c, BlockPrefix* out) {
   out->day = c.varint();
   out->window = c.varint();
   out->session = c.varint();
-  const std::uint64_t group_len = c.varint();
-  if (c.fail || !c.need(static_cast<std::size_t>(group_len) + 1)) {
-    return false;
-  }
-  out->group = std::string_view(reinterpret_cast<const char*>(c.p),
-                                static_cast<std::size_t>(group_len));
-  c.p += group_len;
-  out->flags = *c.p++;
-  return true;
+  if (!c.view(&out->group)) return false;
+  out->flags = c.u8();
+  return !c.fail;
 }
 
-std::uint32_t intern_group_name(std::vector<std::string>& groups,
-                                std::string_view name) {
-  for (std::size_t i = 0; i < groups.size(); ++i) {
-    if (groups[i] == name) return static_cast<std::uint32_t>(i);
+/// The footer index entry of the block at `offset`. Groups intern in
+/// first-appearance order, so a front-to-back rescan assigns the ids the
+/// writing collector did.
+BtraceEntry index_entry(const BlockPrefix& prefix, std::uint64_t offset,
+                        std::uint64_t length,
+                        std::vector<std::string>& groups) {
+  BtraceEntry e;
+  e.seed = prefix.seed;
+  e.day = prefix.day;
+  e.window = prefix.window;
+  e.session = prefix.session;
+  while (e.group_id < groups.size() && groups[e.group_id] != prefix.group) {
+    ++e.group_id;
   }
-  groups.emplace_back(name);
-  return static_cast<std::uint32_t>(groups.size() - 1);
+  if (e.group_id == groups.size()) groups.emplace_back(prefix.group);
+  e.sampled = (prefix.flags & kFlagSampled) != 0;
+  e.anomaly = (prefix.flags & kFlagAnomaly) != 0;
+  e.offset = offset;
+  e.length = length;
+  return e;
 }
 
 }  // namespace
@@ -344,8 +247,7 @@ bool BinaryTraceSink::finish(std::string* out) const {
   put_varint(p, day_);
   put_varint(p, window_);
   put_varint(p, session_);
-  put_varint(p, group_.size());
-  p += group_;
+  put_string(p, group_);
   std::uint8_t flags = 0;
   if (sampled_) flags |= kFlagSampled;
   if (anomalous_) flags |= kFlagAnomaly;
@@ -368,8 +270,7 @@ bool BinaryTraceSink::finish(std::string* out) const {
   if (!alert_marker_.empty()) {
     // The monitor's marker line, verbatim: the reader re-emits it after
     // the header so `bba_trace cat` round-trips alert captures exactly.
-    put_varint(p, alert_marker_.size());
-    p += alert_marker_;
+    put_string(p, alert_marker_);
   }
   if (faults_ != nullptr) {
     put_f64(p, fault_cycle_s_);
@@ -441,11 +342,7 @@ bool BinaryTraceSink::finish(std::string* out) const {
   chunk_num_col([](const sim::ChunkRecord& c) { return c.position_s; }, true);
   put_num_col(p, played_at_chunk_, /*order2=*/true);
 
-  BBA_ASSERT(p.size() <= 0xFFFFFFFFu, "btrace block payload exceeds 4 GiB");
-  put_u32(*out, kBtraceBlockMagic);
-  put_u32(*out, static_cast<std::uint32_t>(p.size()));
-  put_u32(*out, crc32(p.data(), p.size()));
-  out->append(p);
+  util::put_record(*out, kBtraceBlockMagic, p);
   return true;
 }
 
@@ -460,9 +357,7 @@ BinaryTraceCollector::BinaryTraceCollector(TraceConfig cfg)
     return;
   }
   std::string header;
-  header.append(kBtraceMagic, sizeof kBtraceMagic);
-  put_u32(header, kBtraceVersion);
-  put_u32(header, 0);  // reserved
+  util::put_header(header, kBtraceMagic, kBtraceVersion);
   TraceCollector::write(header);
   offset_ = header.size();
 }
@@ -483,27 +378,17 @@ void BinaryTraceCollector::write(const std::string& blocks) {
     // malformed block is a harness bug, not an input error.
     BBA_ASSERT(blocks.size() - pos >= kBtraceBlockFramingSize,
                "truncated btrace block framing");
-    BBA_ASSERT(load_u32(base + pos) == kBtraceBlockMagic,
+    BBA_ASSERT(util::load_u32(base + pos) == kBtraceBlockMagic,
                "btrace write() fed non-block bytes");
-    const std::uint32_t payload_len = load_u32(base + pos + 4);
-    BBA_ASSERT(blocks.size() - pos - kBtraceBlockFramingSize >= payload_len,
+    const std::size_t length =
+        kBtraceBlockFramingSize + util::load_u32(base + pos + 4);
+    BBA_ASSERT(blocks.size() - pos >= length,
                "truncated btrace block payload");
-    Cursor c{base + pos + kBtraceBlockFramingSize,
-             base + pos + kBtraceBlockFramingSize + payload_len};
+    Cursor c{base + pos + kBtraceBlockFramingSize, base + pos + length};
     BlockPrefix prefix;
     BBA_ASSERT(parse_prefix(c, &prefix), "unparseable btrace block prefix");
-    BtraceEntry e;
-    e.seed = prefix.seed;
-    e.day = prefix.day;
-    e.window = prefix.window;
-    e.session = prefix.session;
-    e.group_id = intern_group_name(groups_, prefix.group);
-    e.sampled = (prefix.flags & kFlagSampled) != 0;
-    e.anomaly = (prefix.flags & kFlagAnomaly) != 0;
-    e.offset = offset_ + pos;
-    e.length = kBtraceBlockFramingSize + payload_len;
-    entries_.push_back(e);
-    pos += e.length;
+    entries_.push_back(index_entry(prefix, offset_ + pos, length, groups_));
+    pos += length;
   }
   offset_ += blocks.size();
   TraceCollector::write(blocks);
@@ -514,10 +399,7 @@ void BinaryTraceCollector::finalize() {
   finalized_ = true;
   std::string footer;
   put_varint(footer, groups_.size());
-  for (const std::string& g : groups_) {
-    put_varint(footer, g.size());
-    footer += g;
-  }
+  for (const std::string& g : groups_) put_string(footer, g);
   put_varint(footer, entries_.size());
   std::uint64_t prev_offset = 0;
   bool first = true;
@@ -537,11 +419,7 @@ void BinaryTraceCollector::finalize() {
     put_varint(footer, e.length);
   }
   std::string tail;
-  put_u32(tail, kBtraceFooterMagic);
-  tail += footer;
-  put_u32(tail, crc32(footer.data(), footer.size()));
-  put_u64(tail, footer.size());
-  tail.append(kBtraceTrailerMagic, sizeof kBtraceTrailerMagic);
+  util::put_footer(tail, kBtraceFooterMagic, footer, kBtraceTrailerMagic);
   TraceCollector::write(tail);
   TraceCollector::flush();
 }
@@ -586,8 +464,9 @@ bool BtraceReader::sniff(const std::string& path) {
   return ok;
 }
 
-std::uint32_t BtraceReader::intern_group(const std::string& name) {
-  return intern_group_name(groups_, name);
+bool BtraceReader::read_at(std::uint64_t offset, void* out, std::size_t n) {
+  return std::fseek(file_, static_cast<long>(offset), SEEK_SET) == 0 &&
+         std::fread(out, 1, n, file_) == n;
 }
 
 bool BtraceReader::open_file(const std::string& path, std::string* error) {
@@ -609,78 +488,46 @@ bool BtraceReader::open_file(const std::string& path, std::string* error) {
     return false;
   }
   unsigned char header[kBtraceFileHeaderSize];
-  std::fseek(file_, 0, SEEK_SET);
-  if (std::fread(header, 1, sizeof header, file_) != sizeof header) {
-    *error = path + ": cannot read file header";
-    return false;
-  }
-  if (std::memcmp(header, kBtraceMagic, sizeof kBtraceMagic) != 0) {
-    *error = path + ": not a btrace file (bad magic)";
-    return false;
-  }
-  version_ = load_u32(header + sizeof kBtraceMagic);
-  if (version_ != kBtraceVersion) {
-    *error = path + ": unsupported btrace version " +
-             std::to_string(version_);
-    return false;
-  }
-  return true;
+  const char* what =
+      read_at(0, header, sizeof header)
+          ? util::check_header(header, kBtraceMagic, kBtraceVersion)
+          : "cannot read file header";
+  if (what != nullptr) *error = path + ": " + what;
+  return what == nullptr;
 }
 
 bool BtraceReader::open(const std::string& path, std::string* error) {
   if (!open_file(path, error)) return false;
-  if (file_size_ < kBtraceFileHeaderSize + kBtraceTrailerSize + 4) {
-    *error = path + ": missing footer index (truncated file?)";
+  const auto fail = [&](const char* what) {
+    entries_.clear();
+    groups_.clear();
+    *error = path + ": " + what;
     return false;
+  };
+  if (file_size_ < util::kContainerMinSize) {
+    return fail("missing footer index (truncated file?)");
   }
   unsigned char trailer[kBtraceTrailerSize];
-  std::fseek(file_,
-             static_cast<long>(file_size_ - kBtraceTrailerSize), SEEK_SET);
-  if (std::fread(trailer, 1, sizeof trailer, file_) != sizeof trailer) {
-    *error = path + ": cannot read trailer";
-    return false;
+  if (!read_at(file_size_ - kBtraceTrailerSize, trailer, sizeof trailer)) {
+    return fail("cannot read trailer");
   }
-  if (std::memcmp(trailer + 12, kBtraceTrailerMagic,
-                  sizeof kBtraceTrailerMagic) != 0) {
-    *error = path + ": missing footer index (truncated file?)";
-    return false;
+  util::FooterSpan span;
+  if (const char* what = util::locate_footer(trailer, file_size_,
+                                             kBtraceTrailerMagic, &span)) {
+    return fail(what);
   }
-  const std::uint32_t footer_crc = load_u32(trailer);
-  const std::uint64_t footer_len = load_u64(trailer + 4);
-  if (footer_len >
-      file_size_ - kBtraceFileHeaderSize - kBtraceTrailerSize - 4) {
-    *error = path + ": corrupt footer (length out of range)";
-    return false;
+  std::string footer(static_cast<std::size_t>(4 + span.length), '\0');
+  const auto* f = reinterpret_cast<const unsigned char*>(footer.data());
+  if (!read_at(span.records_end(), footer.data(), footer.size())) {
+    return fail("cannot read footer");
   }
-  const std::uint64_t footer_start =
-      file_size_ - kBtraceTrailerSize - footer_len;
-  unsigned char footer_magic[4];
-  std::fseek(file_, static_cast<long>(footer_start - 4), SEEK_SET);
-  if (std::fread(footer_magic, 1, 4, file_) != 4 ||
-      load_u32(footer_magic) != kBtraceFooterMagic) {
-    *error = path + ": corrupt footer (bad magic)";
-    return false;
+  if (const char* what = util::check_footer(f, kBtraceFooterMagic, span)) {
+    return fail(what);
   }
-  std::string footer(static_cast<std::size_t>(footer_len), '\0');
-  if (footer_len != 0 &&
-      std::fread(footer.data(), 1, footer.size(), file_) != footer.size()) {
-    *error = path + ": cannot read footer";
-    return false;
-  }
-  if (crc32(footer.data(), footer.size()) != footer_crc) {
-    *error = path + ": corrupt footer (CRC mismatch)";
-    return false;
-  }
-  Cursor c{reinterpret_cast<const unsigned char*>(footer.data()),
-           reinterpret_cast<const unsigned char*>(footer.data()) +
-               footer.size()};
+  Cursor c{f + 4, f + footer.size()};
   const std::uint64_t n_groups = c.varint();
   for (std::uint64_t i = 0; i < n_groups && !c.fail; ++i) {
-    const std::uint64_t len = c.varint();
-    if (c.fail || !c.need(static_cast<std::size_t>(len))) break;
-    groups_.emplace_back(reinterpret_cast<const char*>(c.p),
-                         static_cast<std::size_t>(len));
-    c.p += len;
+    c.str(&groups_.emplace_back());
   }
   const std::uint64_t n_sessions = c.fail ? 0 : c.varint();
   std::uint64_t prev_offset = 0;
@@ -698,117 +545,99 @@ bool BtraceReader::open(const std::string& path, std::string* error) {
     prev_offset = e.offset;
     e.length = c.varint();
     if (c.fail || e.group_id >= groups_.size() ||
-        e.length < kBtraceBlockFramingSize ||
-        e.offset < kBtraceFileHeaderSize ||
-        e.offset + e.length > footer_start - 4) {
+        !util::record_in_bounds(e.offset, e.length, span.records_end())) {
       c.fail = true;
       break;
     }
     entries_.push_back(e);
   }
-  if (c.fail || c.p != c.end) {
-    entries_.clear();
-    groups_.clear();
-    *error = path + ": corrupt footer (malformed index)";
-    return false;
-  }
+  if (c.fail || c.p != c.end) return fail("corrupt footer (malformed index)");
   return true;
 }
 
 bool BtraceReader::open_scan(const std::string& path, std::string* error) {
   if (!open_file(path, error)) return false;
   std::uint64_t pos = kBtraceFileHeaderSize;
-  std::string buf;
-  while (pos + kBtraceBlockFramingSize <= file_size_) {
-    unsigned char framing[kBtraceBlockFramingSize];
-    std::fseek(file_, static_cast<long>(pos), SEEK_SET);
-    if (std::fread(framing, 1, sizeof framing, file_) != sizeof framing) {
+  while (file_size_ - pos >= kBtraceBlockFramingSize) {
+    blockbuf_.resize(kBtraceBlockFramingSize);
+    if (!read_at(pos, blockbuf_.data(), kBtraceBlockFramingSize)) {
       *error = path + ": cannot read block framing";
       return false;
     }
+    const auto* framing =
+        reinterpret_cast<const unsigned char*>(blockbuf_.data());
     // The block sequence ends at the first non-block magic: the footer on
     // a finalized file, or EOF-adjacent garbage on a truncated one (scan
     // recovers every intact block before the damage).
-    if (load_u32(framing) != kBtraceBlockMagic) break;
-    const std::uint32_t payload_len = load_u32(framing + 4);
-    const std::uint32_t payload_crc = load_u32(framing + 8);
+    if (util::load_u32(framing) != kBtraceBlockMagic) break;
+    const std::uint64_t length =
+        kBtraceBlockFramingSize + std::uint64_t{util::load_u32(framing + 4)};
     // A payload running past EOF is the crash-mid-write signature: keep
     // the intact blocks already recovered. (A CRC mismatch below is real
     // corruption, not truncation, and still fails the scan.)
-    if (pos + kBtraceBlockFramingSize + payload_len > file_size_) break;
-    buf.resize(payload_len);
-    if (payload_len != 0 &&
-        std::fread(buf.data(), 1, buf.size(), file_) != buf.size()) {
+    if (length > file_size_ - pos) break;
+    blockbuf_.resize(static_cast<std::size_t>(length));
+    if (!read_at(pos + kBtraceBlockFramingSize,
+                 blockbuf_.data() + kBtraceBlockFramingSize,
+                 blockbuf_.size() - kBtraceBlockFramingSize)) {
       *error = path + ": cannot read block payload";
       return false;
     }
-    if (crc32(buf.data(), buf.size()) != payload_crc) {
-      *error = path + ": corrupt block (CRC mismatch) at offset " +
-               std::to_string(pos);
-      return false;
-    }
-    Cursor c{reinterpret_cast<const unsigned char*>(buf.data()),
-             reinterpret_cast<const unsigned char*>(buf.data()) +
-                 buf.size()};
+    Cursor c;
     BlockPrefix prefix;
-    if (!parse_prefix(c, &prefix)) {
-      *error = path + ": corrupt block (unparseable prefix) at offset " +
+    const char* what = util::check_record(blockbuf_, kBtraceBlockMagic, &c);
+    if (what == nullptr && !parse_prefix(c, &prefix)) {
+      what = "unparseable prefix";
+    }
+    if (what != nullptr) {
+      *error = path + ": corrupt block (" + what + ") at offset " +
                std::to_string(pos);
       return false;
     }
-    BtraceEntry e;
-    e.seed = prefix.seed;
-    e.day = prefix.day;
-    e.window = prefix.window;
-    e.session = prefix.session;
-    e.group_id = intern_group(std::string(prefix.group));
-    e.sampled = (prefix.flags & kFlagSampled) != 0;
-    e.anomaly = (prefix.flags & kFlagAnomaly) != 0;
-    e.offset = pos;
-    e.length = kBtraceBlockFramingSize + payload_len;
-    entries_.push_back(e);
-    pos += e.length;
+    entries_.push_back(index_entry(prefix, pos, length, groups_));
+    pos += length;
   }
+  return true;
+}
+
+bool BtraceReader::load_block(std::size_t i, Cursor* payload,
+                              std::string* error) {
+  BBA_ASSERT(i < entries_.size(), "btrace block index out of range");
+  const BtraceEntry& entry = entries_[i];
+  blockbuf_.resize(static_cast<std::size_t>(entry.length));
+  if (!read_at(entry.offset, blockbuf_.data(), blockbuf_.size())) {
+    *error = "cannot read block at offset " + std::to_string(entry.offset);
+    return false;
+  }
+  const char* what = util::check_record(blockbuf_, kBtraceBlockMagic, payload);
+  if (what != nullptr) {
+    *error = std::string("corrupt block (") + what + ") at offset " +
+             std::to_string(entry.offset);
+  }
+  return what == nullptr;
+}
+
+bool BtraceReader::read_block(std::size_t i, std::string* out,
+                              std::string* error) {
+  Cursor c;
+  BlockPrefix prefix;
+  if (!load_block(i, &c, error)) return false;
+  if (!parse_prefix(c, &prefix)) {
+    *error = "corrupt block (unparseable prefix) at offset " +
+             std::to_string(entries_[i].offset);
+    return false;
+  }
+  out->append(blockbuf_);
   return true;
 }
 
 bool BtraceReader::read_session(std::size_t i, std::string* jsonl_out,
                                 SessionCounts* counts, std::string* error) {
-  BBA_ASSERT(i < entries_.size(), "read_session index out of range");
-  const BtraceEntry& entry = entries_[i];
-  blockbuf_.resize(static_cast<std::size_t>(entry.length));
-  std::fseek(file_, static_cast<long>(entry.offset), SEEK_SET);
-  if (std::fread(blockbuf_.data(), 1, blockbuf_.size(), file_) !=
-      blockbuf_.size()) {
-    *error = "cannot read block at offset " + std::to_string(entry.offset);
-    return false;
-  }
-  const unsigned char* base =
-      reinterpret_cast<const unsigned char*>(blockbuf_.data());
-  if (load_u32(base) != kBtraceBlockMagic) {
-    *error = "corrupt block (bad magic) at offset " +
-             std::to_string(entry.offset);
-    return false;
-  }
-  const std::uint32_t payload_len = load_u32(base + 4);
-  const std::uint32_t payload_crc = load_u32(base + 8);
-  if (payload_len + kBtraceBlockFramingSize != entry.length) {
-    *error = "corrupt block (length mismatch) at offset " +
-             std::to_string(entry.offset);
-    return false;
-  }
-  if (crc32(blockbuf_.data() + kBtraceBlockFramingSize, payload_len) !=
-      payload_crc) {
-    *error = "corrupt block (CRC mismatch) at offset " +
-             std::to_string(entry.offset);
-    return false;
-  }
-
-  Cursor c{base + kBtraceBlockFramingSize,
-           base + kBtraceBlockFramingSize + payload_len};
+  Cursor c;
+  if (!load_block(i, &c, error)) return false;
   const auto corrupt = [&](const char* what) {
     *error = std::string("corrupt block (") + what + ") at offset " +
-             std::to_string(entry.offset);
+             std::to_string(entries_[i].offset);
     return false;
   };
 
@@ -822,13 +651,7 @@ bool BtraceReader::read_session(std::size_t i, std::string* jsonl_out,
   const double rebuffer_s = c.f64();
   std::string_view alert_marker;
   if ((prefix.flags & kFlagAlert) != 0) {
-    const std::uint64_t marker_len = c.varint();
-    if (c.fail || !c.need(static_cast<std::size_t>(marker_len))) {
-      return corrupt("truncated alert marker");
-    }
-    alert_marker = std::string_view(reinterpret_cast<const char*>(c.p),
-                                    static_cast<std::size_t>(marker_len));
-    c.p += marker_len;
+    if (!c.view(&alert_marker)) return corrupt("truncated alert marker");
   }
   double fault_cycle_s = 0.0;
   std::uint64_t n_faults = 0;

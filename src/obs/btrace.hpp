@@ -19,17 +19,12 @@
 // doubles for the %.10g escapes and header fields -- and the decoder prints
 // them through the same shared emitters (obs/trace_jsonl.hpp).
 //
-// Container layout (full byte-level description in docs/file_formats.md):
-//
-//   [16-byte file header]  "BBATRACE", u32 version, u32 reserved
-//   [session block]*       u32 block magic, u32 payload length,
-//                          u32 CRC32(payload), payload (columns)
-//   [footer]               u32 footer magic, group table + session index:
-//                          (day, window, session, group) -> block offset
-//   [20-byte trailer]      u32 CRC32(footer), u64 footer length, "BBATRIDX"
-//
-// The trailer is fixed-size and lands at EOF, so a reader finds the index
-// with one seek and reaches any session in O(1) -- `bba_session
+// The file is the shared binary container (util/binio.hpp; byte-level
+// description in docs/file_formats.md) with btrace's schema: header magic
+// "BBATRACE", one "SBLK" record per session block (columns), and a footer
+// holding the group table and the session index (day, window, session,
+// group) -> block offset, behind the "BBATRIDX" trailer. A reader finds the
+// index with one seek and reaches any session in O(1) -- `bba_session
 // --repro-trace run.btrace --repro-pick N` replays without scanning. Every
 // payload carries its own CRC; truncation or corruption is detected, never
 // silently decoded.
@@ -42,6 +37,7 @@
 #include <vector>
 
 #include "obs/trace.hpp"
+#include "util/binio.hpp"
 
 namespace bba::obs {
 
@@ -52,9 +48,12 @@ inline constexpr char kBtraceTrailerMagic[8] = {'B', 'B', 'A', 'T',
 inline constexpr std::uint32_t kBtraceVersion = 1;
 inline constexpr std::uint32_t kBtraceBlockMagic = 0x4b4c4253;   // "SBLK"
 inline constexpr std::uint32_t kBtraceFooterMagic = 0x58444953;  // "SIDX"
-inline constexpr std::size_t kBtraceFileHeaderSize = 16;
-inline constexpr std::size_t kBtraceBlockFramingSize = 12;
-inline constexpr std::size_t kBtraceTrailerSize = 20;
+inline constexpr std::size_t kBtraceFileHeaderSize =
+    util::kContainerHeaderSize;
+inline constexpr std::size_t kBtraceBlockFramingSize =
+    util::kRecordFramingSize;
+inline constexpr std::size_t kBtraceTrailerSize =
+    util::kContainerTrailerSize;
 
 /// One session in the footer index: coordinates and flags for selection,
 /// offset/length for O(1) block access.
@@ -145,7 +144,8 @@ class BtraceReader {
   /// from each block's coordinate prefix; the footer (if any) is ignored.
   bool open_scan(const std::string& path, std::string* error);
 
-  std::uint32_t version() const { return version_; }
+  /// The only version open() accepts.
+  std::uint32_t version() const { return kBtraceVersion; }
   std::size_t session_count() const { return entries_.size(); }
   const BtraceEntry& entry(std::size_t i) const { return entries_[i]; }
   const std::string& group_name(std::uint32_t id) const {
@@ -166,13 +166,20 @@ class BtraceReader {
   bool read_session(std::size_t i, std::string* jsonl_out,
                     SessionCounts* counts, std::string* error);
 
+  /// Appends session i's raw block (framing included) to *out after
+  /// checking its framing, CRC and coordinate prefix; returns false and
+  /// sets *error (naming the block's offset) on any corruption.
+  bool read_block(std::size_t i, std::string* out, std::string* error);
+
  private:
   bool open_file(const std::string& path, std::string* error);
-  std::uint32_t intern_group(const std::string& name);
+  bool read_at(std::uint64_t offset, void* out, std::size_t n);
+  /// Reads session i's block into blockbuf_ and checks its framing and
+  /// CRC; *payload then covers the payload.
+  bool load_block(std::size_t i, util::Cursor* payload, std::string* error);
 
   std::FILE* file_ = nullptr;
   std::uint64_t file_size_ = 0;
-  std::uint32_t version_ = 0;
   std::vector<BtraceEntry> entries_;
   std::vector<std::string> groups_;
   std::string blockbuf_;  // reused block read buffer

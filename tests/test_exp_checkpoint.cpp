@@ -8,6 +8,7 @@
 #include <bit>
 #include <cstdint>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -15,8 +16,11 @@
 #include "exp/checkpoint.hpp"
 #include "exp/population.hpp"
 #include "media/video.hpp"
+#include "obs/btrace.hpp"
+#include "obs/obs.hpp"
 #include "obs/timeline.hpp"
 #include "sim/metrics.hpp"
+#include "util/binio.hpp"
 
 namespace bba::exp {
 namespace {
@@ -236,6 +240,45 @@ TEST(CheckpointContainer, DetectsCorruptionAndTruncation) {
   std::string magic = bytes;
   magic[0] = 'X';
   EXPECT_FALSE(parse_checkpoint(magic, &out, &error));
+}
+
+/// `bytes` with the first section's footer offset replaced and the footer
+/// CRC recomputed, so only that offset is wrong.
+std::string with_first_section_at(const std::string& bytes,
+                                  std::uint64_t offset) {
+  const auto* base = reinterpret_cast<const unsigned char*>(bytes.data());
+  util::FooterSpan span;
+  EXPECT_EQ(util::locate_footer(
+                base + bytes.size() - util::kContainerTrailerSize,
+                bytes.size(), kCkptTrailerMagic, &span),
+            nullptr);
+  util::Cursor c{base + span.begin, base + span.begin + span.length};
+  const std::uint64_t n = c.varint();
+  std::string body;
+  util::put_varint(body, n);
+  for (std::uint64_t i = 0; i < n; ++i) {
+    util::put_u32(body, c.u32());
+    const std::uint64_t original = c.varint();
+    util::put_varint(body, i == 0 ? offset : original);
+    util::put_varint(body, c.varint());
+  }
+  std::string out = bytes.substr(0, span.records_end());
+  util::put_footer(out, kCkptFooterMagic, body, kCkptTrailerMagic);
+  return out;
+}
+
+TEST(CheckpointContainer, RejectsAWrappingSectionOffsetBeforeReading) {
+  const std::string bytes = serialize_checkpoint(sample_checkpoint());
+  // The rewriter is exact: RUN0 sits right after the 16-byte header.
+  ASSERT_EQ(with_first_section_at(bytes, util::kContainerHeaderSize), bytes);
+
+  // offset + length wraps past 2^64 back into the file; reading the
+  // section would start 4 KiB before the buffer.
+  Checkpoint out;
+  std::string error;
+  EXPECT_FALSE(parse_checkpoint(
+      with_first_section_at(bytes, ~std::uint64_t{0} - 4095), &out, &error));
+  EXPECT_NE(error.find("corrupt footer"), std::string::npos) << error;
 }
 
 TEST(CheckpointContainer, SaveLoadRoundTrip) {
@@ -475,6 +518,62 @@ TEST(CheckpointedRunDeathTest, KillAndResumeReproduceTheRun) {
                                        resume, &resumed, &error))
       << error;
   EXPECT_TRUE(cells_bit_equal(resumed, reference));
+  std::remove(path.c_str());
+}
+
+/// One checkpointed run of tiny_groups() tracing every session to the
+/// btrace file `trace`; a resuming run continues that file, as the CLIs
+/// do for --resume.
+void traced_btrace_run(const std::string& trace, const CheckpointOptions& opts,
+                       std::size_t threads) {
+  obs::Observability handle;
+  obs::TraceConfig tc;
+  tc.path = trace;
+  tc.sample = 1;
+  tc.resume = opts.resuming();
+  handle.trace = std::make_unique<obs::BinaryTraceCollector>(tc);
+  obs::install(&handle);
+  AbTestConfig cfg = tiny_config();
+  cfg.threads = threads;
+  AbTestResult result;
+  std::string error;
+  EXPECT_TRUE(run_ab_test_checkpointed(tiny_groups(),
+                                       media::VideoLibrary::standard(11), cfg,
+                                       opts, &result, &error))
+      << error;
+  obs::install(nullptr);
+}
+
+// The killed run leaves btrace blocks but no footer; the resumed run's
+// collector truncates to the checkpointed offset, rescans the blocks to
+// rebuild its index (BinaryTraceCollector::resume_from), and must then
+// finish the uninterrupted run's file byte for byte.
+TEST(CheckpointedRunDeathTest, BtraceChunkedResumeReproducesTheTrace) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const std::string base = testing::TempDir() + "/bba_ckpt_btrace";
+  const std::string path = base + ".ckpt";
+  std::remove(path.c_str());
+  traced_btrace_run(base + "_full.btrace", CheckpointOptions{}, 2);
+
+  CheckpointOptions kill_opts;
+  kill_opts.out = path;
+  kill_opts.every = 5;
+  kill_opts.kill_after = 2;
+  EXPECT_EXIT(traced_btrace_run(base + "_resumed.btrace", kill_opts, 1),
+              testing::ExitedWithCode(3), "");
+
+  CheckpointOptions resume;
+  resume.resume = path;
+  resume.out = path;
+  resume.every = 5;
+  traced_btrace_run(base + "_resumed.btrace", resume, 2);
+
+  std::string full, resumed, error;
+  ASSERT_TRUE(util::read_file(base + "_full.btrace", &full, &error)) << error;
+  ASSERT_TRUE(util::read_file(base + "_resumed.btrace", &resumed, &error))
+      << error;
+  ASSERT_FALSE(full.empty());
+  EXPECT_EQ(resumed, full);
   std::remove(path.c_str());
 }
 

@@ -1,11 +1,14 @@
 // Columnar binary traces: JSONL round trip, footer index, thread
-// invariance, corruption rejection, and collector I/O-error surfacing.
+// invariance, corruption rejection (reader and bba_merge), and collector
+// I/O-error surfacing.
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -21,6 +24,7 @@
 #include "obs/trace.hpp"
 #include "sim/player.hpp"
 #include "sim/session_sink.hpp"
+#include "util/binio.hpp"
 #include "util/rng.hpp"
 
 namespace bba {
@@ -393,6 +397,124 @@ TEST(BtraceCorruption, BlockCrcMismatchIsDetected) {
   // The scan hits the same CRC failure.
   EXPECT_FALSE(reader.open_scan(bad, &error));
   EXPECT_NE(error.find("CRC mismatch"), std::string::npos) << error;
+}
+
+/// The file at `path` with its footer index re-encoded after `edit` and its
+/// footer CRC recomputed, so only the edited entries are wrong.
+std::string with_rewritten_footer(
+    const std::string& path,
+    const std::function<void(std::vector<obs::BtraceEntry>&)>& edit) {
+  obs::BtraceReader reader;
+  std::string error;
+  EXPECT_TRUE(reader.open(path, &error)) << error;
+  std::vector<obs::BtraceEntry> entries;
+  for (std::size_t i = 0; i < reader.session_count(); ++i) {
+    entries.push_back(reader.entry(i));
+  }
+  const obs::BtraceEntry& last = entries.back();
+  const std::uint64_t records_end = last.offset + last.length;
+  edit(entries);
+  std::string body;
+  util::put_varint(body, reader.groups().size());
+  for (const std::string& g : reader.groups()) util::put_string(body, g);
+  util::put_varint(body, entries.size());
+  std::uint64_t prev_offset = 0;
+  for (const obs::BtraceEntry& e : entries) {
+    for (const std::uint64_t v : {e.seed, e.day, e.window, e.session,
+                                  std::uint64_t{e.group_id}}) {
+      util::put_varint(body, v);
+    }
+    body += static_cast<char>((e.sampled ? 1 : 0) | (e.anomaly ? 2 : 0));
+    util::put_varint(body, e.offset - prev_offset);  // wraps like the reader
+    prev_offset = e.offset;
+    util::put_varint(body, e.length);
+  }
+  std::string bytes = read_file(path).substr(0, records_end);
+  util::put_footer(bytes, obs::kBtraceFooterMagic, body,
+                   obs::kBtraceTrailerMagic);
+  return bytes;
+}
+
+TEST(BtraceCorruption, WrappingFooterEntryIsRejectedAtOpen) {
+  const std::string path = temp_path("wrap", ".btrace");
+  run_with_format(true, 2, path, 2, false);
+  // The rewriter is exact: an unedited index reproduces the file.
+  EXPECT_EQ(with_rewritten_footer(path, [](auto&) {}), read_file(path));
+
+  // A CRC-valid entry whose offset + length wraps past 2^64 back into the
+  // file. Reading it would size a 2^64-byte buffer.
+  const std::string bad = temp_path("wrap_bad", ".btrace");
+  write_file(bad, with_rewritten_footer(path, [](auto& entries) {
+               entries[0].length = ~std::uint64_t{0} - 7;
+             }));
+  obs::BtraceReader reader;
+  std::string error;
+  EXPECT_FALSE(reader.open(bad, &error));
+  EXPECT_NE(error.find("corrupt footer"), std::string::npos) << error;
+}
+
+// --- bba_merge block validation -------------------------------------------
+
+/// Runs `bba_merge traces` and returns its exit code (-1 if it did not
+/// exit normally); its stderr lands in *log.
+int run_merge(const std::vector<std::string>& inputs, const std::string& out,
+              std::string* log) {
+  std::string cmd = std::string(BBA_MERGE_BIN) + " traces --out " + out;
+  for (const std::string& in : inputs) cmd += " " + in;
+  cmd += " 2>&1";
+  log->clear();
+  std::FILE* p = popen(cmd.c_str(), "r");
+  if (p == nullptr) return -1;
+  char buf[4096];
+  std::size_t n;
+  while ((n = std::fread(buf, 1, sizeof buf, p)) > 0) log->append(buf, n);
+  const int rc = pclose(p);
+  return WIFEXITED(rc) ? WEXITSTATUS(rc) : -1;
+}
+
+TEST(BtraceMerge, RejectsAShardWithACorruptBlock) {
+  const std::string path = temp_path("merge_ok", ".btrace");
+  const std::string out = temp_path("merge_out", ".btrace");
+  run_with_format(true, 2, path, 2, false);
+  std::string log;
+  // An unsharded trace merges onto itself byte for byte.
+  ASSERT_EQ(run_merge({path}, out, &log), 0) << log;
+  EXPECT_EQ(read_file(out), read_file(path));
+
+  obs::BtraceReader reader;
+  std::string error;
+  ASSERT_TRUE(reader.open(path, &error)) << error;
+  ASSERT_GT(reader.session_count(), 1u);
+  const std::uint64_t offset = reader.entry(1).offset;
+  std::string bytes = read_file(path);
+  const std::size_t flip =
+      static_cast<std::size_t>(offset + obs::kBtraceBlockFramingSize + 20);
+  bytes[flip] = static_cast<char>(bytes[flip] ^ 0x5a);
+  const std::string bad = temp_path("merge_crc", ".btrace");
+  write_file(bad, bytes);
+  EXPECT_EQ(run_merge({bad}, out, &log), 1) << log;
+  EXPECT_NE(log.find(bad + ": corrupt block (CRC mismatch) at offset " +
+                     std::to_string(offset)),
+            std::string::npos)
+      << log;
+}
+
+TEST(BtraceMerge, RejectsAFooterEntryThatMissesItsBlock) {
+  const std::string path = temp_path("merge_idx", ".btrace");
+  run_with_format(true, 2, path, 2, false);
+  // A CRC-valid index whose second entry points one byte into its block.
+  std::uint64_t offset = 0;
+  const std::string bad = temp_path("merge_idx_bad", ".btrace");
+  write_file(bad, with_rewritten_footer(path, [&](auto& entries) {
+               offset = ++entries[1].offset;
+             }));
+  std::string log;
+  EXPECT_EQ(run_merge({bad}, temp_path("merge_idx_out", ".btrace"), &log), 1)
+      << log;
+  EXPECT_NE(log.find(bad + ": corrupt block (bad magic) at offset " +
+                     std::to_string(offset)),
+            std::string::npos)
+      << log;
 }
 
 // --- Collector I/O-error surfacing (regression) ---------------------------

@@ -1,13 +1,17 @@
-// Tests for bba::util: deterministic RNG, CSV, table formatting, units.
+// Tests for bba::util: deterministic RNG, CSV, table formatting, units,
+// binary I/O.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "util/binio.hpp"
 #include "util/csv.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
@@ -264,6 +268,114 @@ TEST(Units, Conversions) {
   EXPECT_DOUBLE_EQ(minutes(2), 120.0);
   EXPECT_DOUBLE_EQ(hours(1), 3600.0);
   EXPECT_DOUBLE_EQ(to_hours(1800), 0.5);
+}
+
+// --- Binary I/O and the container framing ----------------------------------
+
+Cursor cursor_over(const std::string& bytes) {
+  const auto* p = reinterpret_cast<const unsigned char*>(bytes.data());
+  return Cursor{p, p + bytes.size()};
+}
+
+TEST(Binio, Crc32CheckValue) {
+  EXPECT_EQ(crc32("123456789", 9), 0xCBF43926u);
+  EXPECT_EQ(crc32("", 0), 0u);
+}
+
+TEST(Binio, VarintRoundTripsAtTheEdges) {
+  const std::uint64_t values[] = {0, 127, 128, std::uint64_t{1} << 63,
+                                  ~std::uint64_t{0}};
+  const std::size_t lengths[] = {1, 1, 2, 10, 10};
+  for (std::size_t i = 0; i < 5; ++i) {
+    std::string bytes;
+    put_varint(bytes, values[i]);
+    EXPECT_EQ(bytes.size(), lengths[i]) << values[i];
+    Cursor c = cursor_over(bytes);
+    EXPECT_EQ(c.varint(), values[i]);
+    EXPECT_FALSE(c.fail);
+    EXPECT_EQ(c.p, c.end);
+  }
+}
+
+TEST(Binio, CursorFailsCleanlyOnTruncatedAndOverlongVarints) {
+  std::string truncated;
+  put_varint(truncated, 300);
+  truncated.pop_back();  // the first byte still promises a continuation
+  Cursor t = cursor_over(truncated);
+  EXPECT_EQ(t.varint(), 0u);
+  EXPECT_TRUE(t.fail);
+
+  // Eleven continuation bytes: longer than any 64-bit value.
+  const std::string overlong(11, '\x80');
+  Cursor o = cursor_over(overlong);
+  EXPECT_EQ(o.varint(), 0u);
+  EXPECT_TRUE(o.fail);
+
+  // Ten bytes whose last one carries bits past 2^64.
+  std::string wide(9, '\xff');
+  wide += '\x02';
+  Cursor w = cursor_over(wide);
+  EXPECT_EQ(w.varint(), 0u);
+  EXPECT_TRUE(w.fail);
+
+  // A string whose length runs past the end, and reads past the end.
+  std::string short_str;
+  put_varint(short_str, 5);
+  short_str += "abc";
+  Cursor s = cursor_over(short_str);
+  std::string out;
+  EXPECT_FALSE(s.str(&out));
+  EXPECT_TRUE(s.fail);
+  EXPECT_EQ(s.u32(), 0u);
+  EXPECT_EQ(s.f64(), 0.0);
+}
+
+TEST(Binio, ContainerFramingRoundTripAndBounds) {
+  static constexpr char kMagic[8] = {'T', 'E', 'S', 'T', 'F', 'I', 'L', 'E'};
+  static constexpr char kTrailer[8] = {'T', 'E', 'S', 'T', 'I', 'D', 'X', '0'};
+  constexpr std::uint32_t kRecord = 0x31434552;
+  constexpr std::uint32_t kFooter = 0x58444946;
+  std::string file;
+  put_header(file, kMagic, 3);
+  const std::uint64_t offset = file.size();
+  put_record(file, kRecord, "payload");
+  const std::uint64_t length = file.size() - offset;
+  put_footer(file, kFooter, "index", kTrailer);
+
+  const auto* base = reinterpret_cast<const unsigned char*>(file.data());
+  EXPECT_EQ(check_header(base, kMagic, 3), nullptr);
+  EXPECT_STREQ(check_header(base, kMagic, 4), "unsupported version");
+  FooterSpan span;
+  ASSERT_EQ(locate_footer(base + file.size() - kContainerTrailerSize,
+                          file.size(), kTrailer, &span),
+            nullptr);
+  EXPECT_EQ(span.length, 5u);
+  EXPECT_EQ(span.records_end(), offset + length);
+  EXPECT_EQ(check_footer(base + span.records_end(), kFooter, span), nullptr);
+
+  ASSERT_TRUE(record_in_bounds(offset, length, span.records_end()));
+  const std::string_view record =
+      std::string_view(file).substr(offset, length);
+  Cursor c;
+  ASSERT_EQ(check_record(record, kRecord, &c), nullptr);
+  EXPECT_EQ(std::string(reinterpret_cast<const char*>(c.p),
+                        static_cast<std::size_t>(c.end - c.p)),
+            "payload");
+  EXPECT_STREQ(check_record(record, kFooter, &c), "bad magic");
+  EXPECT_STREQ(check_record(record.substr(0, length - 1), kRecord, &c),
+               "length mismatch");
+
+  // Index entries whose end would wrap past 2^64 are out of bounds.
+  EXPECT_FALSE(record_in_bounds(offset, ~std::uint64_t{0} - 7,
+                                span.records_end()));
+  EXPECT_FALSE(record_in_bounds(~std::uint64_t{0} - 4095, length,
+                                span.records_end()));
+
+  std::string flipped = file;
+  flipped[offset + kRecordFramingSize] ^= 0x01;
+  EXPECT_STREQ(check_record(std::string_view(flipped).substr(offset, length),
+                            kRecord, &c),
+               "CRC mismatch");
 }
 
 }  // namespace

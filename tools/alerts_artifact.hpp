@@ -14,10 +14,10 @@
 #include <cctype>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
+
+#include "util/binio.hpp"
 
 namespace bba::tools {
 
@@ -248,14 +248,9 @@ inline bool parse_alerts(const std::string& text, const std::string& path,
 
 inline bool load_alerts(const std::string& path, AlertsArtifact* out,
                         std::string* error) {
-  std::ifstream in(path);
-  if (!in) {
-    *error = "could not read " + path;
-    return false;
-  }
-  std::stringstream buf;
-  buf << in.rdbuf();
-  return parse_alerts(buf.str(), path, out, error);
+  std::string text;
+  return util::read_file(path, &text, error) &&
+         parse_alerts(text, path, out, error);
 }
 
 }  // namespace bba::tools

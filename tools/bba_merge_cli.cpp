@@ -18,12 +18,14 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "exp/checkpoint.hpp"
 #include "obs/btrace.hpp"
 #include "obs/trace.hpp"
+#include "util/binio.hpp"
 
 namespace {
 
@@ -40,25 +42,6 @@ int usage(const char* argv0) {
       "               byte-identical single-run trace\n",
       argv0, argv0);
   return 2;
-}
-
-bool read_file(const std::string& path, std::string* out,
-               std::string* error) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    *error = path + ": cannot open";
-    return false;
-  }
-  out->clear();
-  char buf[1 << 16];
-  std::size_t got;
-  while ((got = std::fread(buf, 1, sizeof buf, f)) > 0) {
-    out->append(buf, got);
-  }
-  const bool ok = std::ferror(f) == 0;
-  std::fclose(f);
-  if (!ok) *error = path + ": read error";
-  return ok;
 }
 
 int merge_checkpoint_files(const std::string& out_path,
@@ -97,7 +80,7 @@ int merge_checkpoint_files(const std::string& out_path,
 struct TraceChunk {
   std::uint64_t day = 0, window = 0, session = 0;
   std::size_t file = 0, seq = 0;
-  std::size_t begin = 0, end = 0;  ///< byte range in the source contents
+  std::size_t begin = 0, end = 0;  ///< byte range in its file's contents
 
   bool operator<(const TraceChunk& other) const {
     if (day != other.day) return day < other.day;
@@ -167,105 +150,34 @@ bool split_jsonl(const std::string& contents, std::size_t file_index,
   return true;
 }
 
-int merge_jsonl_traces(const std::string& out_path,
-                       const std::vector<std::string>& inputs) {
-  std::vector<std::string> contents(inputs.size());
-  std::vector<TraceChunk> chunks;
-  std::string error;
-  for (std::size_t i = 0; i < inputs.size(); ++i) {
-    if (!read_file(inputs[i], &contents[i], &error)) {
-      std::fprintf(stderr, "bba_merge: %s\n", error.c_str());
-      return 1;
+/// Indexes one btrace shard (footer open, falling back to a block scan for
+/// truncated files) and collects its blocks into *contents, each checked
+/// for framing, CRC and prefix, so a corrupt shard fails the merge instead
+/// of being copied into the output.
+bool split_btrace(const std::string& path, std::size_t file_index,
+                  std::string* contents, std::vector<TraceChunk>* chunks,
+                  std::string* error) {
+  obs::BtraceReader reader;
+  if (!reader.open(path, error) && !reader.open_scan(path, error)) {
+    return false;
+  }
+  for (std::size_t s = 0; s < reader.session_count(); ++s) {
+    const obs::BtraceEntry& e = reader.entry(s);
+    TraceChunk chunk;
+    chunk.day = e.day;
+    chunk.window = e.window;
+    chunk.session = e.session;
+    chunk.file = file_index;
+    chunk.seq = s;
+    chunk.begin = contents->size();
+    if (!reader.read_block(s, contents, error)) {
+      *error = path + ": " + *error;
+      return false;
     }
-    if (!split_jsonl(contents[i], i, &chunks, &error)) {
-      std::fprintf(stderr, "bba_merge: %s: %s\n", inputs[i].c_str(),
-                   error.c_str());
-      return 1;
-    }
+    chunk.end = contents->size();
+    chunks->push_back(chunk);
   }
-  std::sort(chunks.begin(), chunks.end());
-  std::FILE* out = std::fopen(out_path.c_str(), "wb");
-  if (out == nullptr) {
-    std::fprintf(stderr, "bba_merge: cannot write %s\n", out_path.c_str());
-    return 1;
-  }
-  for (const TraceChunk& c : chunks) {
-    const std::size_t len = c.end - c.begin;
-    if (std::fwrite(contents[c.file].data() + c.begin, 1, len, out) != len) {
-      std::fprintf(stderr, "bba_merge: short write to %s\n",
-                   out_path.c_str());
-      std::fclose(out);
-      return 1;
-    }
-  }
-  std::fclose(out);
-  std::fprintf(stderr, "bba_merge: %zu sessions from %zu shards -> %s\n",
-               chunks.size(), inputs.size(), out_path.c_str());
-  return 0;
-}
-
-int merge_btrace_traces(const std::string& out_path,
-                        const std::vector<std::string>& inputs) {
-  // Index every shard (footer open, falling back to a block scan for
-  // truncated files) and keep the raw bytes for offset/length slicing.
-  std::vector<std::string> contents(inputs.size());
-  std::vector<TraceChunk> chunks;
-  std::string error;
-  for (std::size_t i = 0; i < inputs.size(); ++i) {
-    obs::BtraceReader reader;
-    if (!reader.open(inputs[i], &error) &&
-        !reader.open_scan(inputs[i], &error)) {
-      std::fprintf(stderr, "bba_merge: %s: %s\n", inputs[i].c_str(),
-                   error.c_str());
-      return 1;
-    }
-    if (!read_file(inputs[i], &contents[i], &error)) {
-      std::fprintf(stderr, "bba_merge: %s\n", error.c_str());
-      return 1;
-    }
-    for (std::size_t s = 0; s < reader.session_count(); ++s) {
-      const obs::BtraceEntry& e = reader.entry(s);
-      if (e.offset + e.length > contents[i].size()) {
-        std::fprintf(stderr, "bba_merge: %s: block %zu past EOF\n",
-                     inputs[i].c_str(), s);
-        return 1;
-      }
-      TraceChunk chunk;
-      chunk.day = e.day;
-      chunk.window = e.window;
-      chunk.session = e.session;
-      chunk.file = i;
-      chunk.seq = s;
-      chunk.begin = static_cast<std::size_t>(e.offset);
-      chunk.end = static_cast<std::size_t>(e.offset + e.length);
-      chunks.push_back(chunk);
-    }
-  }
-  std::sort(chunks.begin(), chunks.end());
-  // Replaying the raw blocks through a fresh collector re-interns the
-  // group table and rebuilds the footer index in the merged write order --
-  // the same path a live unsharded run takes, so the container comes out
-  // byte-identical.
-  obs::TraceConfig cfg;
-  cfg.path = out_path;
-  obs::BinaryTraceCollector collector(cfg);
-  if (!collector.ok()) {
-    std::fprintf(stderr, "bba_merge: cannot write %s\n", out_path.c_str());
-    return 1;
-  }
-  std::string block;
-  for (const TraceChunk& c : chunks) {
-    block.assign(contents[c.file], c.begin, c.end - c.begin);
-    collector.write(block);
-  }
-  collector.finalize();
-  if (!collector.ok()) {
-    std::fprintf(stderr, "bba_merge: write error on %s\n", out_path.c_str());
-    return 1;
-  }
-  std::fprintf(stderr, "bba_merge: %zu sessions from %zu shards -> %s\n",
-               chunks.size(), inputs.size(), out_path.c_str());
-  return 0;
+  return true;
 }
 
 int merge_trace_files(const std::string& out_path,
@@ -273,16 +185,50 @@ int merge_trace_files(const std::string& out_path,
   // All shards of one run share a format; sniff the first and verify the
   // rest agree.
   const bool binary = obs::BtraceReader::sniff(inputs[0]);
-  for (const std::string& path : inputs) {
-    if (obs::BtraceReader::sniff(path) != binary) {
-      std::fprintf(stderr,
-                   "bba_merge: %s: mixed trace formats (jsonl vs btrace)\n",
-                   path.c_str());
+  std::vector<std::string> contents(inputs.size());
+  std::vector<TraceChunk> chunks;
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    // Every error names the file.
+    std::string error;
+    if (obs::BtraceReader::sniff(inputs[i]) != binary) {
+      error = inputs[i] + ": mixed trace formats (jsonl vs btrace)";
+    } else if (binary) {
+      split_btrace(inputs[i], i, &contents[i], &chunks, &error);
+    } else if (util::read_file(inputs[i], &contents[i], &error) &&
+               !split_jsonl(contents[i], i, &chunks, &error)) {
+      error = inputs[i] + ": " + error;
+    }
+    if (!error.empty()) {
+      std::fprintf(stderr, "bba_merge: %s\n", error.c_str());
       return 1;
     }
   }
-  return binary ? merge_btrace_traces(out_path, inputs)
-                : merge_jsonl_traces(out_path, inputs);
+  std::sort(chunks.begin(), chunks.end());
+  // Replaying the chunks through a fresh collector of the shards' format
+  // is the write path of a live unsharded run; for btrace it also
+  // re-interns the group table and rebuilds the footer index in the merged
+  // order, so the container comes out byte-identical.
+  obs::TraceConfig cfg;
+  cfg.path = out_path;
+  const std::unique_ptr<obs::TraceCollector> collector =
+      binary ? std::make_unique<obs::BinaryTraceCollector>(cfg)
+             : std::make_unique<obs::TraceCollector>(cfg);
+  if (!collector->ok()) {
+    std::fprintf(stderr, "bba_merge: cannot write %s\n", out_path.c_str());
+    return 1;
+  }
+  for (const TraceChunk& c : chunks) {
+    collector->write(contents[c.file].substr(c.begin, c.end - c.begin));
+  }
+  collector->finalize();
+  collector->flush();
+  if (!collector->ok()) {
+    std::fprintf(stderr, "bba_merge: write error on %s\n", out_path.c_str());
+    return 1;
+  }
+  std::fprintf(stderr, "bba_merge: %zu sessions from %zu shards -> %s\n",
+               chunks.size(), inputs.size(), out_path.c_str());
+  return 0;
 }
 
 }  // namespace

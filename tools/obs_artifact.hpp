@@ -13,12 +13,11 @@
 #include <cctype>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "stats/sketch.hpp"
+#include "util/binio.hpp"
 
 namespace bba::tools {
 
@@ -244,14 +243,9 @@ inline bool parse_artifact(const std::string& text, const std::string& path,
 
 inline bool load_artifact(const std::string& path, Artifact* out,
                           std::string* error) {
-  std::ifstream in(path);
-  if (!in) {
-    *error = "could not read " + path;
-    return false;
-  }
-  std::stringstream buf;
-  buf << in.rdbuf();
-  return parse_artifact(buf.str(), path, out, error);
+  std::string text;
+  return util::read_file(path, &text, error) &&
+         parse_artifact(text, path, out, error);
 }
 
 /// Per-(day, window) baseline-normalized samples of one metric for one
