@@ -3,9 +3,9 @@
 // Every digest below is FNV-1a 64 over raw bytes: the IEEE-754 bits of
 // every per-session SessionMetrics field, every ChunkRecord/RebufferEvent
 // of recorded seek sessions, the exact stdout and trace-file bytes of the
-// bba_abtest and bba_paper_report tools, and the checkpoint container
-// bytes (every section, plus a checkpointed btrace run). The constants
-// were recorded from the reference implementation; any change to session
+// bba_abtest and bba_paper_report tools and of in-process traced runs, and
+// the checkpoint container bytes (every section, plus a checkpointed btrace
+// run). The constants were recorded from the reference implementation; any change to session
 // semantics, to floating-point evaluation order, or to an output format
 // moves at least one of them. A deliberate re-baseline must update the
 // constants and say why.
@@ -321,6 +321,76 @@ TEST(GoldenDigest, AbtestFaultedJsonlTrace) {
                 abtest_digest("--faults 'outage:every=300,dur=20..35'",
                               "jsonl", "faulted.jsonl"),
                 0xcc0e9c61b27dfcdaull);
+}
+
+TEST(GoldenDigest, AbtestFaultedBtrace) {
+  expect_digest("abtest faulted btrace",
+                abtest_digest("--faults 'outage:every=300,dur=20..35'",
+                              "btrace", "faulted.btrace"),
+                0xe448770081fb2c83ull);
+}
+
+/// The metrics digest plus the trace-file bytes of a run traced at 1-in-
+/// `sample`, in the collector's format. The bytes go to *bytes_out when
+/// given.
+std::uint64_t traced_harness_digest(const exp::AbTestConfig& cfg,
+                                    bool btrace, std::uint64_t sample,
+                                    const char* file,
+                                    std::string* bytes_out = nullptr) {
+  const std::string path = temp_path(file);
+  std::remove(path.c_str());
+  obs::Observability handle;
+  obs::TraceConfig tc;
+  tc.path = path;
+  tc.sample = sample;
+  // Low enough that unsampled sessions of the small population trip the
+  // anomaly capture too.
+  tc.anomaly_rebuffer_s = 2.0;
+  if (btrace) {
+    handle.trace = std::make_unique<obs::BinaryTraceCollector>(tc);
+  } else {
+    handle.trace = std::make_unique<obs::TraceCollector>(tc);
+  }
+  obs::install(&handle);
+  const std::uint64_t metrics = harness_digest(seven_groups(), cfg);
+  obs::install(nullptr);
+  handle.trace->finalize();
+  handle.trace->flush();
+
+  const std::string bytes = slurp(path);
+  std::remove(path.c_str());
+  EXPECT_FALSE(bytes.empty()) << file;
+  Digest d;
+  d.value(metrics);
+  d.value(bytes.size());
+  d.text(bytes);
+  if (bytes_out != nullptr) *bytes_out = bytes;
+  return d.h;
+}
+
+/// Every key has outages and one in three is sampled, so sessions traced
+/// in the simulating pass interleave with unsampled anomaly captures.
+exp::AbTestConfig outage_config() {
+  exp::AbTestConfig cfg = small_config(2);
+  cfg.population.outage_session_fraction = 1.0;
+  return cfg;
+}
+
+TEST(GoldenDigest, OutagesSampledJsonlTrace) {
+  std::string jsonl;
+  expect_digest("outages jsonl sample 3",
+                traced_harness_digest(outage_config(), false, 3,
+                                      "outages.jsonl", &jsonl),
+                0x92ed155314a3afadull);
+  EXPECT_NE(jsonl.find("\"sampled\":true"), std::string::npos);
+  EXPECT_NE(jsonl.find("\"sampled\":false"), std::string::npos);
+}
+
+TEST(GoldenDigest, OutagesSampledBtrace) {
+  expect_digest("outages btrace sample 3",
+                traced_harness_digest(outage_config(), true, 3,
+                                      "outages.btrace"),
+                0x842b1b1bc98a0bb0ull);
 }
 
 TEST(GoldenDigest, PaperReportStdout) {
