@@ -32,13 +32,12 @@ namespace {
 
 // Runs one session through the player template with the ABR resolved to
 // its exact type, so the decision and the metrics fold inline into the
-// chunk loop. BBA-1/2/Others read the per-slot decision tables; an ABR of
-// any other dynamic type (a derived class, a user ABR) keeps the virtual
-// call.
-template <class Source>
+// chunk loop -- also when the metrics sink is teed with a trace sink.
+// BBA-1/2/Others read the per-slot decision tables; an ABR of any other
+// dynamic type (a derived class, a user ABR) keeps the virtual call.
+template <class Source, class Sink>
 void simulate_fused(abr::RateAdaptation& abr, const media::Video& video,
-                    Source src, const sim::PlayerConfig& player,
-                    sim::StreamingMetricsSink& sink,
+                    Source src, const sim::PlayerConfig& player, Sink& sink,
                     media::DecisionTableCache& tables) {
   const std::type_info& type = typeid(abr);
   if (type == typeid(abr::ControlAbr)) {
@@ -135,30 +134,43 @@ struct SessionBlockRunner::Impl {
     return held.get();
   }
 
+  // Arms the slot's trace sink for group g's session of `key`. Faulted
+  // sessions carry their injected faults, read from the materialized
+  // s.trace.
+  obs::SessionTraceSink& arm_trace_sink(SessionScratch& s,
+                                        const SessionKey& key, std::size_t g,
+                                        bool sampled,
+                                        const sim::PlayerConfig& player) {
+    if (s.trace_sink == nullptr) s.trace_sink = tracer->make_sink();
+    s.trace_sink->begin(tracer->config(), key.seed, key.day, key.window,
+                        key.session, groups[g].name, sampled);
+    if (player.faults != nullptr) {
+      s.trace_sink->set_faults(player.faults, s.trace.cycle_duration_s(),
+                               s.trace.loops());
+    }
+    return *s.trace_sink;
+  }
+
   // Re-simulates group g's session of `key` with the slot's trace sink
   // teed on: the virtual player over the materialized s.trace, with the
   // metrics registry muted because the session was already counted. The
   // player is a pure function of its inputs -- it resets the ABR on entry
-  // -- so the replay reproduces the counted session's timeline. Appends
-  // the serialized session to *lines and returns whether the sink
-  // emitted it.
+  // -- so the replay reproduces the counted session's timeline. Only
+  // sessions the first pass did not trace come here: unsampled anomaly
+  // captures and alert evidence. Appends the serialized session to *lines
+  // and returns whether the sink emitted it.
   bool trace_session(SessionScratch& s, std::size_t slot,
                      const SessionKey& key, std::size_t g, bool sampled,
                      const media::Video& video,
                      const sim::PlayerConfig& player,
                      const std::string* alert_line, std::string* lines) {
     obs::SlotBinding mute(nullptr, slot);
-    if (s.trace_sink == nullptr) s.trace_sink = tracer->make_sink();
-    s.trace_sink->begin(tracer->config(), key.seed, key.day, key.window,
-                        key.session, groups[g].name, sampled);
-    if (alert_line != nullptr) s.trace_sink->set_alert(*alert_line);
-    if (player.faults != nullptr) {
-      s.trace_sink->set_faults(player.faults, s.trace.cycle_duration_s(),
-                               s.trace.loops());
-    }
-    sim::TeeSink tee(s.sink, *s.trace_sink);
+    obs::SessionTraceSink& trace_sink =
+        arm_trace_sink(s, key, g, sampled, player);
+    if (alert_line != nullptr) trace_sink.set_alert(*alert_line);
+    sim::TeeSink tee(s.sink, trace_sink);
     sim::simulate_session(video, s.trace, *s.algorithms[g], player, tee);
-    return s.trace_sink->finish(lines);
+    return trace_sink.finish(lines);
   }
 
   std::vector<Group> groups;
@@ -231,44 +243,64 @@ void SessionBlockRunner::Impl::run(std::span<const SessionKey> keys,
           s.stream.reset(env.trace, session_rng(key, StreamClass::kTrace));
         }
 
-        for (std::size_t g = 0; g < n_groups; ++g) {
-          abr::RateAdaptation* algorithm = s.algorithms[g];
+        // One simulation per (key, group), whichever sink it feeds.
+        auto play = [&](abr::RateAdaptation& algorithm, auto& sink) {
           if (!player.use_trace_cursor) {
-            sim::simulate_session(video, s.trace, *algorithm, player, s.sink);
+            sim::simulate_session(video, s.trace, algorithm, player, sink);
           } else if (materialize) {
             net::FixedSource fixed;
             fixed.bind(s.trace);
-            simulate_fused(*algorithm, video,
+            simulate_fused(algorithm, video,
                            net::StreamCursor<net::FixedSource>(fixed), player,
-                           s.sink, s.tables);
+                           sink, s.tables);
           } else {
-            simulate_fused(*algorithm, video,
+            simulate_fused(algorithm, video,
                            net::StreamCursor<net::StreamSource>(
                                net::StreamSource{&s.stream}),
-                           player, s.sink, s.tables);
+                           player, sink, s.tables);
           }
-          const sim::SessionMetrics& m = s.sink.metrics();
-          metrics[task * n_groups + g] = m;
-          if (tracer == nullptr) continue;
+        };
 
-          // Sampled sessions, and unsampled ones the anomaly trigger
-          // catches post hoc on the finished metrics (the exact predicate
-          // the trace sink applies to its own event stream), are replayed
-          // into the trace. Tracing therefore costs the unsampled, healthy
-          // majority nothing per event.
-          const obs::TraceConfig& tc = tracer->config();
-          const bool need_tee =
-              traced || (tc.anomalies_enabled() &&
-                         (m.rebuffer_s >= tc.anomaly_rebuffer_s ||
-                          (tc.capture_abandoned && m.abandoned)));
-          if (!need_tee) continue;
-          if (!have_trace) {
-            population.trace_for_into(env, key, s.trace_scratch, s.trace);
-            have_trace = true;
+        for (std::size_t g = 0; g < n_groups; ++g) {
+          abr::RateAdaptation& algorithm = *s.algorithms[g];
+          bool emitted;
+          if (traced) {
+            // A sampled session traces in this one pass: the trace sink
+            // rides next to the metrics sink on the source the untraced
+            // session would use, and the registry counts it here, once.
+            obs::SessionTraceSink& trace_sink =
+                arm_trace_sink(s, key, g, /*sampled=*/true, player);
+            sim::TeeSink tee(s.sink, trace_sink);
+            play(algorithm, tee);
+            metrics[task * n_groups + g] = s.sink.metrics();
+            emitted = trace_sink.finish(&key_trace[task].lines);
+          } else {
+            play(algorithm, s.sink);
+            const sim::SessionMetrics& m = s.sink.metrics();
+            metrics[task * n_groups + g] = m;
+            if (tracer == nullptr) continue;
+
+            // Unsampled sessions the anomaly trigger catches post hoc on
+            // the finished metrics (the exact predicate the trace sink
+            // applies to its own event stream) are replayed into the
+            // trace. Tracing therefore costs the unsampled, healthy
+            // majority nothing per event.
+            const obs::TraceConfig& tc = tracer->config();
+            const bool anomalous =
+                tc.anomalies_enabled() &&
+                (m.rebuffer_s >= tc.anomaly_rebuffer_s ||
+                 (tc.capture_abandoned && m.abandoned));
+            if (!anomalous) continue;
+            if (!have_trace) {
+              population.trace_for_into(env, key, s.trace_scratch, s.trace);
+              have_trace = true;
+            }
+            emitted = trace_session(s, slot, key, g, /*sampled=*/false,
+                                    video, player, nullptr,
+                                    &key_trace[task].lines);
           }
-          KeyTrace& kt = key_trace[task];
-          if (trace_session(s, slot, key, g, traced, video, player, nullptr,
-                            &kt.lines)) {
+          if (emitted) {
+            KeyTrace& kt = key_trace[task];
             ++kt.emitted;
             if (s.trace_sink->anomalous()) ++kt.anomalies;
           }

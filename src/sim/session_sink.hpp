@@ -57,11 +57,14 @@ class SessionSink {
 /// harness attaches an observability trace sink next to its metrics sink
 /// without either knowing about the other. Cheap to construct on the
 /// stack per session (two pointers, no allocation); both sinks see the
-/// exact event sequence they would see alone.
+/// exact event sequence they would see alone. Naming a `final` sink type
+/// (TeeSink<StreamingMetricsSink, obs::SessionTraceSink>) makes that half
+/// a direct, inlinable call inside the session player template; the
+/// defaults keep both halves virtual.
+template <class First = SessionSink, class Second = SessionSink>
 class TeeSink final : public SessionSink {
  public:
-  TeeSink(SessionSink& first, SessionSink& second)
-      : first_(&first), second_(&second) {}
+  TeeSink(First& first, Second& second) : first_(&first), second_(&second) {}
 
   void on_session_start(double chunk_duration_s) override {
     first_->on_session_start(chunk_duration_s);
@@ -81,8 +84,8 @@ class TeeSink final : public SessionSink {
   }
 
  private:
-  SessionSink* first_;
-  SessionSink* second_;
+  First* first_;
+  Second* second_;
 };
 
 /// Records everything into a SessionResult -- the pre-sink behaviour. The

@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <functional>
 #include <limits>
@@ -126,6 +127,66 @@ TEST(BtraceRoundTrip, CatReproducesJsonlSinkBytesWithFaults) {
   EXPECT_NE(jsonl.find("\"ev\":\"fault\""), std::string::npos);
   EXPECT_NE(jsonl.find("\"fault\":"), std::string::npos);
   EXPECT_EQ(cat_btrace(bp), jsonl);
+}
+
+/// Runs the tiny experiment with a metrics registry installed, and a btrace
+/// collector tracing every session when `traced`.
+exp::AbTestResult run_counted(bool traced, bool faults,
+                              obs::MetricsSnapshot* snapshot) {
+  obs::Observability handle;
+  handle.metrics = std::make_unique<obs::MetricsRegistry>(4);
+  if (traced) {
+    obs::TraceConfig tc;
+    tc.sample = 1;  // every session, serialized and discarded
+    handle.trace = std::make_unique<obs::BinaryTraceCollector>(tc);
+  }
+  obs::install(&handle);
+  const media::VideoLibrary library = media::VideoLibrary::standard(3);
+  exp::AbTestResult result =
+      exp::run_ab_test(tiny_groups(), library, tiny_config(2, faults));
+  obs::install(nullptr);
+  *snapshot = handle.metrics->snapshot();
+  return result;
+}
+
+TEST(BtraceRegistry, TracingEverySessionCountsEachSessionOnce) {
+  for (const bool faults : {false, true}) {
+    SCOPED_TRACE(faults ? "faulted" : "plain");
+    obs::MetricsSnapshot plain, traced;
+    const exp::AbTestResult a = run_counted(false, faults, &plain);
+    const exp::AbTestResult b = run_counted(true, faults, &traced);
+
+    using obs::Counter;
+    ASSERT_GT(plain.counter(Counter::kSessions), 0u);
+    for (const Counter c :
+         {Counter::kSessions, Counter::kSessionsAbandoned,
+          Counter::kChunksDownloaded, Counter::kRebuffers,
+          Counter::kRateSwitches, Counter::kOffPeriods,
+          Counter::kCursorQueries, Counter::kCursorRewinds}) {
+      EXPECT_EQ(plain.counter(c), traced.counter(c))
+          << obs::counter_name(c);
+    }
+    // Two workers can race to build the same chunk-table memo entry, so the
+    // split between hits and builds depends on timing; their sum does not.
+    EXPECT_EQ(plain.counter(Counter::kReservoirMemoHits) +
+                  plain.counter(Counter::kReservoirMemoBuilds),
+              traced.counter(Counter::kReservoirMemoHits) +
+                  traced.counter(Counter::kReservoirMemoBuilds));
+
+    ASSERT_EQ(a.cells.size(), b.cells.size());
+    for (std::size_t g = 0; g < a.cells.size(); ++g) {
+      ASSERT_EQ(a.cells[g].size(), b.cells[g].size());
+      for (std::size_t d = 0; d < a.cells[g].size(); ++d) {
+        ASSERT_EQ(a.cells[g][d].size(), b.cells[g][d].size());
+        for (std::size_t w = 0; w < a.cells[g][d].size(); ++w) {
+          EXPECT_EQ(std::memcmp(&a.cells[g][d][w], &b.cells[g][d][w],
+                                sizeof(exp::WindowMetrics)),
+                    0)
+              << "cell " << g << "/" << d << "/" << w;
+        }
+      }
+    }
+  }
 }
 
 TEST(BtraceRoundTrip, FileBytesIdenticalAcrossThreadCounts) {
