@@ -29,36 +29,62 @@ std::uint64_t unzz(std::uint64_t z) { return (z >> 1) ^ (0 - (z & 1)); }
 // near-equal and the second difference is near zero); the rare %.10g
 // escapes are listed up front as (index, raw f64) pairs and skipped by the
 // delta chain, so one outlier cannot blow up its neighbours' deltas.
+//
+// Encoders read column values through `get(i)`, i in [0, n), so chunk
+// columns encode straight from the ChunkRecords, and write through one
+// util::RawAppender per column.
 
-void put_num_col(std::string& out, const std::vector<double>& vals,
-                 bool order2) {
-  std::uint64_t n_esc = 0;
-  for (double v : vals) {
-    if (!jsonl::Num::of(v).is_micro) ++n_esc;
+template <class Get>
+void put_num_col(std::string& out, std::size_t n, Get&& get, bool order2) {
+  std::uint64_t prev = 0, prev_d = 0;
+  auto put_micro = [&](util::RawAppender& a, std::uint64_t m) {
+    const std::uint64_t d = m - prev;  // wrapped; zigzag is total
+    a.varint(zz(order2 ? d - prev_d : d));
+    prev_d = d;
+    prev = m;
+  };
+
+  // Escapes are rare: encode optimistically with none, quantizing each
+  // value once, and start over only when one turns up.
+  {
+    util::RawAppender a(out, (n + 1) * util::kMaxVarintBytes);
+    a.varint(0);
+    std::size_t i = 0;
+    for (; i < n; ++i) {
+      const jsonl::Num v = jsonl::Num::of(get(i));
+      if (!v.is_micro) break;
+      put_micro(a, v.micro);
+    }
+    if (i == n) {
+      a.finish();
+      return;
+    }
+    a.discard();
   }
-  put_varint(out, n_esc);
+
+  // Per value at worst an index delta and a raw f64.
+  util::RawAppender a(out, (n + 1) * (util::kMaxVarintBytes + 8));
+  std::uint64_t n_esc = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (!jsonl::Num::of(get(i)).is_micro) ++n_esc;
+  }
+  a.varint(n_esc);
   std::size_t prev_idx = 0;
   bool first = true;
-  for (std::size_t i = 0; i < vals.size(); ++i) {
-    if (jsonl::Num::of(vals[i]).is_micro) continue;
-    put_varint(out, first ? i : i - prev_idx);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double v = get(i);
+    if (jsonl::Num::of(v).is_micro) continue;
+    a.varint(first ? i : i - prev_idx);
     first = false;
     prev_idx = i;
-    put_f64(out, vals[i]);
+    a.f64(v);
   }
-  std::uint64_t prev = 0, prev_d = 0;
-  for (double v : vals) {
-    const jsonl::Num n = jsonl::Num::of(v);
-    if (!n.is_micro) continue;
-    const std::uint64_t d = n.micro - prev;  // wrapped; zigzag is total
-    if (order2) {
-      put_varint(out, zz(d - prev_d));
-      prev_d = d;
-    } else {
-      put_varint(out, zz(d));
-    }
-    prev = n.micro;
+  prev = prev_d = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const jsonl::Num v = jsonl::Num::of(get(i));
+    if (v.is_micro) put_micro(a, v.micro);
   }
+  a.finish();
 }
 
 bool get_num_col(Cursor& c, std::size_t n, bool order2,
@@ -99,12 +125,26 @@ bool get_num_col(Cursor& c, std::size_t n, bool order2,
   return !c.fail && e == n_esc;
 }
 
-void put_u64_col(std::string& out, const std::vector<std::uint64_t>& vals) {
+template <class Get>
+void put_u64_col(std::string& out, std::size_t n, Get&& get) {
+  util::RawAppender a(out, n * util::kMaxVarintBytes);
   std::uint64_t prev = 0;
-  for (std::uint64_t v : vals) {
-    put_varint(out, zz(v - prev));
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint64_t v = get(i);
+    a.varint(zz(v - prev));
     prev = v;
   }
+  a.finish();
+}
+
+void put_u64_col(std::string& out, const std::vector<std::uint64_t>& vals) {
+  put_u64_col(out, vals.size(), [&](std::size_t i) { return vals[i]; });
+}
+
+void put_num_col(std::string& out, const std::vector<double>& vals,
+                 bool order2) {
+  put_num_col(out, vals.size(), [&](std::size_t i) { return vals[i]; },
+              order2);
 }
 
 bool get_u64_col(Cursor& c, std::size_t n, std::vector<std::uint64_t>* out) {
@@ -311,35 +351,26 @@ bool BinaryTraceSink::finish(std::string* out) const {
     if (st_fault_.size() % 8 != 0) p += static_cast<char>(byte);
   }
 
-  auto chunk_u64_col = [&](auto&& get) {
-    colbuf_u64_.clear();
-    for (const sim::ChunkRecord& c : chunks_) colbuf_u64_.push_back(get(c));
-    put_u64_col(p, colbuf_u64_);
-  };
-  auto chunk_num_col = [&](auto&& get, bool order2) {
-    colbuf_.clear();
-    for (const sim::ChunkRecord& c : chunks_) colbuf_.push_back(get(c));
-    put_num_col(p, colbuf_, order2);
-  };
-  chunk_u64_col([](const sim::ChunkRecord& c) {
-    return static_cast<std::uint64_t>(c.index);
+  const std::vector<sim::ChunkRecord>& ch = chunks_;
+  const std::size_t n = ch.size();
+  put_u64_col(p, n, [&](std::size_t i) {
+    return static_cast<std::uint64_t>(ch[i].index);
   });
-  chunk_u64_col([](const sim::ChunkRecord& c) {
-    return static_cast<std::uint64_t>(c.rate_index);
+  put_u64_col(p, n, [&](std::size_t i) {
+    return static_cast<std::uint64_t>(ch[i].rate_index);
   });
-  chunk_num_col([](const sim::ChunkRecord& c) { return c.rate_bps; }, false);
-  chunk_num_col([](const sim::ChunkRecord& c) { return c.size_bits; }, false);
-  chunk_num_col([](const sim::ChunkRecord& c) { return c.download_s; },
-                false);
-  chunk_num_col([](const sim::ChunkRecord& c) { return c.throughput_bps; },
-                false);
-  chunk_num_col([](const sim::ChunkRecord& c) { return c.buffer_after_s; },
-                false);
+  put_num_col(p, n, [&](std::size_t i) { return ch[i].rate_bps; }, false);
+  put_num_col(p, n, [&](std::size_t i) { return ch[i].size_bits; }, false);
+  put_num_col(p, n, [&](std::size_t i) { return ch[i].download_s; }, false);
+  put_num_col(p, n, [&](std::size_t i) { return ch[i].throughput_bps; },
+              false);
+  put_num_col(p, n, [&](std::size_t i) { return ch[i].buffer_after_s; },
+              false);
   // Chunk times are monotone with near-constant stride; delta-of-delta
   // brings their varints down to a byte or two each.
-  chunk_num_col([](const sim::ChunkRecord& c) { return c.request_s; }, true);
-  chunk_num_col([](const sim::ChunkRecord& c) { return c.finish_s; }, true);
-  chunk_num_col([](const sim::ChunkRecord& c) { return c.position_s; }, true);
+  put_num_col(p, n, [&](std::size_t i) { return ch[i].request_s; }, true);
+  put_num_col(p, n, [&](std::size_t i) { return ch[i].finish_s; }, true);
+  put_num_col(p, n, [&](std::size_t i) { return ch[i].position_s; }, true);
   put_num_col(p, played_at_chunk_, /*order2=*/true);
 
   util::put_record(*out, kBtraceBlockMagic, p);

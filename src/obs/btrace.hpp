@@ -79,10 +79,9 @@ class BinaryTraceSink final : public SessionTraceSink {
   // sink serializes with zero heap allocations).
   mutable std::string payload_;
   mutable std::vector<std::uint8_t> tags_;
-  mutable std::vector<std::uint64_t> off_k_, sw_k_, sw_from_, sw_to_, st_k_,
-      colbuf_u64_;
+  mutable std::vector<std::uint64_t> off_k_, sw_k_, sw_from_, sw_to_, st_k_;
   mutable std::vector<double> off_start_, off_wait_, sw_t_, st_start_,
-      st_dur_, colbuf_;
+      st_dur_;
   mutable std::vector<std::uint8_t> st_fault_;
 };
 

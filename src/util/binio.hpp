@@ -52,12 +52,23 @@ inline void put_f64(std::string& out, double v) {
   put_u64(out, std::bit_cast<std::uint64_t>(v));
 }
 
-inline void put_varint(std::string& out, std::uint64_t v) {
+/// The longest LEB128 varint of a u64.
+inline constexpr std::size_t kMaxVarintBytes = 10;
+
+/// Writes `v` as a varint at `p`, which has room for kMaxVarintBytes, and
+/// returns the end of what it wrote.
+inline char* write_varint(char* p, std::uint64_t v) {
   while (v >= 0x80) {
-    out += static_cast<char>(0x80 | (v & 0x7f));
+    *p++ = static_cast<char>(0x80 | (v & 0x7f));
     v >>= 7;
   }
-  out += static_cast<char>(v);
+  *p++ = static_cast<char>(v);
+  return p;
+}
+
+inline void put_varint(std::string& out, std::uint64_t v) {
+  char b[kMaxVarintBytes];
+  out.append(b, static_cast<std::size_t>(write_varint(b, v) - b));
 }
 
 /// Varint length, then the bytes.
@@ -65,6 +76,33 @@ inline void put_string(std::string& out, std::string_view s) {
   put_varint(out, s.size());
   out += s;
 }
+
+/// Appends a run of values to `out` through a raw pointer into space
+/// reserved once up front, instead of one std::string append per byte.
+/// `max_bytes` must bound what is written (kMaxVarintBytes per varint, 8
+/// per f64); finish() trims `out` to the bytes actually written.
+class RawAppender {
+ public:
+  RawAppender(std::string& out, std::size_t max_bytes)
+      : out_(out), base_(out.size()) {
+    out.resize(base_ + max_bytes);
+    p_ = out.data() + base_;
+  }
+
+  void varint(std::uint64_t v) { p_ = write_varint(p_, v); }
+  void f64(double v) {
+    const std::uint64_t bits = std::bit_cast<std::uint64_t>(v);
+    for (int i = 0; i < 8; ++i) *p_++ = static_cast<char>(bits >> (8 * i));
+  }
+  void finish() { out_.resize(static_cast<std::size_t>(p_ - out_.data())); }
+  /// Finishes with nothing appended.
+  void discard() { out_.resize(base_); }
+
+ private:
+  std::string& out_;
+  std::size_t base_;
+  char* p_ = nullptr;
+};
 
 inline std::uint32_t load_u32(const unsigned char* p) {
   std::uint32_t v = 0;

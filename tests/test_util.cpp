@@ -282,6 +282,46 @@ TEST(Binio, Crc32CheckValue) {
   EXPECT_EQ(crc32("", 0), 0u);
 }
 
+/// The textbook bit-at-a-time CRC32, the reference the sliced one must
+/// reproduce.
+std::uint32_t crc32_bitwise(const unsigned char* p, std::size_t n) {
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < n; ++i) {
+    c ^= p[i];
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    }
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+std::vector<unsigned char> random_bytes(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<unsigned char> bytes(n);
+  for (unsigned char& b : bytes) {
+    b = static_cast<unsigned char>(rng.next_u64());
+  }
+  return bytes;
+}
+
+TEST(Binio, Crc32MatchesReferenceAtEveryLengthAndOffset) {
+  // Every tail length and every start offset against the 8-byte stride.
+  const std::vector<unsigned char> bytes = random_bytes(64 + 8, 2014);
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t n = 0; n <= 64; ++n) {
+      EXPECT_EQ(crc32(bytes.data() + offset, n),
+                crc32_bitwise(bytes.data() + offset, n))
+          << "offset " << offset << " length " << n;
+    }
+  }
+}
+
+TEST(Binio, Crc32MatchesReferenceOnAMebibyte) {
+  const std::vector<unsigned char> bytes = random_bytes(1 << 20, 1729);
+  EXPECT_EQ(crc32(bytes.data(), bytes.size()),
+            crc32_bitwise(bytes.data(), bytes.size()));
+}
+
 TEST(Binio, VarintRoundTripsAtTheEdges) {
   const std::uint64_t values[] = {0, 127, 128, std::uint64_t{1} << 63,
                                   ~std::uint64_t{0}};
