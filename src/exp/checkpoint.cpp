@@ -83,14 +83,22 @@ void put_groups(std::string& p, const std::vector<std::string>& groups) {
   for (const std::string& g : groups) util::put_string(p, g);
 }
 
-/// Reads a put_groups list. Its length and the grid dimensions its section
-/// read before it must pass sanity caps, so that a corrupt varint cannot
-/// turn into a giant allocation.
+/// The most (group, day, window) cells a section's grid may declare: far
+/// above any real run (7 groups x 12 windows x 49,000 days), far below the
+/// 2^48 the per-dimension caps below allow together.
+constexpr std::uint64_t kMaxGridCells = std::uint64_t{1} << 22;
+
+/// Reads a put_groups list. Its length, the grid dimensions its section
+/// read before it, and the grid's cell count must pass sanity caps, so that
+/// a corrupt varint cannot turn into a giant allocation: every section that
+/// calls this allocates the whole grid next.
 bool parse_groups(Cursor& c, std::uint64_t days, std::uint64_t windows,
                   std::vector<std::string>* groups) {
   const std::uint64_t n = c.varint();
+  // Each factor is capped before the product is formed, so it cannot wrap.
   if (c.fail || n == 0 || n > 4096 || days == 0 || days > (1u << 20) ||
-      windows == 0 || windows > (1u << 16)) {
+      windows == 0 || windows > (1u << 16) ||
+      n * days * windows > kMaxGridCells) {
     return false;
   }
   groups->resize(static_cast<std::size_t>(n));

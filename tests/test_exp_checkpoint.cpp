@@ -5,10 +5,13 @@
 // resume validation of the run identity.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <bit>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <memory>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -22,8 +25,45 @@
 #include "sim/metrics.hpp"
 #include "util/binio.hpp"
 
+// Allocation budget for the crafted-section tests: while armed, operator
+// new throws std::bad_alloc once the bytes requested since arming pass the
+// budget, so a parser that tries to allocate a corrupt grid fails the test
+// instead of exhausting the machine. The replacement pair allocates with
+// malloc and frees with free, which GCC's inliner cannot see is matched.
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+namespace {
+std::atomic<bool> g_budget_armed{false};
+std::atomic<std::size_t> g_budget_left{0};
+}  // namespace
+
+void* operator new(std::size_t n) {
+  if (g_budget_armed.load(std::memory_order_relaxed)) {
+    std::size_t left = g_budget_left.load(std::memory_order_relaxed);
+    do {
+      if (n > left) throw std::bad_alloc();
+    } while (!g_budget_left.compare_exchange_weak(left, left - n,
+                                                  std::memory_order_relaxed));
+  }
+  if (void* p = std::malloc(n != 0 ? n : 1)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+
 namespace bba::exp {
 namespace {
+
+/// Arms the allocation budget for its lifetime.
+class AllocationBudget {
+ public:
+  explicit AllocationBudget(std::size_t bytes) {
+    g_budget_left.store(bytes, std::memory_order_relaxed);
+    g_budget_armed.store(true, std::memory_order_relaxed);
+  }
+  ~AllocationBudget() { g_budget_armed.store(false, std::memory_order_relaxed); }
+  AllocationBudget(const AllocationBudget&) = delete;
+  AllocationBudget& operator=(const AllocationBudget&) = delete;
+};
 
 std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 
@@ -279,6 +319,113 @@ TEST(CheckpointContainer, RejectsAWrappingSectionOffsetBeforeReading) {
   EXPECT_FALSE(parse_checkpoint(
       with_first_section_at(bytes, ~std::uint64_t{0} - 4095), &out, &error));
   EXPECT_NE(error.find("corrupt footer"), std::string::npos) << error;
+}
+
+/// A checkpoint container holding exactly the given (magic, payload)
+/// sections, in order.
+std::string container_of(
+    const std::vector<std::pair<std::uint32_t, std::string>>& sections) {
+  std::string out, body;
+  util::put_header(out, kCkptMagic, kCkptVersion);
+  util::put_varint(body, sections.size());
+  for (const auto& [magic, payload] : sections) {
+    util::put_u32(body, magic);
+    util::put_varint(body, out.size());
+    util::put_varint(body, util::kRecordFramingSize + payload.size());
+    util::put_record(out, magic, payload);
+  }
+  util::put_footer(out, kCkptFooterMagic, body, kCkptTrailerMagic);
+  return out;
+}
+
+void put_group_list(std::string& p, std::uint64_t n) {
+  util::put_varint(p, n);
+  for (std::uint64_t g = 0; g < n; ++g) util::put_string(p, "g");
+}
+
+/// A RUN0 payload declaring a days x windows x groups grid.
+std::string run_payload(std::uint64_t days, std::uint64_t windows,
+                        std::uint64_t groups) {
+  std::string p;
+  util::put_u32(p, 0);  // kind
+  for (const std::uint64_t v : {std::uint64_t{7}, days, windows,
+                                std::uint64_t{1}, std::uint64_t{1},
+                                std::uint64_t{1}, std::uint64_t{0},
+                                std::uint64_t{0}}) {
+    util::put_varint(p, v);  // seed .. cursor
+  }
+  put_group_list(p, groups);
+  return p;
+}
+
+// Each grid dimension passes its own cap, but together they declare 2^44
+// cells (terabytes), which the parser must refuse before allocating.
+constexpr std::uint64_t kHugeDays = std::uint64_t{1} << 20;
+constexpr std::uint64_t kHugeWindows = std::uint64_t{1} << 16;
+constexpr std::uint64_t kHugeGroups = 256;
+
+/// Parses `bytes` under a 64 MiB allocation budget: the crafted grid must
+/// be rejected cleanly, never reached.
+void expect_rejected_without_allocating(const std::string& bytes,
+                                        const char* section) {
+  Checkpoint out;
+  std::string error;
+  bool parsed = true;
+  {
+    AllocationBudget budget(std::size_t{64} << 20);
+    EXPECT_NO_THROW(parsed = parse_checkpoint(bytes, &out, &error))
+        << section << " attempted the grid allocation";
+  }
+  EXPECT_FALSE(parsed) << section;
+  EXPECT_NE(error.find(section), std::string::npos) << error;
+}
+
+TEST(CheckpointContainer, RejectsAHugeRunGridBeforeAllocating) {
+  expect_rejected_without_allocating(
+      container_of({{kCkptSectionRun,
+                     run_payload(kHugeDays, kHugeWindows, kHugeGroups)}}),
+      "run section");
+}
+
+TEST(CheckpointContainer, RejectsAHugeTimelineGridBeforeAllocating) {
+  std::string tlin;
+  for (const std::uint64_t v : {std::uint64_t{7}, kHugeDays, kHugeWindows}) {
+    util::put_varint(tlin, v);  // seed, days, windows
+  }
+  put_group_list(tlin, kHugeGroups);
+  expect_rejected_without_allocating(
+      container_of({{kCkptSectionRun, run_payload(1, kWindowsPerDay, 1)},
+                    {kCkptSectionTimeline, tlin}}),
+      "timeline section");
+}
+
+TEST(CheckpointContainer, RejectsAHugeAlertsGridBeforeAllocating) {
+  std::string alrt;
+  util::put_string(alrt, "{}");  // spec JSON
+  alrt += '\0';                  // deferred
+  for (const std::uint64_t v : {std::uint64_t{7}, kHugeDays, kHugeWindows}) {
+    util::put_varint(alrt, v);  // seed, days, windows
+  }
+  put_group_list(alrt, kHugeGroups);
+  util::put_varint(alrt, 0);  // consumed
+  util::put_varint(alrt, 0);  // open
+  expect_rejected_without_allocating(
+      container_of({{kCkptSectionRun, run_payload(1, kWindowsPerDay, 1)},
+                    {kCkptSectionAlerts, alrt}}),
+      "alerts section");
+}
+
+TEST(CheckpointContainer, CraftedContainerOfAValidRunParses) {
+  // The crafted-section builder itself is sound: a small grid parses.
+  Checkpoint out;
+  std::string error;
+  ASSERT_TRUE(parse_checkpoint(
+      container_of({{kCkptSectionRun, run_payload(2, kWindowsPerDay, 3)}}),
+      &out, &error))
+      << error;
+  EXPECT_EQ(out.cells.size(), 3u);
+  EXPECT_EQ(out.cells[0].size(), 2u);
+  EXPECT_EQ(out.cells[0][0].size(), kWindowsPerDay);
 }
 
 TEST(CheckpointContainer, SaveLoadRoundTrip) {
