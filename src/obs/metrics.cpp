@@ -8,10 +8,6 @@
 
 namespace bba::obs {
 
-namespace detail {
-constinit thread_local LocalSlot* tl_metrics_slot = nullptr;
-}  // namespace detail
-
 const char* counter_name(Counter c) {
   switch (c) {
     case Counter::kSessions: return "sessions";

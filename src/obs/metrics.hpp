@@ -224,22 +224,31 @@ struct LocalSlot {
 
 namespace detail {
 /// The buffer instrumentation sites write through; nullptr = disabled.
-extern thread_local LocalSlot* tl_metrics_slot;
+/// Function-local rather than a namespace-scope `extern thread_local`:
+/// GCC's -fsanitize=null reports every store through the extern variable
+/// as a store to null, a false positive that would fail every test under
+/// UBSan.
+inline LocalSlot*& tl_metrics_slot() {
+  constinit thread_local LocalSlot* slot = nullptr;
+  return slot;
+}
 }  // namespace detail
 
 /// Counts into the bound buffer; a branch and nothing else when unbound.
 inline void count(Counter c, std::uint64_t n = 1) {
-  if (LocalSlot* s = detail::tl_metrics_slot) s->count(c, n);
+  if (LocalSlot* s = detail::tl_metrics_slot()) s->count(c, n);
 }
 
 /// Records into the bound buffer's histogram; no-op when unbound.
 inline void observe(Hist h, double v) {
-  if (LocalSlot* s = detail::tl_metrics_slot) s->observe(h, v);
+  if (LocalSlot* s = detail::tl_metrics_slot()) s->observe(h, v);
 }
 
 /// True while a binding is active on this thread (tracing-aware callers
 /// can skip building event payloads early).
-inline bool metrics_enabled() { return detail::tl_metrics_slot != nullptr; }
+inline bool metrics_enabled() {
+  return detail::tl_metrics_slot() != nullptr;
+}
 
 /// RAII binding of this thread to one registry slot, buffered through a
 /// private LocalSlot that is flushed on destruction. Nestable: restores
@@ -248,13 +257,13 @@ inline bool metrics_enabled() { return detail::tl_metrics_slot != nullptr; }
 class SlotBinding {
  public:
   SlotBinding(MetricsRegistry* registry, std::size_t slot)
-      : previous_(detail::tl_metrics_slot),
+      : previous_(detail::tl_metrics_slot()),
         target_(registry != nullptr ? &registry->slot_at(slot) : nullptr) {
-    detail::tl_metrics_slot = target_ != nullptr ? &local_ : nullptr;
+    detail::tl_metrics_slot() = target_ != nullptr ? &local_ : nullptr;
   }
   ~SlotBinding() {
     if (target_ != nullptr) local_.flush_into(*target_);
-    detail::tl_metrics_slot = previous_;
+    detail::tl_metrics_slot() = previous_;
   }
 
   SlotBinding(const SlotBinding&) = delete;
