@@ -5,10 +5,10 @@
 // of recorded seek sessions, the exact stdout and trace-file bytes of the
 // bba_abtest and bba_paper_report tools and of in-process traced runs, and
 // the checkpoint container bytes (every section, plus a checkpointed btrace
-// run). The constants were recorded from the reference implementation; any change to session
-// semantics, to floating-point evaluation order, or to an output format
-// moves at least one of them. A deliberate re-baseline must update the
-// constants and say why.
+// run). The constants were recorded from the reference implementation; any
+// change to session semantics, to floating-point evaluation order, or to an
+// output format moves at least one of them. A deliberate re-baseline must
+// update the constants and say why.
 //
 // The population is small but covers every execution path of the player:
 // all seven paper/comparison groups (BOLA included), outage sessions, a
