@@ -57,11 +57,11 @@ class SessionSink {
 /// harness attaches an observability trace sink next to its metrics sink
 /// without either knowing about the other. Cheap to construct on the
 /// stack per session (two pointers, no allocation); both sinks see the
-/// exact event sequence they would see alone. Naming a `final` sink type
-/// (TeeSink<StreamingMetricsSink, obs::SessionTraceSink>) makes that half
-/// a direct, inlinable call inside the session player template; the
-/// defaults keep both halves virtual.
-template <class First = SessionSink, class Second = SessionSink>
+/// exact event sequence they would see alone. Call sites name neither
+/// type; they are deduced from the two sinks. A `final` sink type (as in
+/// TeeSink<StreamingMetricsSink, obs::SessionTraceSink>) makes that half
+/// a direct, inlinable call inside the session player template.
+template <class First, class Second>
 class TeeSink final : public SessionSink {
  public:
   TeeSink(First& first, Second& second) : first_(&first), second_(&second) {}

@@ -16,8 +16,10 @@
 //    finish_time_s, rate_at_bps (TCP model), queries/rewinds (obs
 //    tallies), and cycle_duration_s/loops (fault attribution).
 //  - Sink receives the events: the final StreamingMetricsSink folds them
-//    inline; SessionSink keeps the virtual interface (tracing tees,
-//    recording).
+//    inline; the harness's tracing tee, TeeSink<StreamingMetricsSink,
+//    obs::SessionTraceSink>, folds its metrics half inline too and calls
+//    the trace sink; SessionSink keeps the virtual interface (recording,
+//    the post-hoc trace replays).
 //
 // TCP slow start, viewer give-up, the wall-clock cap, fault attribution and
 // mid-title starts (seek segments) are ordinary branches of the same loop,
