@@ -83,24 +83,24 @@ void put_groups(std::string& p, const std::vector<std::string>& groups) {
   for (const std::string& g : groups) util::put_string(p, g);
 }
 
-/// The most (group, day, window) cells a section's grid may declare: far
-/// above any real run (7 groups x 12 windows x 49,000 days), far below the
-/// 2^48 the per-dimension caps below allow together.
-constexpr std::uint64_t kMaxGridCells = std::uint64_t{1} << 22;
+/// Whether a groups x days x windows grid passes the caps every section
+/// is read under. Each factor is capped before the product is formed, so
+/// it cannot wrap.
+bool grid_fits(std::uint64_t groups, std::uint64_t days,
+               std::uint64_t windows) {
+  return groups != 0 && groups <= 4096 && days != 0 && days <= (1u << 20) &&
+         windows != 0 && windows <= (1u << 16) &&
+         groups * days * windows <= kMaxCheckpointGridCells;
+}
 
 /// Reads a put_groups list. Its length, the grid dimensions its section
-/// read before it, and the grid's cell count must pass sanity caps, so that
-/// a corrupt varint cannot turn into a giant allocation: every section that
-/// calls this allocates the whole grid next.
+/// read before it, and the grid's cell count must pass grid_fits, so
+/// that a corrupt varint cannot turn into a giant allocation: every
+/// section that calls this allocates the whole grid next.
 bool parse_groups(Cursor& c, std::uint64_t days, std::uint64_t windows,
                   std::vector<std::string>* groups) {
   const std::uint64_t n = c.varint();
-  // Each factor is capped before the product is formed, so it cannot wrap.
-  if (c.fail || n == 0 || n > 4096 || days == 0 || days > (1u << 20) ||
-      windows == 0 || windows > (1u << 16) ||
-      n * days * windows > kMaxGridCells) {
-    return false;
-  }
+  if (c.fail || !grid_fits(n, days, windows)) return false;
   groups->resize(static_cast<std::size_t>(n));
   for (std::string& g : *groups) {
     if (!c.str(&g)) return false;
@@ -389,6 +389,17 @@ bool parse_number(const char* s, std::uint64_t* out) {
 }  // namespace
 
 // --- Container assembly -----------------------------------------------------
+
+bool check_checkpoint_grid(std::uint64_t groups, std::uint64_t days,
+                           std::string* error) {
+  if (grid_fits(groups, days, kWindowsPerDay)) return true;
+  *error = "a run of " + std::to_string(groups) + " groups x " +
+           std::to_string(days) + " days x " +
+           std::to_string(kWindowsPerDay) +
+           " windows is too large to checkpoint (at most " +
+           std::to_string(kMaxCheckpointGridCells) + " cells)";
+  return false;
+}
 
 std::string serialize_checkpoint(const Checkpoint& ck) {
   BBA_ASSERT(ck.cells.size() == ck.groups.size(),
@@ -776,6 +787,9 @@ bool run_ab_test_checkpointed(const std::vector<Group>& groups,
              "--shard index must lie in 1..count");
   std::string scratch_error;
   if (error == nullptr) error = &scratch_error;
+  if (opts.any() && !check_checkpoint_grid(groups.size(), cfg.days, error)) {
+    return false;
+  }
 
   obs::Observability* o = obs::global();
   obs::Profiler* profiler = o != nullptr ? o->profiler.get() : nullptr;

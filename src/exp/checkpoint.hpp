@@ -123,6 +123,20 @@ struct Checkpoint {
   bool complete() const { return cursor == total_keys; }
 };
 
+/// The most (group, day, window) cells a checkpoint's grid may hold: 2^22,
+/// about 49,900 days of 7 groups. Readers reject a RUN0, TLIN or ALRT
+/// section declaring more before allocating its grid (along with more
+/// than 4096 groups, 2^20 days or 2^16 windows).
+inline constexpr std::uint64_t kMaxCheckpointGridCells = std::uint64_t{1}
+                                                         << 22;
+
+/// Whether a run of `groups` x `days` x kWindowsPerDay cells fits those
+/// caps; false with *error if not. Checkpointed runs call it before
+/// simulating anything, so no run saves a checkpoint its own resume would
+/// reject.
+bool check_checkpoint_grid(std::uint64_t groups, std::uint64_t days,
+                           std::string* error);
+
 /// Serializes to / parses from the container bytes. parse validates the
 /// header, trailer, footer CRC, and every section CRC; on failure returns
 /// false with a diagnostic in *error and leaves *out unspecified.

@@ -131,6 +131,10 @@ bool run_sequential_checkpointed(const std::vector<exp::Group>& groups,
              "shard");
   std::string scratch_error;
   if (error == nullptr) error = &scratch_error;
+  if (opts.any() &&
+      !exp::check_checkpoint_grid(groups.size(), cfg.days, error)) {
+    return false;
+  }
   SeqResult& result = *out_result;
   result = SeqResult{};
 

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <memory>
 #include <new>
 #include <string>
@@ -539,6 +540,41 @@ TEST(CheckpointedRun, ResumeValidatesRunIdentity) {
   EXPECT_FALSE(run_ab_test_checkpointed(tiny_groups(), lib, tiny_config(),
                                         missing, &result, &error));
   std::remove(path.c_str());
+}
+
+TEST(CheckpointedRun, RejectsAGridTooLargeToCheckpointBeforeSimulating) {
+  // One day past the largest two-group grid a checkpoint may hold: the
+  // run must refuse before it allocates the grid or simulates a session,
+  // rather than save checkpoints its own resume would reject.
+  const std::uint64_t max_days =
+      kMaxCheckpointGridCells / (2 * kWindowsPerDay);
+  std::string error;
+  EXPECT_TRUE(check_checkpoint_grid(2, max_days, &error)) << error;
+
+  const media::VideoLibrary lib = media::VideoLibrary::standard(11);
+  const std::string path = testing::TempDir() + "/bba_ckpt_huge.ckpt";
+  AbTestConfig cfg = tiny_config();
+  cfg.sessions_per_window = 1;
+  cfg.days = static_cast<std::size_t>(max_days + 1);
+  CheckpointOptions opts;
+  opts.out = path;
+  AbTestResult result;
+  bool ran = true;
+  bool over_budget = false;
+  {
+    AllocationBudget budget(std::size_t{64} << 20);
+    try {
+      ran = run_ab_test_checkpointed(tiny_groups(), lib, cfg, opts, &result,
+                                     &error);
+    } catch (const std::bad_alloc&) {
+      over_budget = true;
+    }
+  }
+  EXPECT_FALSE(over_budget) << "the run attempted its grid allocation";
+  EXPECT_FALSE(ran);
+  EXPECT_NE(error.find("too large to checkpoint"), std::string::npos)
+      << error;
+  EXPECT_FALSE(std::ifstream(path).good());
 }
 
 TEST(CheckpointedRun, ShardsMergeToTheSingleRunCheckpoint) {

@@ -7,10 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <fstream>
 #include <string>
 #include <vector>
 
 #include "exp/abtest.hpp"
+#include "exp/checkpoint.hpp"
 #include "exp/population.hpp"
 #include "exp/report.hpp"
 #include "exp/session_key.hpp"
@@ -202,6 +204,25 @@ TEST(SeqEngine, BatchSizeDoesNotChangeObservedDeltas) {
 // The elimination rule works on PAIRED deltas: arm and baseline must see
 // the identical environment, trace, and workload for every key. These
 // tests pin the invariance down at both layers.
+
+TEST(SeqEngine, RejectsAGridTooLargeToCheckpointBeforeRunning) {
+  // Sequential checkpoints carry the same grid as fixed runs, so a run
+  // one day past the largest checkpointable grid refuses to start.
+  const std::string path = testing::TempDir() + "/bba_seq_huge.ckpt";
+  exp::AbTestConfig cfg = small_config();
+  cfg.days = static_cast<std::size_t>(
+      exp::kMaxCheckpointGridCells / (2 * exp::kWindowsPerDay) + 1);
+  exp::CheckpointOptions opts;
+  opts.out = path;
+  SeqResult result;
+  std::string error;
+  EXPECT_FALSE(run_sequential_checkpointed(
+      separated_groups(), media::VideoLibrary::standard(11), cfg,
+      rate_metric(), SeqConfig{}, opts, &result, &error));
+  EXPECT_NE(error.find("too large to checkpoint"), std::string::npos)
+      << error;
+  EXPECT_FALSE(std::ifstream(path).good());
+}
 
 TEST(CrnInvariance, DrawsAreAPureFunctionOfTheKey) {
   const exp::Population pop;
