@@ -553,6 +553,7 @@ TEST(CheckpointedRun, RejectsAGridTooLargeToCheckpointBeforeSimulating) {
 
   const media::VideoLibrary lib = media::VideoLibrary::standard(11);
   const std::string path = testing::TempDir() + "/bba_ckpt_huge.ckpt";
+  std::remove(path.c_str());
   AbTestConfig cfg = tiny_config();
   cfg.sessions_per_window = 1;
   cfg.days = static_cast<std::size_t>(max_days + 1);

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -209,6 +210,7 @@ TEST(SeqEngine, RejectsAGridTooLargeToCheckpointBeforeRunning) {
   // Sequential checkpoints carry the same grid as fixed runs, so a run
   // one day past the largest checkpointable grid refuses to start.
   const std::string path = testing::TempDir() + "/bba_seq_huge.ckpt";
+  std::remove(path.c_str());
   exp::AbTestConfig cfg = small_config();
   cfg.days = static_cast<std::size_t>(
       exp::kMaxCheckpointGridCells / (2 * exp::kWindowsPerDay) + 1);
