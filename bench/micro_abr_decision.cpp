@@ -9,6 +9,7 @@
 #include <memory>
 
 #include "abr/baselines.hpp"
+#include "abr/bola.hpp"
 #include "abr/control.hpp"
 #include "core/bba0.hpp"
 #include "core/bba1.hpp"
@@ -63,6 +64,11 @@ void BM_Control(benchmark::State& state) {
   run_decisions(state, algo);
 }
 
+void BM_RMinAlways(benchmark::State& state) {
+  abr::RMinAlways algo;
+  run_decisions(state, algo);
+}
+
 void BM_Bba0(benchmark::State& state) {
   core::Bba0 algo;
   run_decisions(state, algo);
@@ -83,11 +89,18 @@ void BM_BbaOthers(benchmark::State& state) {
   run_decisions(state, algo);
 }
 
+void BM_Bola(benchmark::State& state) {
+  abr::BolaAbr algo;
+  run_decisions(state, algo);
+}
+
 BENCHMARK(BM_Control);
+BENCHMARK(BM_RMinAlways);
 BENCHMARK(BM_Bba0);
 BENCHMARK(BM_Bba1);
 BENCHMARK(BM_Bba2);
 BENCHMARK(BM_BbaOthers);
+BENCHMARK(BM_Bola);
 
 }  // namespace
 

@@ -4,11 +4,6 @@
 
 namespace bba::abr {
 
-std::size_t RMinAlways::choose_rate(const Observation& obs) {
-  BBA_ASSERT(obs.video != nullptr, "observation must carry the video");
-  return obs.video->ladder().min_index();
-}
-
 std::size_t RMaxAlways::choose_rate(const Observation& obs) {
   BBA_ASSERT(obs.video != nullptr, "observation must carry the video");
   return obs.video->ladder().max_index();

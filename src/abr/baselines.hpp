@@ -10,13 +10,17 @@
 
 #include "abr/abr.hpp"
 #include "net/estimators.hpp"
+#include "util/assert.hpp"
 
 namespace bba::abr {
 
 /// Always requests R_min. Empirical lower bound on the rebuffer rate.
 class RMinAlways final : public RateAdaptation {
  public:
-  std::size_t choose_rate(const Observation& obs) override;
+  std::size_t choose_rate(const Observation& obs) override {
+    BBA_ASSERT(obs.video != nullptr, "observation must carry the video");
+    return obs.video->ladder().min_index();
+  }
   std::string name() const override { return "rmin-always"; }
 };
 

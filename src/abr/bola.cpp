@@ -45,20 +45,4 @@ double BolaAbr::objective(const Observation& obs, std::size_t m) const {
   return (numerator_[m] - obs.buffer_s) / size_[m];
 }
 
-std::size_t BolaAbr::choose_rate(const Observation& obs) {
-  BBA_ASSERT(obs.video != nullptr, "observation must carry the video");
-  if (obs.video != prepared_for_) prepare(*obs.video);
-  const std::size_t n = numerator_.size();
-  std::size_t best = 0;
-  double best_value = (numerator_[0] - obs.buffer_s) / size_[0];
-  for (std::size_t m = 1; m < n; ++m) {
-    const double value = (numerator_[m] - obs.buffer_s) / size_[m];
-    if (value > best_value) {
-      best_value = value;
-      best = m;
-    }
-  }
-  return best;
-}
-
 }  // namespace bba::abr

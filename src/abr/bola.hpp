@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "abr/abr.hpp"
+#include "util/assert.hpp"
 
 namespace bba::abr {
 
@@ -30,6 +31,9 @@ struct BolaConfig {
   double min_threshold_s = 12.0;
 };
 
+/// The per-chunk decision is defined inline below so the fused session
+/// player (sim::simulate) inlines it into its chunk loop; prepare() runs
+/// once per session and stays out of line.
 class BolaAbr final : public RateAdaptation {
  public:
   explicit BolaAbr(BolaConfig cfg = {});
@@ -59,5 +63,21 @@ class BolaAbr final : public RateAdaptation {
   mutable std::vector<double> numerator_;
   mutable std::vector<double> size_;
 };
+
+inline std::size_t BolaAbr::choose_rate(const Observation& obs) {
+  BBA_ASSERT(obs.video != nullptr, "observation must carry the video");
+  if (obs.video != prepared_for_) prepare(*obs.video);
+  const std::size_t n = numerator_.size();
+  std::size_t best = 0;
+  double best_value = (numerator_[0] - obs.buffer_s) / size_[0];
+  for (std::size_t m = 1; m < n; ++m) {
+    const double value = (numerator_[m] - obs.buffer_s) / size_[m];
+    if (value > best_value) {
+      best_value = value;
+      best = m;
+    }
+  }
+  return best;
+}
 
 }  // namespace bba::abr

@@ -1,7 +1,5 @@
 #include "abr/control.hpp"
 
-#include <algorithm>
-
 #include "util/assert.hpp"
 
 namespace bba::abr {
@@ -15,49 +13,8 @@ ControlAbr::ControlAbr(ControlConfig cfg)
              "down_threshold must be in (0, 1]");
 }
 
-double ControlAbr::adjustment(double buffer_s) const {
-  const double clamped = std::clamp(buffer_s, 0.0, cfg_.knee_s);
-  return cfg_.f_at_empty +
-         (cfg_.f_at_knee - cfg_.f_at_empty) * clamped / cfg_.knee_s;
-}
-
 double ControlAbr::estimate_bps() const {
   return estimator_.has_estimate() ? estimator_.estimate_bps() : 0.0;
-}
-
-std::size_t ControlAbr::choose_rate(const Observation& obs) {
-  BBA_ASSERT(obs.video != nullptr, "observation must carry the video");
-  const auto& ladder = obs.video->ladder();
-
-  if (obs.last_throughput_bps > 0.0) {
-    estimator_.add_sample(obs.last_throughput_bps, obs.last_download_s);
-  }
-  if (!estimator_.has_estimate()) {
-    return std::min(cfg_.start_index, ladder.max_index());
-  }
-
-  double estimate = estimator_.estimate_bps();
-  if (obs.last_throughput_bps > 0.0) {
-    estimate = std::min(estimate, cfg_.last_sample_cap *
-                                      obs.last_throughput_bps);
-  }
-  const double target_bps = adjustment(obs.buffer_s) * estimate;
-
-  if (obs.chunk_index == 0) {
-    return ladder.highest_not_above(target_bps);
-  }
-  const std::size_t prev = std::min(obs.prev_rate_index, ladder.max_index());
-  const std::size_t candidate = ladder.highest_not_above(target_bps);
-  if (candidate > prev) {
-    // Capacity supports a higher rate; move up only with margin to avoid
-    // flapping on ladder boundaries.
-    const std::size_t up = ladder.highest_not_above(target_bps / cfg_.up_margin);
-    return std::max(up, prev);
-  }
-  if (target_bps >= cfg_.down_threshold * ladder.rate_bps(prev)) {
-    return prev;  // within hysteresis: stick
-  }
-  return candidate;
 }
 
 void ControlAbr::reset() { estimator_.reset(); }

@@ -12,10 +12,12 @@
 // rides a too-high rate into an unnecessary rebuffer (Fig. 4).
 #pragma once
 
+#include <algorithm>
 #include <memory>
 
 #include "abr/abr.hpp"
 #include "net/estimators.hpp"
+#include "util/assert.hpp"
 
 namespace bba::abr {
 
@@ -50,6 +52,9 @@ struct ControlConfig {
 };
 
 /// Capacity-estimation ABR with buffer-based adjustment (Fig. 3).
+///
+/// The per-chunk decision is defined inline below so the fused session
+/// player (sim::simulate) inlines it into its chunk loop.
 class ControlAbr final : public RateAdaptation {
  public:
   explicit ControlAbr(ControlConfig cfg = {});
@@ -59,7 +64,11 @@ class ControlAbr final : public RateAdaptation {
   std::string name() const override { return "control"; }
 
   /// The adjustment function F(B) (exposed for tests and figures).
-  double adjustment(double buffer_s) const;
+  double adjustment(double buffer_s) const {
+    const double clamped = std::clamp(buffer_s, 0.0, cfg_.knee_s);
+    return cfg_.f_at_empty +
+           (cfg_.f_at_knee - cfg_.f_at_empty) * clamped / cfg_.knee_s;
+  }
 
   /// Current smoothed estimate; 0 before any sample.
   double estimate_bps() const;
@@ -68,5 +77,40 @@ class ControlAbr final : public RateAdaptation {
   ControlConfig cfg_;
   net::SlidingMeanEstimator estimator_;
 };
+
+inline std::size_t ControlAbr::choose_rate(const Observation& obs) {
+  BBA_ASSERT(obs.video != nullptr, "observation must carry the video");
+  const auto& ladder = obs.video->ladder();
+
+  if (obs.last_throughput_bps > 0.0) {
+    estimator_.add_sample(obs.last_throughput_bps, obs.last_download_s);
+  }
+  if (!estimator_.has_estimate()) {
+    return std::min(cfg_.start_index, ladder.max_index());
+  }
+
+  double estimate = estimator_.estimate_bps();
+  if (obs.last_throughput_bps > 0.0) {
+    estimate = std::min(estimate, cfg_.last_sample_cap *
+                                      obs.last_throughput_bps);
+  }
+  const double target_bps = adjustment(obs.buffer_s) * estimate;
+
+  if (obs.chunk_index == 0) {
+    return ladder.highest_not_above(target_bps);
+  }
+  const std::size_t prev = std::min(obs.prev_rate_index, ladder.max_index());
+  const std::size_t candidate = ladder.highest_not_above(target_bps);
+  if (candidate > prev) {
+    // Capacity supports a higher rate; move up only with margin to avoid
+    // flapping on ladder boundaries.
+    const std::size_t up = ladder.highest_not_above(target_bps / cfg_.up_margin);
+    return std::max(up, prev);
+  }
+  if (target_bps >= cfg_.down_threshold * ladder.rate_bps(prev)) {
+    return prev;  // within hysteresis: stick
+  }
+  return candidate;
+}
 
 }  // namespace bba::abr

@@ -7,8 +7,11 @@
 // acts as a natural hysteresis cushion.
 #pragma once
 
+#include <algorithm>
+
 #include "abr/abr.hpp"
 #include "core/rate_map.hpp"
+#include "util/assert.hpp"
 
 namespace bba::core {
 
@@ -21,7 +24,9 @@ struct Bba0Config {
   std::size_t start_index = 0;
 };
 
-/// The BBA-0 algorithm: Algorithm 1 over the Fig. 6 rate map.
+/// The BBA-0 algorithm: Algorithm 1 over the Fig. 6 rate map. The decision
+/// is defined inline below so the fused session player (sim::simulate)
+/// inlines it into its chunk loop.
 class Bba0 final : public abr::RateAdaptation {
  public:
   explicit Bba0(Bba0Config cfg = {});
@@ -38,5 +43,42 @@ class Bba0 final : public abr::RateAdaptation {
  private:
   Bba0Config cfg_;
 };
+
+inline std::size_t Bba0::algorithm1(const RateMap& map,
+                                    const media::EncodingLadder& ladder,
+                                    std::size_t prev_index, double buffer_s) {
+  BBA_ASSERT(prev_index < ladder.size(), "prev rate index out of range");
+
+  // Rate+ / Rate- : the neighbouring discrete rates (Algorithm 1).
+  const std::size_t rate_plus = ladder.up(prev_index);
+  const std::size_t rate_minus = ladder.down(prev_index);
+
+  if (buffer_s <= map.reservoir_s()) {
+    return ladder.min_index();
+  }
+  if (buffer_s >= map.upper_reservoir_start_s()) {
+    return ladder.max_index();
+  }
+  const double f = map.rate_at_bps(buffer_s);
+  if (f >= ladder.rate_bps(rate_plus)) {
+    return ladder.highest_below(f);  // max{Ri : Ri < f(B)}
+  }
+  if (f <= ladder.rate_bps(rate_minus)) {
+    return ladder.lowest_above(f);   // min{Ri : Ri > f(B)}
+  }
+  return prev_index;
+}
+
+inline std::size_t Bba0::choose_rate(const abr::Observation& obs) {
+  BBA_ASSERT(obs.video != nullptr, "observation must carry the video");
+  const auto& ladder = obs.video->ladder();
+  const RateMap map(cfg_.reservoir_s, cfg_.cushion_s, ladder.rmin_bps(),
+                    ladder.rmax_bps());
+  const std::size_t prev = obs.chunk_index == 0
+                               ? std::min(cfg_.start_index, ladder.max_index())
+                               : std::min(obs.prev_rate_index,
+                                          ladder.max_index());
+  return algorithm1(map, ladder, prev, obs.buffer_s);
+}
 
 }  // namespace bba::core

@@ -4,27 +4,8 @@
 
 namespace bba::core {
 
-RateMap::RateMap(double reservoir_s, double cushion_s, double rmin_bps,
-                 double rmax_bps)
-    : reservoir_s_(reservoir_s),
-      cushion_s_(cushion_s),
-      rmin_bps_(rmin_bps),
-      rmax_bps_(rmax_bps) {
-  BBA_ASSERT(reservoir_s_ >= 0.0, "reservoir must be >= 0");
-  BBA_ASSERT(cushion_s_ > 0.0, "cushion must be > 0");
-  BBA_ASSERT(rmin_bps_ > 0.0 && rmax_bps_ > rmin_bps_,
-             "rates must satisfy 0 < rmin < rmax");
-}
-
 RateMap RateMap::bba0_default(double rmin_bps, double rmax_bps) {
   return RateMap(90.0, 126.0, rmin_bps, rmax_bps);
-}
-
-double RateMap::rate_at_bps(double buffer_s) const {
-  if (buffer_s <= reservoir_s_) return rmin_bps_;
-  if (buffer_s >= reservoir_s_ + cushion_s_) return rmax_bps_;
-  const double frac = (buffer_s - reservoir_s_) / cushion_s_;
-  return rmin_bps_ + frac * (rmax_bps_ - rmin_bps_);
 }
 
 bool RateMap::is_safe_at(double buffer_s, double chunk_duration_s) const {

@@ -8,6 +8,8 @@
 // across the cushion, R_max across the upper reservoir.
 #pragma once
 
+#include "util/assert.hpp"
+
 namespace bba::core {
 
 /// Piecewise-linear rate map with reservoir and cushion (Fig. 6).
@@ -19,14 +21,28 @@ class RateMap {
  public:
   /// Requires reservoir >= 0, cushion > 0, 0 < rmin < rmax.
   RateMap(double reservoir_s, double cushion_s, double rmin_bps,
-          double rmax_bps);
+          double rmax_bps)
+      : reservoir_s_(reservoir_s),
+        cushion_s_(cushion_s),
+        rmin_bps_(rmin_bps),
+        rmax_bps_(rmax_bps) {
+    BBA_ASSERT(reservoir_s_ >= 0.0, "reservoir must be >= 0");
+    BBA_ASSERT(cushion_s_ > 0.0, "cushion must be > 0");
+    BBA_ASSERT(rmin_bps_ > 0.0 && rmax_bps_ > rmin_bps_,
+               "rates must satisfy 0 < rmin < rmax");
+  }
 
   /// The BBA-0 production map: 90 s reservoir, 126 s cushion (the map
   /// reaches R_max at 216 s, 90% of the 240 s buffer).
   static RateMap bba0_default(double rmin_bps, double rmax_bps);
 
   /// f(B): the continuous rate suggested at buffer level `buffer_s`.
-  double rate_at_bps(double buffer_s) const;
+  double rate_at_bps(double buffer_s) const {
+    if (buffer_s <= reservoir_s_) return rmin_bps_;
+    if (buffer_s >= reservoir_s_ + cushion_s_) return rmax_bps_;
+    const double frac = (buffer_s - reservoir_s_) / cushion_s_;
+    return rmin_bps_ + frac * (rmax_bps_ - rmin_bps_);
+  }
 
   double reservoir_s() const { return reservoir_s_; }
   double cushion_s() const { return cushion_s_; }

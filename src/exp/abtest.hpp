@@ -31,14 +31,10 @@ using AbrFactory = std::function<std::unique_ptr<abr::RateAdaptation>()>;
 /// A named experiment group.
 struct Group {
   std::string name;
+  /// Called once per worker thread; the instance is reused across
+  /// sessions, so reset() (which the player calls at session start) must
+  /// fully re-initialize it -- every in-repo ABR does.
   AbrFactory factory;
-  /// When true (default) the harness calls the factory once per worker
-  /// thread and reuses the instance across sessions — every in-repo ABR
-  /// fully re-initializes in reset(), which the player calls at session
-  /// start. Set false for a custom ABR whose constructor establishes state
-  /// reset() does not restore; the harness then builds a fresh instance
-  /// per session.
-  bool reuse_instances = true;
 };
 
 /// Aggregated metrics of one (group, day, window) cell.

@@ -66,10 +66,10 @@ struct SessionBlockRunner::Impl {
   // place when it must be materialized -- CapacityTrace::assign
   // ping-pongs storage with the generation buffers), metrics stream
   // through a StreamingMetricsSink (bit-identical to compute_metrics over
-  // a recording), BBA decision tables are cached per title, and ABR
-  // instances are reused across sessions where the group allows. Steady
-  // state does zero heap allocation per session. None of this affects the
-  // produced values, so the determinism contract holds.
+  // a recording), BBA decision tables are cached per title, and each
+  // group's ABR instance is reused across sessions. Steady state does zero
+  // heap allocation per session. None of this affects the produced values,
+  // so the determinism contract holds.
   struct SessionScratch {
     net::TraceScratch trace_scratch;
     net::FaultScratch fault_scratch;
@@ -80,10 +80,8 @@ struct SessionBlockRunner::Impl {
     // Created by the collector (make_sink), so the scratch serializes in
     // whatever format the run selected -- JSONL lines or btrace blocks.
     std::unique_ptr<obs::SessionTraceSink> trace_sink;
-    // Per group: the reused instance, the per-session instance of a group
-    // that opts out of reuse, and the instance the current key runs.
+    // Per group: the reused instance, and the instance the current key runs.
     std::vector<std::unique_ptr<abr::RateAdaptation>> abrs;
-    std::vector<std::unique_ptr<abr::RateAdaptation>> fresh;
     std::vector<abr::RateAdaptation*> algorithms;
   };
 
@@ -112,7 +110,6 @@ struct SessionBlockRunner::Impl {
     scratch.resize(executor.threads());
     for (auto& s : scratch) {
       s.abrs.resize(groups.size());
-      s.fresh.resize(groups.size());
       s.algorithms.resize(groups.size());
     }
   }
@@ -122,14 +119,10 @@ struct SessionBlockRunner::Impl {
                        const std::string& alert_line);
 
   // The group's ABR for the slot's next session: the slot's reused
-  // instance, or a fresh one (kept in s.fresh) for a group that opts out
-  // of reuse.
+  // instance, built by the group's factory on first use.
   abr::RateAdaptation* instance(SessionScratch& s, std::size_t g) {
-    std::unique_ptr<abr::RateAdaptation>& held =
-        groups[g].reuse_instances ? s.abrs[g] : s.fresh[g];
-    if (held == nullptr || !groups[g].reuse_instances) {
-      held = groups[g].factory();
-    }
+    std::unique_ptr<abr::RateAdaptation>& held = s.abrs[g];
+    if (held == nullptr) held = groups[g].factory();
     BBA_ASSERT(held != nullptr, "group factory returned null");
     return held.get();
   }

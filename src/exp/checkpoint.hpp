@@ -46,6 +46,7 @@
 #include <vector>
 
 #include "exp/abtest.hpp"
+#include "exp/session_key.hpp"
 #include "obs/monitor.hpp"
 #include "obs/timeline.hpp"
 #include "obs/trace.hpp"
@@ -187,6 +188,22 @@ struct CheckpointOptions {
   /// BBA_CHECKPOINT_KILL. Unset variables leave the defaults above.
   static CheckpointOptions from_env();
 };
+
+/// Number of keys in the canonical key sequence of shard
+/// opts.shard_index/opts.shard_count of a run: every session of the
+/// (day, window) cells whose index day * kWindowsPerDay + window is
+/// shard_index - 1 modulo shard_count.
+std::uint64_t shard_key_count(const AbTestConfig& cfg,
+                              const CheckpointOptions& opts);
+
+/// Keys [first, first + count) of that sequence, into *out (cleared first;
+/// its capacity is kept). Key i is session i % sessions_per_window of cell
+/// (i / sessions_per_window) * shard_count + shard_index - 1, so a run
+/// builds each block's keys on demand instead of holding its whole key
+/// list. Requires first + count <= shard_key_count(cfg, opts).
+void shard_keys(const AbTestConfig& cfg, const CheckpointOptions& opts,
+                std::uint64_t first, std::size_t count,
+                std::vector<SessionKey>* out);
 
 /// run_ab_test with checkpointing, resume, and sharding. With default
 /// options this IS run_ab_test (one chunk, no files): identical fold,

@@ -30,44 +30,4 @@ EncodingLadder EncodingLadder::netflix_2013_rmin560() {
                          kbps(2350), kbps(3000), kbps(5000)});
 }
 
-std::size_t EncodingLadder::up(std::size_t i) const {
-  BBA_ASSERT(i < rates_bps_.size(), "rate index out of range");
-  return i + 1 < rates_bps_.size() ? i + 1 : i;
-}
-
-std::size_t EncodingLadder::down(std::size_t i) const {
-  BBA_ASSERT(i < rates_bps_.size(), "rate index out of range");
-  return i > 0 ? i - 1 : 0;
-}
-
-std::size_t EncodingLadder::highest_not_above(double bps) const {
-  std::size_t best = 0;
-  for (std::size_t i = 0; i < rates_bps_.size(); ++i) {
-    if (rates_bps_[i] <= bps) best = i;
-  }
-  return best;
-}
-
-std::size_t EncodingLadder::lowest_not_below(double bps) const {
-  for (std::size_t i = 0; i < rates_bps_.size(); ++i) {
-    if (rates_bps_[i] >= bps) return i;
-  }
-  return max_index();
-}
-
-std::size_t EncodingLadder::highest_below(double bps) const {
-  std::size_t best = 0;
-  for (std::size_t i = 0; i < rates_bps_.size(); ++i) {
-    if (rates_bps_[i] < bps) best = i;
-  }
-  return best;
-}
-
-std::size_t EncodingLadder::lowest_above(double bps) const {
-  for (std::size_t i = 0; i < rates_bps_.size(); ++i) {
-    if (rates_bps_[i] > bps) return i;
-  }
-  return max_index();
-}
-
 }  // namespace bba::media

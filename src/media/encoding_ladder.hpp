@@ -42,25 +42,53 @@ class EncodingLadder {
 
   /// Index of the next-higher rate ("Rate+" in Algorithm 1); saturates at
   /// the top of the ladder.
-  std::size_t up(std::size_t i) const;
+  std::size_t up(std::size_t i) const {
+    BBA_ASSERT(i < rates_bps_.size(), "rate index out of range");
+    return i + 1 < rates_bps_.size() ? i + 1 : i;
+  }
 
   /// Index of the next-lower rate ("Rate-" in Algorithm 1); saturates at 0.
-  std::size_t down(std::size_t i) const;
+  std::size_t down(std::size_t i) const {
+    BBA_ASSERT(i < rates_bps_.size(), "rate index out of range");
+    return i > 0 ? i - 1 : 0;
+  }
 
   /// Highest index whose rate is <= `bps`; returns 0 if even R_min exceeds
   /// `bps` (the client can never pick below R_min).
-  std::size_t highest_not_above(double bps) const;
+  std::size_t highest_not_above(double bps) const {
+    std::size_t best = 0;
+    for (std::size_t i = 0; i < rates_bps_.size(); ++i) {
+      if (rates_bps_[i] <= bps) best = i;
+    }
+    return best;
+  }
 
   /// Lowest index whose rate is >= `bps`; saturates at the top.
-  std::size_t lowest_not_below(double bps) const;
+  std::size_t lowest_not_below(double bps) const {
+    for (std::size_t i = 0; i < rates_bps_.size(); ++i) {
+      if (rates_bps_[i] >= bps) return i;
+    }
+    return max_index();
+  }
 
   /// max{ i : rate(i) < bps }, or 0 when none is strictly below. This is
   /// the "max{Ri : Ri < f(B)}" selection in Algorithm 1.
-  std::size_t highest_below(double bps) const;
+  std::size_t highest_below(double bps) const {
+    std::size_t best = 0;
+    for (std::size_t i = 0; i < rates_bps_.size(); ++i) {
+      if (rates_bps_[i] < bps) best = i;
+    }
+    return best;
+  }
 
   /// min{ i : rate(i) > bps }, or max index when none is strictly above.
   /// This is the "min{Ri : Ri > f(B)}" selection in Algorithm 1.
-  std::size_t lowest_above(double bps) const;
+  std::size_t lowest_above(double bps) const {
+    for (std::size_t i = 0; i < rates_bps_.size(); ++i) {
+      if (rates_bps_[i] > bps) return i;
+    }
+    return max_index();
+  }
 
  private:
   std::vector<double> rates_bps_;

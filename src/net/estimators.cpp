@@ -23,19 +23,6 @@ SlidingMeanEstimator::SlidingMeanEstimator(std::size_t window)
   BBA_ASSERT(window >= 1, "window must be >= 1");
 }
 
-void SlidingMeanEstimator::add_sample(double throughput_bps,
-                                      double /*duration_s*/) {
-  BBA_ASSERT(throughput_bps >= 0.0, "throughput must be >= 0");
-  samples_.push(throughput_bps);
-}
-
-double SlidingMeanEstimator::estimate_bps() const {
-  BBA_ASSERT(!samples_.empty(), "estimate_bps() before any sample");
-  double sum = 0.0;
-  for (std::size_t i = 0; i < samples_.size(); ++i) sum += samples_.at(i);
-  return sum / static_cast<double>(samples_.size());
-}
-
 EwmaEstimator::EwmaEstimator(double alpha) : alpha_(alpha) {
   BBA_ASSERT(alpha_ > 0.0 && alpha_ <= 1.0, "alpha must be in (0, 1]");
 }

@@ -11,6 +11,8 @@
 #include <string>
 #include <vector>
 
+#include "util/assert.hpp"
+
 namespace bba::net {
 
 /// Fixed-capacity FIFO of the most recent `window` samples. Storage is
@@ -24,11 +26,11 @@ class SampleWindow {
   /// Appends a sample, evicting the oldest once the window is full.
   void push(double v) {
     if (count_ < buf_.size()) {
-      buf_[(head_ + count_) % buf_.size()] = v;
+      buf_[wrap(head_ + count_)] = v;
       ++count_;
     } else {
       buf_[head_] = v;
-      head_ = (head_ + 1) % buf_.size();
+      head_ = wrap(head_ + 1);
     }
   }
 
@@ -41,11 +43,15 @@ class SampleWindow {
   bool empty() const { return count_ == 0; }
 
   /// i-th sample, oldest first (i < size()).
-  double at(std::size_t i) const {
-    return buf_[(head_ + i) % buf_.size()];
-  }
+  double at(std::size_t i) const { return buf_[wrap(head_ + i)]; }
 
  private:
+  /// Reduces a ring position below 2 * window to a slot index; a compare
+  /// and subtract is cheaper than the integer division `%` compiles to.
+  std::size_t wrap(std::size_t pos) const {
+    return pos >= buf_.size() ? pos - buf_.size() : pos;
+  }
+
   std::vector<double> buf_;
   std::size_t head_ = 0;
   std::size_t count_ = 0;
@@ -84,12 +90,21 @@ class LastSampleEstimator final : public ThroughputEstimator {
   bool has_ = false;
 };
 
-/// Arithmetic mean of the last `window` samples.
+/// Arithmetic mean of the last `window` samples. Inline: Control's
+/// per-chunk decision calls it from the fused session loop.
 class SlidingMeanEstimator final : public ThroughputEstimator {
  public:
   explicit SlidingMeanEstimator(std::size_t window);
-  void add_sample(double throughput_bps, double duration_s) override;
-  double estimate_bps() const override;
+  void add_sample(double throughput_bps, double /*duration_s*/) override {
+    BBA_ASSERT(throughput_bps >= 0.0, "throughput must be >= 0");
+    samples_.push(throughput_bps);
+  }
+  double estimate_bps() const override {
+    BBA_ASSERT(!samples_.empty(), "estimate_bps() before any sample");
+    double sum = 0.0;
+    for (std::size_t i = 0; i < samples_.size(); ++i) sum += samples_.at(i);
+    return sum / static_cast<double>(samples_.size());
+  }
   bool has_estimate() const override { return !samples_.empty(); }
   void reset() override { samples_.clear(); }
   std::string name() const override { return "sliding-mean"; }

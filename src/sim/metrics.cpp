@@ -6,10 +6,9 @@ namespace bba::sim {
 
 SessionMetrics compute_metrics(const SessionResult& result,
                                double steady_after_s) {
-  // A replay through the streaming fold. Reporting nothing played while
-  // the chunks arrive defers every chunk to the end-of-session fold, which
-  // weights each chunk's nominal rate by how much of its video interval
-  // [position, position + V) was played, in download order.
+  // A replay through the streaming fold, which weights each chunk's
+  // nominal rate by how much of its video interval [position, position + V)
+  // was played, in download order.
   StreamingMetricsSink sink(steady_after_s);
   sink.on_session_start(result.chunk_duration_s);
   for (const ChunkRecord& c : result.chunks) sink.on_chunk(c, 0.0);

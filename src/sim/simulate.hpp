@@ -5,19 +5,22 @@
 // between callers is static:
 //
 //  - Policy decides the rate: any type with reset() and
-//    choose_rate(const abr::Observation&). Naming a `final` ABR class (or a
-//    table-driven policy such as core::BbaTable) makes the decision a
-//    direct, inlinable call; Policy = abr::RateAdaptation keeps the virtual
-//    call for ABRs whose dynamic type the caller cannot name. A policy that
-//    also has on_session_end() gets it once, after the last decision.
+//    choose_rate(const abr::Observation&). Naming a `final` ABR class whose
+//    decision is defined in its header (ControlAbr, RMinAlways, Bba0,
+//    BolaAbr) or a table-driven policy such as core::BbaTable inlines the
+//    decision, with its estimator, ladder search and rate map, into the
+//    chunk loop; Policy = abr::RateAdaptation keeps the virtual call for
+//    ABRs whose dynamic type the caller cannot name. A policy that also
+//    has on_session_end() gets it once, after the last decision.
 //  - Source integrates the capacity trace: net::TraceCursor over a
 //    materialized CapacityTrace, or net::StreamCursor over a lazily
 //    generated TraceStream (or a materialized looping trace). It provides
 //    finish_time_s, rate_at_bps (TCP model), queries/rewinds (obs
 //    tallies), and cycle_duration_s/loops (fault attribution).
-//  - Sink receives the events: the final StreamingMetricsSink folds them
-//    inline; the harness's tracing tee, TeeSink<StreamingMetricsSink,
-//    obs::SessionTraceSink>, folds its metrics half inline too and calls
+//  - Sink receives the events: the final StreamingMetricsSink takes each
+//    chunk inline (one append) and folds the session at its end; the
+//    harness's tracing tee, TeeSink<StreamingMetricsSink,
+//    obs::SessionTraceSink>, runs its metrics half inline too and calls
 //    the trace sink; SessionSink keeps the virtual interface (recording,
 //    the post-hoc trace replays).
 //

@@ -112,6 +112,51 @@ TEST(CheckpointOptions, ParseShard) {
   }
 }
 
+// The keys a checkpointed run builds on demand, block by block, must be the
+// canonical shard-filtered sequence the run used to materialize up front:
+// the same key at every index, from any resume cursor, at every shard
+// count (including ones that do not divide the cell count).
+TEST(ShardKeys, MatchTheMaterializedSequenceAtEveryIndex) {
+  for (const std::size_t days : {1, 3}) {
+    AbTestConfig cfg;
+    cfg.days = days;
+    cfg.sessions_per_window = 7;
+    cfg.seed = 99;
+    for (std::size_t count = 1; count <= 5; ++count) {
+      for (std::size_t index = 1; index <= count; ++index) {
+        CheckpointOptions opts;
+        opts.shard_index = index;
+        opts.shard_count = count;
+        std::vector<SessionKey> expected;
+        for (std::size_t day = 0; day < cfg.days; ++day) {
+          for (std::size_t window = 0; window < kWindowsPerDay; ++window) {
+            if ((day * kWindowsPerDay + window) % count != index - 1) continue;
+            for (std::size_t user = 0; user < cfg.sessions_per_window;
+                 ++user) {
+              expected.push_back(SessionKey{cfg.seed, day, window, user});
+            }
+          }
+        }
+        ASSERT_EQ(shard_key_count(cfg, opts), expected.size());
+        std::vector<SessionKey> block;
+        for (std::size_t cursor = 0; cursor <= expected.size(); ++cursor) {
+          shard_keys(cfg, opts, cursor, expected.size() - cursor, &block);
+          ASSERT_EQ(block.size(), expected.size() - cursor);
+          for (std::size_t i = 0; i < block.size(); ++i) {
+            const SessionKey& want = expected[cursor + i];
+            ASSERT_TRUE(block[i].seed == want.seed &&
+                        block[i].day == want.day &&
+                        block[i].window == want.window &&
+                        block[i].session == want.session)
+                << "shard " << index << "/" << count << ", days " << days
+                << ", cursor " << cursor << ", key " << cursor + i;
+          }
+        }
+      }
+    }
+  }
+}
+
 /// A fixed-run checkpoint with adversarial double bit patterns, a
 /// populated timeline, and trace state -- every section exercised.
 Checkpoint sample_checkpoint() {

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <deque>
 #include <vector>
 
 #include "net/capacity_trace.hpp"
@@ -309,6 +310,46 @@ TEST(Estimators, HarmonicMeanRecoversAfterOutageSamplesAgeOut) {
   h.add_sample(100.0, 1.0);
   h.add_sample(100.0, 1.0);  // window is now all post-outage samples
   EXPECT_DOUBLE_EQ(h.estimate_bps(), 100.0);
+}
+
+// The sample ring wraps with a compare-and-subtract; both windowed
+// estimators must still sum their window oldest first, so every estimate
+// is bit-equal to a plain deque reference -- through evictions at every
+// window size and across a reset.
+TEST(Estimators, WindowedEstimatesAreBitExactAgainstADequeReference) {
+  for (std::size_t window = 1; window <= 8; ++window) {
+    SlidingMeanEstimator mean(window);
+    HarmonicMeanEstimator harmonic(window);
+    std::deque<double> ref;
+    util::Rng rng(1000 + window);
+    for (int i = 0; i < 1000; ++i) {
+      if (i == 437) {
+        mean.reset();
+        harmonic.reset();
+        ref.clear();
+        EXPECT_FALSE(mean.has_estimate());
+        EXPECT_FALSE(harmonic.has_estimate());
+      }
+      // Mostly lognormal throughputs, with the occasional outage chunk.
+      const double s = rng.bernoulli(0.05) ? 0.0 : rng.lognormal(14.0, 1.0);
+      mean.add_sample(s, 1.0);
+      harmonic.add_sample(s, 1.0);
+      ref.push_back(s);
+      if (ref.size() > window) ref.pop_front();
+
+      double sum = 0.0;
+      double sum_inv = 0.0;
+      for (double r : ref) {
+        sum += r;
+        sum_inv += 1.0 / std::max(r, kMinHarmonicSampleBps);
+      }
+      const double n = static_cast<double>(ref.size());
+      EXPECT_EQ(mean.estimate_bps(), sum / n)
+          << "window " << window << ", sample " << i;
+      EXPECT_EQ(harmonic.estimate_bps(), n / sum_inv)
+          << "window " << window << ", sample " << i;
+    }
+  }
 }
 
 TEST(Estimators, NamesAreStable) {

@@ -144,6 +144,47 @@ TEST(StreamingSink, ReusedSinkMatchesAcrossPopulationSessions) {
   }
 }
 
+TEST(StreamingSink, ReusedSinkMatchesRecordingAcrossLongShortLong) {
+  // The sink's chunk buffer keeps its capacity across sessions: a short
+  // session after a long one must not see the long one's chunks, and a
+  // long one after a short one must fold all of its own. Each session is
+  // compared with compute_metrics over a RecordingSink of the same run.
+  const media::Video video = small_cbr_video(150);
+  const net::CapacityTrace stalling(
+      {{20.0, mbps(3)}, {60.0, 0.0}, {60.0, mbps(2)}});
+  const net::CapacityTrace dying({{20.0, mbps(2)}, {300.0, 0.0}});
+
+  PlayerConfig long_stalling;  // whole title, stalls in the outages
+  PlayerConfig short_give_up;  // walks out mid-stall
+  short_give_up.give_up_stall_s = 30.0;
+  PlayerConfig long_seek_start;  // starts mid-title after a seek
+  long_seek_start.start_chunk = 40;
+  long_seek_start.position_offset_s = 160.0;
+
+  struct Case {
+    const net::CapacityTrace* trace;
+    const PlayerConfig* config;
+  };
+  StreamingMetricsSink sink;
+  SessionResult recorded;
+  RecordingSink recording(&recorded);
+  for (const Case& c : {Case{&stalling, &long_stalling},
+                        Case{&dying, &short_give_up},
+                        Case{&stalling, &long_seek_start}}) {
+    core::Bba2 a, b;
+    simulate_session(video, *c.trace, a, *c.config, recording);
+    simulate_session(video, *c.trace, b, *c.config, sink);
+    expect_identical(sink.metrics(), compute_metrics(recorded));
+  }
+  // The cases cover what they claim.
+  core::Bba2 abr;
+  EXPECT_GT(simulate_session(video, stalling, abr, long_stalling)
+                .rebuffers.size(),
+            0u);
+  EXPECT_TRUE(
+      simulate_session(video, dying, abr, short_give_up).abandoned);
+}
+
 TEST(StreamingSink, CursorOffMatchesCursorOnBitForBit) {
   // The use_trace_cursor escape hatch (benchmark baseline) must change
   // nothing but the lookup cost, with and without the TCP model.
