@@ -581,4 +581,71 @@ TEST(GoldenDigest, CheckpointedRunWithBtrace) {
   expect_digest("checkpointed run", d.h, 0xae76058c64cbf109ull);
 }
 
+/// A faulted run in which every key carries outages, traced at a sparse
+/// sample with a low anomaly threshold and an alerting monitor: sampled
+/// sessions, unsampled anomaly replays and alert captures of faulted
+/// sessions in one btrace file. The digest pins the counted cells and the
+/// trace bytes.
+TEST(GoldenDigest, FaultedOutageRunWithCaptures) {
+  const std::string trace = temp_path("faulted_captures.btrace");
+  std::remove(trace.c_str());
+  exp::AbTestConfig cfg = outage_config();
+  std::string error;
+  ASSERT_TRUE(net::parse_fault_plan(
+      "outage:every=300,dur=20..35;spike:every=240,depth=0.1..0.3",
+      &cfg.population.faults, &error))
+      << error;
+  exp::AbTestResult result;
+  {
+    obs::Observability handle;
+    obs::TraceConfig tc;
+    tc.path = trace;
+    tc.sample = 7;
+    tc.anomaly_rebuffer_s = 2.0;
+    handle.trace = std::make_unique<obs::BinaryTraceCollector>(tc);
+    handle.monitor = std::make_unique<obs::HealthMonitor>(tight_monitor_spec());
+    obs::install(&handle);
+    const media::VideoLibrary library = media::VideoLibrary::standard(2014);
+    result = exp::run_ab_test(seven_groups(), library, cfg);
+    obs::install(nullptr);
+  }
+  // The trace must carry every kind of session this run can emit.
+  obs::BtraceReader reader;
+  std::string jsonl;
+  ASSERT_TRUE(reader.open(trace, &error)) << error;
+  for (std::size_t i = 0; i < reader.session_count(); ++i) {
+    ASSERT_TRUE(reader.read_session(i, &jsonl, nullptr, &error)) << error;
+  }
+  EXPECT_NE(jsonl.find("\"sampled\":true"), std::string::npos);
+  EXPECT_NE(jsonl.find("\"sampled\":false"), std::string::npos);
+  EXPECT_NE(jsonl.find("\"ev\":\"alert\""), std::string::npos);
+  EXPECT_NE(jsonl.find("\"ev\":\"fault\""), std::string::npos);
+  EXPECT_NE(jsonl.find("\"fault\":true"), std::string::npos);
+
+  const std::string bytes = slurp(trace);
+  std::remove(trace.c_str());
+  ASSERT_FALSE(bytes.empty());
+  Digest d;
+  for (const auto& group : result.cells) {
+    for (const auto& day : group) {
+      for (const exp::WindowMetrics& w : day) {
+        d.value(w.play_hours);
+        d.value(w.rebuffer_count);
+        d.value(w.rebuffer_s);
+        d.value(w.avg_rate_bps);
+        d.value(w.startup_rate_bps);
+        d.value(w.steady_rate_bps);
+        d.value(w.switch_count);
+        d.value(w.sessions);
+        d.value(w.steady_play_hours);
+        d.value(w.fault_stall_count);
+      }
+    }
+  }
+  d.value(bytes.size());
+  d.text(bytes);
+  expect_digest("faulted outage run with captures", d.h,
+                0xd0503e9cf4529b56ull);
+}
+
 }  // namespace
