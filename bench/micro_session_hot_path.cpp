@@ -60,6 +60,7 @@
 #include "sim/metrics.hpp"
 #include "sim/player.hpp"
 #include "sim/session_sink.hpp"
+#include "sim/simulate.hpp"
 
 // ---------------------------------------------------------------------------
 // Allocation counter: every operator new in this binary bumps the counter
@@ -128,9 +129,26 @@ exp::SessionKey key_of(const BenchSetup& setup, std::size_t task) {
   return exp::SessionKey{setup.seed, 0, window % exp::kWindowsPerDay, user};
 }
 
-// The pre-optimisation hot path: everything constructed fresh per session
-// and the reservoir window rescanned on every decision, as the harness did
-// before per-thread scratch and the window-sum memo existed.
+// The player's trace Source before the trace cursor existed: every query
+// is the trace's own binary search. Nothing is tallied.
+struct SearchSource {
+  const net::CapacityTrace& trace;
+
+  double finish_time_s(double start_s, double bits) const {
+    return trace.finish_time_s(start_s, bits);
+  }
+  double rate_at_bps(double t_s) const { return trace.rate_at_bps(t_s); }
+  std::uint32_t queries() const { return 0; }
+  std::uint32_t rewinds() const { return 0; }
+  double cycle_duration_s() const { return trace.cycle_duration_s(); }
+  bool loops() const { return trace.loops(); }
+};
+
+// The pre-optimisation hot path: everything constructed fresh per session,
+// per-query binary search, the reservoir window rescanned on every
+// decision, and a SessionResult recording every chunk, as the harness did
+// before per-thread scratch, the trace cursor and the window-sum memo
+// existed. The ABR and the sink stay behind their virtual interfaces.
 void run_recorded(const BenchSetup& setup, std::size_t task,
                   sim::SessionMetrics* out) {
   const exp::SessionKey key = key_of(setup, task);
@@ -138,14 +156,21 @@ void run_recorded(const BenchSetup& setup, std::size_t task,
   const net::CapacityTrace trace = setup.population.trace_for(env, key);
   const exp::SessionSpec spec =
       exp::session_for(*setup.library, setup.workload, key);
+  const media::Video& video = setup.library->at(spec.video_index);
   sim::PlayerConfig player = setup.player;
   player.watch_duration_s = spec.watch_duration_s;
-  player.use_trace_cursor = false;  // per-query binary search, as before
   core::Bba2Config legacy;
   legacy.base.reservoir.cache_window_sums = false;
   const auto abr = std::make_unique<core::Bba2>(legacy);
-  const sim::SessionResult res = sim::simulate_session(
-      setup.library->at(spec.video_index), trace, *abr, player);
+  abr::RateAdaptation& policy = *abr;
+  // The exact worst case, reserved up front like the recording
+  // simulate_session: one record per chunk, one stall per chunk in flight.
+  sim::SessionResult res;
+  res.chunks.reserve(video.num_chunks());
+  res.rebuffers.reserve(video.num_chunks() + 1);
+  sim::RecordingSink recording(&res);
+  sim::SessionSink& sink = recording;
+  sim::simulate(video, SearchSource{trace}, policy, player, sink);
   *out = sim::compute_metrics(res);
 }
 
@@ -324,7 +349,7 @@ int main(int argc, char** argv) {
     run_streaming(setup, i, scratch, &streamed[i]);
   });
 
-  // Calibration tallies of the player defaults (use_trace_cursor,
+  // Calibration tallies of the player defaults (the trace cursor,
   // memoized window sums): one instrumented pass over the workload, ratios
   // recorded in the JSON so a regression in cursor locality or memo
   // effectiveness is visible in CI diffs even when timings are noisy.

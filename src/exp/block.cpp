@@ -30,15 +30,17 @@ namespace bba::exp {
 
 namespace {
 
-// Runs one session through the player template with the ABR resolved to
-// its exact type, so the decision and the metrics fold inline into the
-// chunk loop -- also when the metrics sink is teed with a trace sink.
-// BBA-1/2/Others read the per-slot decision tables; an ABR of any other
-// dynamic type (a derived class, a user ABR) keeps the virtual call.
-template <class Source, class Sink>
+// Runs one session over the stream's trace through the player template with
+// the ABR resolved to its exact type, so the decision and the metrics fold
+// inline into the chunk loop -- also when the metrics sink is teed with a
+// trace sink. BBA-1/2/Others read the per-slot decision tables; an ABR of
+// any other dynamic type (a derived class, a user ABR) keeps the virtual
+// call.
+template <class Sink>
 void simulate_fused(abr::RateAdaptation& abr, const media::Video& video,
-                    Source src, const sim::PlayerConfig& player, Sink& sink,
-                    media::DecisionTableCache& tables) {
+                    net::TraceStream& stream, const sim::PlayerConfig& player,
+                    Sink& sink, media::DecisionTableCache& tables) {
+  net::StreamCursor src(stream);
   const std::type_info& type = typeid(abr);
   if (type == typeid(abr::ControlAbr)) {
     sim::simulate(video, src, static_cast<abr::ControlAbr&>(abr), player,
@@ -64,7 +66,8 @@ struct SessionBlockRunner::Impl {
   // Per-thread scratch, indexed by the executor slot: the key's capacity
   // trace is generated lazily into a reused TraceStream (or rebuilt in
   // place when it must be materialized -- CapacityTrace::assign
-  // ping-pongs storage with the generation buffers), metrics stream
+  // ping-pongs storage with the generation buffers -- and copied into
+  // the stream), metrics stream
   // through a StreamingMetricsSink (bit-identical to compute_metrics over
   // a recording), BBA decision tables are cached per title, and each
   // group's ABR instance is reused across sessions. Steady state does zero
@@ -127,42 +130,56 @@ struct SessionBlockRunner::Impl {
     return held.get();
   }
 
-  // Arms the slot's trace sink for group g's session of `key`. Faulted
-  // sessions carry their injected faults, read from the materialized
-  // s.trace.
-  obs::SessionTraceSink& arm_trace_sink(SessionScratch& s,
-                                        const SessionKey& key, std::size_t g,
-                                        bool sampled,
-                                        const sim::PlayerConfig& player) {
-    if (s.trace_sink == nullptr) s.trace_sink = tracer->make_sink();
-    s.trace_sink->begin(tracer->config(), key.seed, key.day, key.window,
-                        key.session, groups[g].name, sampled);
-    if (player.faults != nullptr) {
-      s.trace_sink->set_faults(player.faults, s.trace.cycle_duration_s(),
-                               s.trace.loops());
+  // Derives what every group session of `key` shares, identically for the
+  // counted pass and for an alert capture: the title, the player config and
+  // the slot's trace stream. Outage keys and faulted runs materialize the
+  // trace into s.trace -- outages and faults are drawn after the full
+  // Markov walk, so a lazy stream cannot know them -- and copy it into the
+  // stream. Every other key streams the kTrace substream lazily, generated
+  // once per key and shared by every group. Fault injection rides the
+  // dedicated kFaults substream: with an empty plan nothing downstream
+  // changes byte for byte.
+  const media::Video& prepare_session(SessionScratch& s, const SessionKey& key,
+                                      sim::PlayerConfig& player) {
+    const UserEnvironment env = population.environment_for(key);
+    const SessionSpec spec = session_for(library, cfg.workload, key);
+    player = cfg.player;
+    player.watch_duration_s = spec.watch_duration_s;
+    const bool faulted = population.has_faults();
+    if (env.has_outages || faulted) {
+      population.trace_for_into(env, key, s.trace_scratch, s.trace);
+      if (faulted) {
+        population.inject_faults(key, s.fault_scratch, s.trace);
+        player.faults = &s.fault_scratch.events;
+      }
+      s.stream.assign(s.trace);
+    } else {
+      s.stream.reset(env.trace, session_rng(key, StreamClass::kTrace));
     }
-    return *s.trace_sink;
+    return library.at(spec.video_index);
   }
 
-  // Re-simulates group g's session of `key` with the slot's trace sink
-  // teed on: the virtual player over the materialized s.trace, with the
-  // metrics registry muted because the session was already counted. The
-  // player is a pure function of its inputs -- it resets the ABR on entry
-  // -- so the replay reproduces the counted session's timeline. Only
-  // sessions the first pass did not trace come here: unsampled anomaly
-  // captures and alert evidence. Appends the serialized session to *lines
-  // and returns whether the sink emitted it.
-  bool trace_session(SessionScratch& s, std::size_t slot,
-                     const SessionKey& key, std::size_t g, bool sampled,
-                     const media::Video& video,
-                     const sim::PlayerConfig& player,
-                     const std::string* alert_line, std::string* lines) {
-    obs::SlotBinding mute(nullptr, slot);
-    obs::SessionTraceSink& trace_sink =
-        arm_trace_sink(s, key, g, sampled, player);
+  // Simulates group g's session of `key` with the slot's trace sink teed
+  // next to the metrics sink, on the stream prepare_session() set up.
+  // Faulted sessions carry their injected faults, read from the
+  // materialized s.trace; an alert capture carries its marker line.
+  // Appends the serialized session to *lines and returns whether the sink
+  // emitted it.
+  bool play_traced(SessionScratch& s, const SessionKey& key, std::size_t g,
+                   bool sampled, const media::Video& video,
+                   const sim::PlayerConfig& player,
+                   const std::string* alert_line, std::string* lines) {
+    if (s.trace_sink == nullptr) s.trace_sink = tracer->make_sink();
+    obs::SessionTraceSink& trace_sink = *s.trace_sink;
+    trace_sink.begin(tracer->config(), key.seed, key.day, key.window,
+                     key.session, groups[g].name, sampled);
+    if (player.faults != nullptr) {
+      trace_sink.set_faults(player.faults, s.trace.cycle_duration_s(),
+                            s.trace.loops());
+    }
     if (alert_line != nullptr) trace_sink.set_alert(*alert_line);
     sim::TeeSink tee(s.sink, trace_sink);
-    sim::simulate_session(video, s.trace, *s.algorithms[g], player, tee);
+    simulate_fused(*s.algorithms[g], video, s.stream, player, tee, s.tables);
     return trace_sink.finish(lines);
   }
 
@@ -194,13 +211,9 @@ void SessionBlockRunner::Impl::run(std::span<const SessionKey> keys,
         // Common random numbers: every stream is a pure function of
         // (seed, day, window, session) and shared by all groups.
         const SessionKey& key = keys[task];
-        const UserEnvironment env = population.environment_for(key);
         SessionScratch& s = scratch[slot];
-        const SessionSpec spec = session_for(library, cfg.workload, key);
-        const media::Video& video = library.at(spec.video_index);
-
-        sim::PlayerConfig player = cfg.player;
-        player.watch_duration_s = spec.watch_duration_s;
+        sim::PlayerConfig player;
+        const media::Video& video = prepare_session(s, key, player);
 
         // One sampling decision per key, shared by every group: the
         // control and treatment timelines of a sampled session land
@@ -210,65 +223,23 @@ void SessionBlockRunner::Impl::run(std::span<const SessionKey> keys,
             tracer != nullptr &&
             tracer->sampled(key.seed, key.day, key.window, key.session);
 
-        // Resolve every group's ABR instance before any trace work.
         for (std::size_t g = 0; g < n_groups; ++g) {
           s.algorithms[g] = instance(s, g);
         }
 
-        // Outage sessions and faulted runs need the materialized trace:
-        // outages and faults are drawn after the full Markov walk, so a
-        // lazy stream cannot know them. So does the cursor-off benchmark
-        // mode. Everything else streams the kTrace substream lazily,
-        // generated once per key and shared by every group. Fault
-        // injection rides the dedicated kFaults substream: with an empty
-        // plan nothing downstream changes byte for byte.
-        const bool faulted = population.has_faults();
-        const bool materialize =
-            env.has_outages || faulted || !player.use_trace_cursor;
-        bool have_trace = materialize;
-        if (materialize) {
-          population.trace_for_into(env, key, s.trace_scratch, s.trace);
-          if (faulted) {
-            population.inject_faults(key, s.fault_scratch, s.trace);
-            player.faults = &s.fault_scratch.events;
-          }
-        } else {
-          s.stream.reset(env.trace, session_rng(key, StreamClass::kTrace));
-        }
-
         // One simulation per (key, group), whichever sink it feeds.
-        auto play = [&](abr::RateAdaptation& algorithm, auto& sink) {
-          if (!player.use_trace_cursor) {
-            sim::simulate_session(video, s.trace, algorithm, player, sink);
-          } else if (materialize) {
-            net::FixedSource fixed;
-            fixed.bind(s.trace);
-            simulate_fused(algorithm, video,
-                           net::StreamCursor<net::FixedSource>(fixed), player,
-                           sink, s.tables);
-          } else {
-            simulate_fused(algorithm, video,
-                           net::StreamCursor<net::StreamSource>(
-                               net::StreamSource{&s.stream}),
-                           player, sink, s.tables);
-          }
-        };
-
         for (std::size_t g = 0; g < n_groups; ++g) {
-          abr::RateAdaptation& algorithm = *s.algorithms[g];
           bool emitted;
           if (traced) {
             // A sampled session traces in this one pass: the trace sink
-            // rides next to the metrics sink on the source the untraced
-            // session would use, and the registry counts it here, once.
-            obs::SessionTraceSink& trace_sink =
-                arm_trace_sink(s, key, g, /*sampled=*/true, player);
-            sim::TeeSink tee(s.sink, trace_sink);
-            play(algorithm, tee);
+            // rides next to the metrics sink on the same stream, and the
+            // registry counts it here, once.
+            emitted = play_traced(s, key, g, /*sampled=*/true, video, player,
+                                  nullptr, &key_trace[task].lines);
             metrics[task * n_groups + g] = s.sink.metrics();
-            emitted = trace_sink.finish(&key_trace[task].lines);
           } else {
-            play(algorithm, s.sink);
+            simulate_fused(*s.algorithms[g], video, s.stream, player, s.sink,
+                           s.tables);
             const sim::SessionMetrics& m = s.sink.metrics();
             metrics[task * n_groups + g] = m;
             if (tracer == nullptr) continue;
@@ -276,21 +247,20 @@ void SessionBlockRunner::Impl::run(std::span<const SessionKey> keys,
             // Unsampled sessions the anomaly trigger catches post hoc on
             // the finished metrics (the exact predicate the trace sink
             // applies to its own event stream) are replayed into the
-            // trace. Tracing therefore costs the unsampled, healthy
-            // majority nothing per event.
+            // trace, on the same stream, with the registry muted because
+            // the session was already counted. The player is a pure
+            // function of its inputs -- it resets the ABR on entry -- so
+            // the replay reproduces the counted session. Tracing therefore
+            // costs the unsampled, healthy majority nothing per event.
             const obs::TraceConfig& tc = tracer->config();
             const bool anomalous =
                 tc.anomalies_enabled() &&
                 (m.rebuffer_s >= tc.anomaly_rebuffer_s ||
                  (tc.capture_abandoned && m.abandoned));
             if (!anomalous) continue;
-            if (!have_trace) {
-              population.trace_for_into(env, key, s.trace_scratch, s.trace);
-              have_trace = true;
-            }
-            emitted = trace_session(s, slot, key, g, /*sampled=*/false,
-                                    video, player, nullptr,
-                                    &key_trace[task].lines);
+            obs::SlotBinding mute(nullptr, slot);
+            emitted = play_traced(s, key, g, /*sampled=*/false, video, player,
+                                  nullptr, &key_trace[task].lines);
           }
           if (emitted) {
             KeyTrace& kt = key_trace[task];
@@ -322,28 +292,20 @@ void SessionBlockRunner::Impl::capture_session(const SessionKey& key,
                                                const std::string& alert_line) {
   if (tracer == nullptr) return;
   BBA_ASSERT(group < groups.size(), "capture_session group out of range");
-  // Same derivation as run(): the replay is a pure function of the key, so
-  // the captured timeline is the exact session the monitor's cell
-  // aggregates saw. Runs on the calling thread (slot 0),
+  // Same derivation and the same player as run(), with the registry muted
+  // because the session was already counted: the replay is a pure function
+  // of the key, so the captured timeline is the exact session the
+  // monitor's cell aggregates saw. Runs on the calling thread (slot 0),
   // with no workers active, so touching the scratch is safe.
   SessionScratch& s = scratch[0];
-  const UserEnvironment env = population.environment_for(key);
-  const SessionSpec spec = session_for(library, cfg.workload, key);
-  const media::Video& video = library.at(spec.video_index);
-  sim::PlayerConfig player = cfg.player;
-  player.watch_duration_s = spec.watch_duration_s;
-
-  population.trace_for_into(env, key, s.trace_scratch, s.trace);
-  if (population.has_faults()) {
-    population.inject_faults(key, s.fault_scratch, s.trace);
-    player.faults = &s.fault_scratch.events;
-  }
+  sim::PlayerConfig player;
+  const media::Video& video = prepare_session(s, key, player);
   s.algorithms[group] = instance(s, group);
+  obs::SlotBinding mute(nullptr, 0);
   std::string lines;
-  if (trace_session(s, 0, key, group,
-                    tracer->sampled(key.seed, key.day, key.window,
-                                    key.session),
-                    video, player, &alert_line, &lines)) {
+  if (play_traced(s, key, group,
+                  tracer->sampled(key.seed, key.day, key.window, key.session),
+                  video, player, &alert_line, &lines)) {
     tracer->note_session(s.trace_sink->anomalous());
     tracer->write(lines);
   }

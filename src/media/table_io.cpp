@@ -1,22 +1,9 @@
 #include "media/table_io.hpp"
 
-#include <cstdlib>
-
 #include "util/csv.hpp"
 #include "util/table.hpp"
 
 namespace bba::media {
-
-namespace {
-
-/// strtod with success flag.
-bool parse_double(const std::string& s, double& out) {
-  char* end = nullptr;
-  out = std::strtod(s.c_str(), &end);
-  return end != s.c_str() && *end == '\0';
-}
-
-}  // namespace
 
 bool write_chunk_table_csv(const std::string& path, const Video& video) {
   util::CsvWriter out(path);
@@ -52,7 +39,7 @@ std::optional<Video> read_chunk_table_csv(const std::string& path,
     return std::nullopt;
   }
   double chunk_duration_s = 0.0;
-  if (!parse_double(rows[0][1], chunk_duration_s) ||
+  if (!util::parse_num(rows[0][1], &chunk_duration_s) ||
       chunk_duration_s <= 0.0) {
     return std::nullopt;
   }
@@ -62,7 +49,9 @@ std::optional<Video> read_chunk_table_csv(const std::string& path,
   std::vector<double> rates;
   for (std::size_t i = 1; i < rows[1].size(); ++i) {
     double rate = 0.0;
-    if (!parse_double(rows[1][i], rate) || rate <= 0.0) return std::nullopt;
+    if (!util::parse_num(rows[1][i], &rate) || rate <= 0.0) {
+      return std::nullopt;
+    }
     if (!rates.empty() && rate <= rates.back()) return std::nullopt;
     rates.push_back(rate);
   }
@@ -76,7 +65,7 @@ std::optional<Video> read_chunk_table_csv(const std::string& path,
     if (row.size() != rates.size() + 1) return std::nullopt;
     for (std::size_t r = 0; r < rates.size(); ++r) {
       double bits = 0.0;
-      if (!parse_double(row[r + 1], bits) || bits <= 0.0) {
+      if (!util::parse_num(row[r + 1], &bits) || bits <= 0.0) {
         return std::nullopt;
       }
       sizes[r][k] = bits;

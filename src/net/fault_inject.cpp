@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <string_view>
 
 #include "util/assert.hpp"
+#include "util/csv.hpp"
 #include "util/table.hpp"
 
 namespace bba::net {
@@ -295,27 +295,16 @@ FaultSpec default_spec(FaultKind kind) {
   return {};
 }
 
-bool parse_num(std::string_view text, double* out) {
-  if (text.empty()) return false;
-  const std::string buf(text);
-  char* end = nullptr;
-  const double v = std::strtod(buf.c_str(), &end);
-  if (end != buf.c_str() + buf.size()) return false;
-  if (!std::isfinite(v)) return false;
-  *out = v;
-  return true;
-}
-
 /// "a..b" or "a" (lo == hi).
 bool parse_range(std::string_view text, double* lo, double* hi) {
   const std::size_t dots = text.find("..");
   if (dots == std::string_view::npos) {
-    if (!parse_num(text, lo)) return false;
+    if (!util::parse_num(text, lo)) return false;
     *hi = *lo;
     return true;
   }
-  return parse_num(text.substr(0, dots), lo) &&
-         parse_num(text.substr(dots + 2), hi);
+  return util::parse_num(text.substr(0, dots), lo) &&
+         util::parse_num(text.substr(dots + 2), hi);
 }
 
 }  // namespace

@@ -1,7 +1,5 @@
 #include "net/trace_io.hpp"
 
-#include <cstdlib>
-
 #include "util/csv.hpp"
 
 namespace bba::net {
@@ -27,11 +25,10 @@ std::optional<CapacityTrace> read_trace_csv(const std::string& path,
   segments.reserve(rows.size());
   for (const auto& row : rows) {
     if (row.size() != 2) return std::nullopt;
-    char* end0 = nullptr;
-    char* end1 = nullptr;
-    const double duration = std::strtod(row[0].c_str(), &end0);
-    const double rate = std::strtod(row[1].c_str(), &end1);
-    if (end0 == row[0].c_str() || end1 == row[1].c_str()) {
+    double duration = 0.0;
+    double rate = 0.0;
+    if (!util::parse_num(row[0], &duration) ||
+        !util::parse_num(row[1], &rate)) {
       return std::nullopt;
     }
     if (duration <= 0.0 || rate < 0.0) return std::nullopt;

@@ -1,5 +1,7 @@
 #include "net/trace_stream.hpp"
 
+#include "util/assert.hpp"
+
 namespace bba::net {
 
 void TraceStream::grow() {
@@ -27,6 +29,20 @@ void TraceStream::reset(const MarkovTraceConfig& cfg, util::Rng r) {
   bp[0] = 0.0;
   done = false;
   cycle_s = cycle_bits = 0.0;
+}
+
+void TraceStream::assign(const CapacityTrace& trace) {
+  BBA_ASSERT(trace.loops(), "a TraceStream can only hold a looping trace");
+  const std::vector<CapacityTrace::Segment>& segments = trace.segments();
+  while (rate_buf.size() < segments.size()) grow();
+  n = segments.size();
+  std::copy(trace.time_prefix().begin(), trace.time_prefix().end(), tp);
+  std::copy(trace.bits_prefix_table().begin(),
+            trace.bits_prefix_table().end(), bp);
+  for (std::size_t i = 0; i < n; ++i) rate[i] = segments[i].rate_bps;
+  done = true;
+  cycle_s = trace.cycle_duration_s();
+  cycle_bits = trace.cycle_bits();
 }
 
 void TraceStream::step_one() {

@@ -1,7 +1,6 @@
 #include "sim/player.hpp"
 
 #include <algorithm>
-#include <cstdint>
 #include <limits>
 
 #include "net/trace_cursor.hpp"
@@ -10,35 +9,11 @@
 
 namespace bba::sim {
 
-namespace {
-
-/// PlayerConfig::use_trace_cursor off: every query is the trace's own
-/// binary search, as before the cursor existed (kept for before/after
-/// benchmarks). Nothing is tallied.
-struct SearchSource {
-  const net::CapacityTrace& trace;
-
-  double finish_time_s(double start_s, double bits) const {
-    return trace.finish_time_s(start_s, bits);
-  }
-  double rate_at_bps(double t_s) const { return trace.rate_at_bps(t_s); }
-  std::uint32_t queries() const { return 0; }
-  std::uint32_t rewinds() const { return 0; }
-  double cycle_duration_s() const { return trace.cycle_duration_s(); }
-  bool loops() const { return trace.loops(); }
-};
-
-}  // namespace
-
 void simulate_session(const media::Video& video,
                       const net::CapacityTrace& trace,
                       abr::RateAdaptation& abr, const PlayerConfig& config,
                       SessionSink& sink) {
-  if (config.use_trace_cursor) {
-    simulate(video, net::TraceCursor(trace), abr, config, sink);
-  } else {
-    simulate(video, SearchSource{trace}, abr, config, sink);
-  }
+  simulate(video, net::TraceCursor(trace), abr, config, sink);
 }
 
 SessionResult simulate_session(const media::Video& video,

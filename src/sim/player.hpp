@@ -65,12 +65,6 @@ struct PlayerConfig {
   /// window and small chunks see degraded throughput (net/tcp_model.hpp).
   std::optional<net::TcpModelConfig> tcp;
 
-  /// Resolve trace queries through the incremental TraceCursor (default).
-  /// Off falls back to the historical per-query binary search. The cursor
-  /// is exact, so results are identical either way; the flag exists so
-  /// benchmarks can measure the before/after cost.
-  bool use_trace_cursor = true;
-
   /// Faults injected into the session's trace (borrowed; must outlive the
   /// simulation). When set, each RebufferEvent is attributed: its
   /// `during_fault` flag records whether the stall interval overlapped any
@@ -81,12 +75,13 @@ struct PlayerConfig {
 
 /// Runs one session of `video` over `trace` with `abr` choosing rates,
 /// emitting every event to `sink` (sim/session_sink.hpp). The ABR is
-/// reset() at session start. Deterministic: no internal randomness. This
-/// is the allocation-free core: with a reusable sink it performs no heap
-/// allocation (trace integration runs through an incremental
-/// net::TraceCursor). It is the virtual-dispatch instantiation of the
-/// session player template (sim/simulate.hpp), which callers that know
-/// the ABR's exact type, the sink's, or a lazy trace source use directly.
+/// reset() at session start. Deterministic: no internal randomness. With a
+/// reusable sink it performs no heap allocation. It is the virtual-dispatch
+/// instantiation of the session player template (sim/simulate.hpp) over a
+/// net::TraceCursor, which reads any trace -- a user CSV, a non-looping
+/// test trace. The A/B harness does not come here: it names the ABR's
+/// exact type and the sink's and reads every trace through a
+/// net::StreamCursor (exp/block.cpp).
 void simulate_session(const media::Video& video,
                       const net::CapacityTrace& trace,
                       abr::RateAdaptation& abr, const PlayerConfig& config,

@@ -12,9 +12,10 @@
 //    chunk loop; Policy = abr::RateAdaptation keeps the virtual call for
 //    ABRs whose dynamic type the caller cannot name. A policy that also
 //    has on_session_end() gets it once, after the last decision.
-//  - Source integrates the capacity trace: net::TraceCursor over a
-//    materialized CapacityTrace, or net::StreamCursor over a lazily
-//    generated TraceStream (or a materialized looping trace). It provides
+//  - Source integrates the capacity trace: net::StreamCursor over a
+//    TraceStream, lazily generated or assigned a materialized looping
+//    trace (the A/B harness, every session), or net::TraceCursor over any
+//    CapacityTrace (the public simulate_session). It provides
 //    finish_time_s, rate_at_bps (TCP model), queries/rewinds (obs
 //    tallies), and cycle_duration_s/loops (fault attribution).
 //  - Sink receives the events: the final StreamingMetricsSink takes each
@@ -22,7 +23,7 @@
 //    harness's tracing tee, TeeSink<StreamingMetricsSink,
 //    obs::SessionTraceSink>, runs its metrics half inline too and calls
 //    the trace sink; SessionSink keeps the virtual interface (recording,
-//    the post-hoc trace replays).
+//    the public simulate_session).
 //
 // TCP slow start, viewer give-up, the wall-clock cap, fault attribution and
 // mid-title starts (seek segments) are ordinary branches of the same loop,

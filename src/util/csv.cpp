@@ -1,9 +1,22 @@
 #include "util/csv.hpp"
 
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 
 namespace bba::util {
+
+bool parse_num(std::string_view text, double* out) {
+  if (text.empty()) return false;
+  const std::string buf(text);
+  char* end = nullptr;
+  const double v = std::strtod(buf.c_str(), &end);
+  if (end != buf.c_str() + buf.size()) return false;
+  if (!std::isfinite(v)) return false;
+  *out = v;
+  return true;
+}
 
 namespace {
 

@@ -7,12 +7,20 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace bba::util {
 
 /// One parsed CSV row: raw string fields.
 using CsvRow = std::vector<std::string>;
+
+/// Parses one whole token as a finite number: the entire text must be a
+/// strtod number ("5junk", "", "nan", "inf" and out-of-range values such as
+/// "1e999" are rejected). Writes *out only on success. The one number rule
+/// of every text reader in the library (trace CSV, chunk-table CSV, fault
+/// specs).
+bool parse_num(std::string_view text, double* out);
 
 /// Parses a single CSV line into fields. No quoting; leading/trailing
 /// whitespace of each field is trimmed.

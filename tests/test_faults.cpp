@@ -130,6 +130,23 @@ TEST(FaultSpecParse, RejectsMalformedSpecs) {
     EXPECT_FALSE(net::parse_fault_plan(spec, &plan, &error)) << spec;
     EXPECT_FALSE(error.empty()) << spec;
   }
+  // Non-finite numbers and trailing junk, in every numeric key and at both
+  // ends of a range where the key takes one.
+  const char* templates[] = {
+      "outage:every=#",   "outage:dur=#",       "outage:dur=#..30",
+      "outage:dur=20..#", "spike:depth=#",      "spike:depth=0.1..#",
+      "failover:shift=#", "failover:shift=#..0.7",
+  };
+  for (const std::string tmpl : templates) {
+    for (const char* token : {"nan", "inf", "-inf", "5junk"}) {
+      std::string spec = tmpl;
+      spec.replace(spec.find('#'), 1, token);
+      FaultPlan plan;
+      std::string error;
+      EXPECT_FALSE(net::parse_fault_plan(spec, &plan, &error)) << spec;
+      EXPECT_FALSE(error.empty()) << spec;
+    }
+  }
 }
 
 // --- Outage pass: legacy equivalence and the boundary regression ----------

@@ -78,6 +78,27 @@ TEST(TableIo, RejectsBadHeader) {
   std::remove(path.c_str());
 }
 
+TEST(TableIo, RejectsNonFiniteNumbersAndTrailingJunkInEveryColumn) {
+  const std::string path = testing::TempDir() + "/bba_table_nonfinite.csv";
+  // One table with a replaceable token in each numeric column: the chunk
+  // duration, a ladder rate, and a chunk size.
+  auto read_table = [&](const std::string& duration, const std::string& rate,
+                        const std::string& size) {
+    write_lines(path, ("chunk_duration_s," + duration +
+                       "\nrate_bps,250000," + rate + "\n0,500000," + size +
+                       "\n")
+                          .c_str());
+    return read_chunk_table_csv(path, "x").has_value();
+  };
+  EXPECT_TRUE(read_table("2", "500000", "1000000"));
+  for (const char* bad : {"nan", "inf", "-inf", "5junk", "1e999"}) {
+    EXPECT_FALSE(read_table(bad, "500000", "1000000")) << "duration " << bad;
+    EXPECT_FALSE(read_table("2", bad, "1000000")) << "rate " << bad;
+    EXPECT_FALSE(read_table("2", "500000", bad)) << "size " << bad;
+  }
+  std::remove(path.c_str());
+}
+
 TEST(TableIo, AcceptsMinimalValidTable) {
   const std::string path = testing::TempDir() + "/bba_table_min.csv";
   write_lines(path,

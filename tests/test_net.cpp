@@ -236,6 +236,28 @@ TEST(TraceIo, RejectsNonPositiveDurations) {
   std::remove(path.c_str());
 }
 
+TEST(TraceIo, RejectsNonFiniteNumbersAndTrailingJunkInEveryColumn) {
+  // Each of these used to parse: "nan" durations aborted the player,
+  // "5junk" read as 5 and "inf" durations made a 0 kb/s session.
+  const std::string path = testing::TempDir() + "/bba_trace_nonfinite.csv";
+  auto read_row = [&](const std::string& duration, const std::string& rate) {
+    std::FILE* f = std::fopen(path.c_str(), "w");
+    EXPECT_NE(f, nullptr);
+    if (f == nullptr) return false;
+    std::fputs(("duration_s,rate_bps\n10,100\n" + duration + "," + rate +
+                "\n").c_str(),
+               f);
+    std::fclose(f);
+    return read_trace_csv(path).has_value();
+  };
+  EXPECT_TRUE(read_row("5", "200"));
+  for (const char* bad : {"nan", "inf", "-inf", "5junk", "1e999"}) {
+    EXPECT_FALSE(read_row(bad, "200")) << "duration " << bad;
+    EXPECT_FALSE(read_row("5", bad)) << "rate " << bad;
+  }
+  std::remove(path.c_str());
+}
+
 TEST(TraceIo, MissingFile) {
   EXPECT_FALSE(read_trace_csv("/no/such/file.csv").has_value());
 }

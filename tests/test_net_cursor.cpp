@@ -1,6 +1,8 @@
-// TraceCursor vs CapacityTrace bit-for-bit equivalence, segment_index_at
-// edge cases, finish_time_s corner cases, and the allocation-free trace
-// rebuild path (make_*_into + CapacityTrace::assign).
+// TraceCursor vs CapacityTrace bit-for-bit equivalence, StreamCursor vs
+// TraceCursor equivalence (answers and query/rewind tallies, over lazy and
+// assigned streams), segment_index_at edge cases, finish_time_s corner
+// cases, and the allocation-free trace rebuild path (make_*_into +
+// CapacityTrace::assign).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -11,6 +13,7 @@
 #include "net/tcp_model.hpp"
 #include "net/trace_cursor.hpp"
 #include "net/trace_gen.hpp"
+#include "net/trace_stream.hpp"
 #include "util/rng.hpp"
 
 namespace bba::net {
@@ -189,6 +192,123 @@ TEST(TraceCursor, TcpModelOverloadIsBitIdentical) {
     prev_finish = via_trace;
     now = via_trace + (i % 3 == 0 ? rng.uniform(0.0, 5.0) : 0.0);
   }
+}
+
+// --- StreamCursor: the A/B harness's reader, against TraceCursor -----------
+
+// A query stream: monotone (each query starts where the last finished,
+// sometimes after an idle gap, as a session's downloads do) or rewinding
+// (uniform over several cycles). Both mix rate_at_bps with finish_time_s
+// calls large enough to wrap the cycle, and the occasional zero-bit call.
+void expect_streams_agree(StreamCursor& stream, const CapacityTrace& trace,
+                          std::uint64_t seed, bool rewinding) {
+  TraceCursor cursor(trace);
+  util::Rng rng(seed);
+  const double cycle = trace.cycle_duration_s();
+  double now = 0.0;
+  for (int i = 0; i < 600; ++i) {
+    if (rewinding) {
+      now = rng.uniform(0.0, cycle * 3.0);
+    } else if (i % 3 == 0) {
+      now += rng.uniform(0.0, cycle * 0.05);
+    }
+    if (i % 4 == 0) {
+      EXPECT_EQ(stream.rate_at_bps(now), cursor.rate_at_bps(now)) << i;
+      continue;
+    }
+    const double wrap_bits = rng.uniform(1.0, 3.0) * trace.cycle_bits();
+    const double bits = i % 17 == 0   ? 0.0
+                        : i % 13 == 0 ? wrap_bits
+                                      : rng.uniform(0.0, 2e7);
+    const double got = stream.finish_time_s(now, bits);
+    const double want = cursor.finish_time_s(now, bits);
+    EXPECT_EQ(got, want) << i;
+    if (!rewinding && std::isfinite(want)) now = want;
+  }
+  EXPECT_EQ(stream.queries(), cursor.queries());
+  EXPECT_EQ(stream.rewinds(), cursor.rewinds());
+}
+
+MarkovTraceConfig stream_test_config() {
+  MarkovTraceConfig cfg;
+  cfg.duration_s = 900.0;
+  return cfg;
+}
+
+TEST(StreamCursor, LazyStreamMatchesTraceCursor) {
+  const MarkovTraceConfig cfg = stream_test_config();
+  for (const bool rewinding : {false, true}) {
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+      util::Rng gen(seed);
+      const CapacityTrace trace = make_markov_trace(cfg, gen);
+      TraceStream lazy;
+      lazy.reset(cfg, util::Rng(seed));
+      StreamCursor stream(lazy);
+      expect_streams_agree(stream, trace, seed + 100, rewinding);
+    }
+  }
+}
+
+TEST(StreamCursor, AssignedTracesMatchTraceCursor) {
+  // Outage traces (the harness's materialized keys) and hand-built traces
+  // with zero-rate segments, including a zero-rate head and a link that is
+  // always down.
+  std::vector<CapacityTrace> traces;
+  const MarkovTraceConfig cfg = stream_test_config();
+  OutageConfig outages;
+  outages.mean_interval_s = 120.0;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    util::Rng gen(seed);
+    const CapacityTrace base = make_markov_trace(cfg, gen);
+    traces.push_back(with_outages(base, outages, gen));
+  }
+  traces.push_back(CapacityTrace::constant(2e6));
+  traces.push_back(CapacityTrace({{10.0, 100.0}, {30.0, 0.0}, {5.0, 1e6}}));
+  traces.push_back(CapacityTrace({{30.0, 0.0}, {10.0, 100.0}}));
+  traces.push_back(CapacityTrace({{10.0, 0.0}}));
+  TraceStream assigned;
+  for (const bool rewinding : {false, true}) {
+    for (std::size_t i = 0; i < traces.size(); ++i) {
+      SCOPED_TRACE(testing::Message() << "trace " << i);
+      assigned.assign(traces[i]);
+      StreamCursor stream(assigned);
+      EXPECT_EQ(stream.cycle_duration_s(), traces[i].cycle_duration_s());
+      expect_streams_agree(stream, traces[i], i + 200, rewinding);
+    }
+  }
+}
+
+TEST(StreamCursor, OneStreamReusedLazyAssignedLazy) {
+  // The harness's per-slot stream serves lazy and materialized keys in any
+  // order; nothing may leak from one key into the next.
+  const MarkovTraceConfig cfg = stream_test_config();
+  OutageConfig outages;
+  outages.mean_interval_s = 90.0;
+  TraceStream reused;
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    util::Rng gen(seed);
+    const CapacityTrace plain = make_markov_trace(cfg, gen);
+    reused.reset(cfg, util::Rng(seed));
+    StreamCursor lazy(reused);
+    expect_streams_agree(lazy, plain, seed, false);
+
+    const CapacityTrace outage = with_outages(plain, outages, gen);
+    reused.assign(outage);
+    StreamCursor assigned(reused);
+    expect_streams_agree(assigned, outage, seed, true);
+  }
+  util::Rng gen(9);
+  const CapacityTrace last = make_markov_trace(cfg, gen);
+  reused.reset(cfg, util::Rng(9));
+  StreamCursor lazy(reused);
+  expect_streams_agree(lazy, last, 9, true);
+}
+
+TEST(StreamCursorDeathTest, AssigningANonLoopingTraceAborts) {
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  TraceStream stream;
+  const CapacityTrace once({{10.0, 100.0}, {10.0, 300.0}}, /*loop=*/false);
+  EXPECT_DEATH(stream.assign(once), "looping trace");
 }
 
 void expect_same_segments(const CapacityTrace& a, const CapacityTrace& b) {

@@ -323,25 +323,20 @@ TEST_P(PlayerProperties, InvariantsAndInstantiationsAgree) {
       EXPECT_TRUE(same_bits(recorded, streaming.metrics()));
 
       // Source and dispatch invariance: exact-type or table-driven policy
-      // over a materialized looping trace, and -- for outage-free traces,
-      // which the harness never materializes -- over the lazy stream.
+      // over the materialized looping trace assigned to a stream, and --
+      // for outage-free traces, which the harness never materializes --
+      // over the lazy stream.
       media::DecisionTableCache tables;
-      net::FixedSource fixed;
-      fixed.bind(s.trace);
+      net::TraceStream stream;
+      stream.assign(s.trace);
       EXPECT_TRUE(same_bits(
-          recorded, fused(*abr, s, net::StreamCursor<net::FixedSource>(fixed),
-                          tables)));
+          recorded, fused(*abr, s, net::StreamCursor(stream), tables)));
       EXPECT_TRUE(same_bits(
           recorded, fused(*abr, s, net::TraceCursor(s.trace), tables)));
       if (!s.outages) {
-        net::TraceStream stream;
         stream.reset(s.markov, s.trace_rng);
         EXPECT_TRUE(same_bits(
-            recorded,
-            fused(*abr, s,
-                  net::StreamCursor<net::StreamSource>(
-                      net::StreamSource{&stream}),
-                  tables)));
+            recorded, fused(*abr, s, net::StreamCursor(stream), tables)));
       }
     }
   }

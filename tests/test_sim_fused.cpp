@@ -1,9 +1,9 @@
 // Differential tests of the session player's static dispatch: the fused
 // instantiations the A/B harness runs -- exact-type and table-driven
-// policies, lazily generated or materialized trace sources, the inline
-// StreamingMetricsSink -- against the virtual simulate_session over a
-// materialized trace. A "batch" here is the harness's unit of work: one
-// session key streamed by every group. Everything is compared at the byte
+// policies, one StreamCursor over lazily generated or assigned streams,
+// the inline StreamingMetricsSink -- against the virtual simulate_session
+// over a materialized trace. A "batch" in the test names is the harness's
+// unit of work: one session key streamed by every group. Everything is compared at the byte
 // level (SessionMetrics via memcmp, the obs registry via full snapshot
 // equality) because the contract is bit-identity, not closeness.
 #include <gtest/gtest.h>
@@ -134,24 +134,21 @@ struct Fixture {
     return sink.metrics();
   }
 
-  // The harness's fused path: table-driven BBA-2, lazy stream for
-  // outage-free sessions, inline sink. Returns whether it streamed.
+  // The harness's fused path: table-driven BBA-2, a lazy stream for
+  // outage-free sessions and the materialized trace assigned to the same
+  // stream otherwise, inline sink. Returns whether it streamed lazily.
   bool fused(const Case& c, core::BbaTable& policy, net::TraceStream& stream,
              sim::StreamingMetricsSink& sink,
              const sim::PlayerConfig& cfg) const {
-    if (c.env.has_outages) {
-      net::FixedSource fixed;
-      fixed.bind(c.trace);
-      sim::simulate(video(c), net::StreamCursor<net::FixedSource>(fixed),
-                    policy, cfg, sink);
-      return false;
+    const bool lazy = !c.env.has_outages;
+    if (lazy) {
+      stream.reset(c.env.trace,
+                   exp::session_rng(c.key, exp::StreamClass::kTrace));
+    } else {
+      stream.assign(c.trace);
     }
-    stream.reset(c.env.trace, exp::session_rng(c.key, exp::StreamClass::kTrace));
-    sim::simulate(video(c),
-                  net::StreamCursor<net::StreamSource>(
-                      net::StreamSource{&stream}),
-                  policy, cfg, sink);
-    return true;
+    sim::simulate(video(c), net::StreamCursor(stream), policy, cfg, sink);
+    return lazy;
   }
 };
 
@@ -178,7 +175,8 @@ TEST(SimBatch, MixedStreamAndTraceLanesMatchScalar) {
     if (fx.fused(cases[i], policy, stream, sink, cfg)) ++streamed;
     expect_identical(sink.metrics(), fx.reference(cases[i], abr, cfg), i);
   }
-  // The sweep must exercise both source kinds.
+  // The sweep must exercise both kinds of stream, through one reused
+  // TraceStream.
   EXPECT_GT(streamed, kSweep / 2);
   EXPECT_LT(streamed, kSweep);
 }
@@ -349,10 +347,8 @@ TEST(SimBatch, SharedStreamKeyLanesMatchPrivateStreams) {
     for (double watch : {60.0, 1800.0, 300.0}) {
       sim::PlayerConfig cfg = fx.config_for(c);
       cfg.watch_duration_s = watch;
-      sim::simulate(fx.video(c),
-                    net::StreamCursor<net::StreamSource>(
-                        net::StreamSource{&shared}),
-                    policy, cfg, sink);
+      sim::simulate(fx.video(c), net::StreamCursor(shared), policy, cfg,
+                    sink);
       const sim::SessionMetrics on_shared = sink.metrics();
       net::TraceStream own;
       fx.fused(c, policy, own, sink, cfg);
@@ -365,8 +361,7 @@ TEST(SimBatch, SharedStreamKeyLanesMatchPrivateStreams) {
 TEST(SimBatch, IneligibleLanesFallBackIdentically) {
   // The player's session-level branches -- give-up timers, mid-title
   // starts, the TCP model, the wall-clock cap -- run in the same fused
-  // loop and must equal the virtual path with the same config, here also
-  // against the cursor-off reference.
+  // loop and must equal the virtual path with the same config.
   Fixture fx;
   const std::vector<Case> cases = fx.cases(40);
   core::Bba2 abr;
@@ -385,7 +380,6 @@ TEST(SimBatch, IneligibleLanesFallBackIdentically) {
     }
     fx.fused(cases[i], policy, stream, sink, cfg);
     const sim::SessionMetrics fused = sink.metrics();
-    if (i % 5 == 4) cfg.use_trace_cursor = false;
     expect_identical(fused, fx.reference(cases[i], abr, cfg), i);
   }
 }

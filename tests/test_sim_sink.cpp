@@ -185,30 +185,6 @@ TEST(StreamingSink, ReusedSinkMatchesRecordingAcrossLongShortLong) {
       simulate_session(video, dying, abr, short_give_up).abandoned);
 }
 
-TEST(StreamingSink, CursorOffMatchesCursorOnBitForBit) {
-  // The use_trace_cursor escape hatch (benchmark baseline) must change
-  // nothing but the lookup cost, with and without the TCP model.
-  const media::VideoLibrary library = media::VideoLibrary::standard(3);
-  const exp::Population population;
-  for (std::size_t user = 0; user < 12; ++user) {
-    const exp::SessionKey key{7, 0, user % exp::kWindowsPerDay, user};
-    const net::CapacityTrace trace =
-        population.trace_for(population.environment_for(key), key);
-    const media::Video& video = library.at(user % library.size());
-    PlayerConfig with_cursor;
-    with_cursor.watch_duration_s = 600.0;
-    if (user % 2 == 1) with_cursor.tcp = net::TcpModelConfig{};
-    PlayerConfig without_cursor = with_cursor;
-    without_cursor.use_trace_cursor = false;
-    core::Bba2 a, b;
-    const SessionMetrics on =
-        compute_metrics(simulate_session(video, trace, a, with_cursor));
-    const SessionMetrics off =
-        compute_metrics(simulate_session(video, trace, b, without_cursor));
-    expect_identical(on, off);
-  }
-}
-
 TEST(RecordingSink, ReusedTargetMatchesFreshRun) {
   const media::Video video = small_cbr_video(100);
   const net::CapacityTrace a_trace = net::CapacityTrace::constant(mbps(3));

@@ -214,6 +214,20 @@ TEST(Csv, RoundTripThroughFile) {
   std::remove(path.c_str());
 }
 
+TEST(Csv, ParseNumTakesWholeFiniteTokensOnly) {
+  double v = -1.0;
+  EXPECT_TRUE(parse_num("5", &v));
+  EXPECT_EQ(v, 5.0);
+  EXPECT_TRUE(parse_num("-2.5e3", &v));
+  EXPECT_EQ(v, -2500.0);
+  for (const char* bad : {"", "nan", "NaN", "inf", "-inf", "infinity",
+                          "1e999", "5junk", "5 ", "abc", "0x"}) {
+    v = 7.0;
+    EXPECT_FALSE(parse_num(bad, &v)) << '"' << bad << '"';
+    EXPECT_EQ(v, 7.0) << "a rejected token must not write: " << bad;
+  }
+}
+
 TEST(Csv, MissingFileReturnsFalse) {
   std::vector<CsvRow> rows;
   EXPECT_FALSE(read_csv("/nonexistent/definitely/missing.csv", rows));
