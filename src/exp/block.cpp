@@ -89,9 +89,9 @@ struct SessionBlockRunner::Impl {
   };
 
   // Traced sessions serialize into per-key buffers during the parallel
-  // map and are written during the sequential fold, in canonical key
-  // order -- the trace file bytes are therefore identical at every thread
-  // count, exactly like the metrics.
+  // map and are written by the key's fold, in canonical key order -- the
+  // trace file bytes are therefore identical at every thread count,
+  // exactly like the metrics.
   struct KeyTrace {
     std::string lines;
     std::uint32_t emitted = 0;
@@ -117,7 +117,7 @@ struct SessionBlockRunner::Impl {
     }
   }
 
-  void run(std::span<const SessionKey> keys, const Fold& fold);
+  void run(std::size_t n_keys, const KeyAt& key_at, const Fold& fold);
   void capture_session(const SessionKey& key, std::size_t group,
                        const std::string& alert_line);
 
@@ -191,18 +191,22 @@ struct SessionBlockRunner::Impl {
   obs::MetricsRegistry* registry = nullptr;
   obs::TraceCollector* tracer = nullptr;
   std::vector<SessionScratch> scratch;
-  // Reused across blocks: per-(key, group) metrics slots and per-key trace
-  // buffers for the current run() call.
+  // Ring slots of the keys in flight, reused across keys and blocks: key i
+  // owns slot i % executor.window(n_keys) from its produce to its fold
+  // (runtime/session_executor.hpp), with one metrics entry per group and
+  // one trace buffer. Sized by the window, never by the run.
   std::vector<sim::SessionMetrics> metrics;
   std::vector<KeyTrace> key_trace;
 };
 
-void SessionBlockRunner::Impl::run(std::span<const SessionKey> keys,
+void SessionBlockRunner::Impl::run(std::size_t n_keys, const KeyAt& key_at,
                                    const Fold& fold) {
   const std::size_t n_groups = groups.size();
-  const std::size_t n_keys = keys.size();
-  metrics.assign(n_keys * n_groups, sim::SessionMetrics{});
-  key_trace.assign(tracer != nullptr ? n_keys : 0, KeyTrace{});
+  const std::size_t ring = executor.window(n_keys);
+  // Grow-only: a later block reuses the slots (and their capacity) as is;
+  // produce writes every entry of a slot before its fold reads it.
+  if (metrics.size() < ring * n_groups) metrics.resize(ring * n_groups);
+  if (tracer != nullptr && key_trace.size() < ring) key_trace.resize(ring);
 
   executor.execute_slotted(
       n_keys,
@@ -210,7 +214,8 @@ void SessionBlockRunner::Impl::run(std::span<const SessionKey> keys,
         obs::SlotBinding metrics_binding(registry, slot);
         // Common random numbers: every stream is a pure function of
         // (seed, day, window, session) and shared by all groups.
-        const SessionKey& key = keys[task];
+        const SessionKey key = key_at(task);
+        const std::size_t at = task % ring;
         SessionScratch& s = scratch[slot];
         sim::PlayerConfig player;
         const media::Video& video = prepare_session(s, key, player);
@@ -235,13 +240,13 @@ void SessionBlockRunner::Impl::run(std::span<const SessionKey> keys,
             // rides next to the metrics sink on the same stream, and the
             // registry counts it here, once.
             emitted = play_traced(s, key, g, /*sampled=*/true, video, player,
-                                  nullptr, &key_trace[task].lines);
-            metrics[task * n_groups + g] = s.sink.metrics();
+                                  nullptr, &key_trace[at].lines);
+            metrics[at * n_groups + g] = s.sink.metrics();
           } else {
             simulate_fused(*s.algorithms[g], video, s.stream, player, s.sink,
                            s.tables);
             const sim::SessionMetrics& m = s.sink.metrics();
-            metrics[task * n_groups + g] = m;
+            metrics[at * n_groups + g] = m;
             if (tracer == nullptr) continue;
 
             // Unsampled sessions the anomaly trigger catches post hoc on
@@ -260,29 +265,32 @@ void SessionBlockRunner::Impl::run(std::span<const SessionKey> keys,
             if (!anomalous) continue;
             obs::SlotBinding mute(nullptr, slot);
             emitted = play_traced(s, key, g, /*sampled=*/false, video, player,
-                                  nullptr, &key_trace[task].lines);
+                                  nullptr, &key_trace[at].lines);
           }
           if (emitted) {
-            KeyTrace& kt = key_trace[task];
+            KeyTrace& kt = key_trace[at];
             ++kt.emitted;
             if (s.trace_sink->anomalous()) ++kt.anomalies;
           }
         }
       },
       [&](std::size_t task) {
+        const std::size_t at = task % ring;
         for (std::size_t g = 0; g < n_groups; ++g) {
-          fold(task, g, metrics[task * n_groups + g]);
+          fold(task, g, metrics[at * n_groups + g]);
         }
         if (tracer != nullptr) {
-          KeyTrace& kt = key_trace[task];
+          // The key's trace bytes leave here, in key order, and their
+          // buffer is freed before the slot serves key task + ring.
+          KeyTrace& kt = key_trace[at];
           for (std::uint32_t i = 0; i < kt.emitted; ++i) {
             tracer->note_session(i < kt.anomalies);
           }
-          if (!kt.lines.empty()) {
-            tracer->write(kt.lines);
-            kt.lines.clear();
-            kt.lines.shrink_to_fit();
-          }
+          if (!kt.lines.empty()) tracer->write(kt.lines);
+          kt.lines.clear();
+          kt.lines.shrink_to_fit();
+          kt.emitted = 0;
+          kt.anomalies = 0;
         }
       });
 }
@@ -332,9 +340,15 @@ const Population& SessionBlockRunner::population() const {
   return impl_->population;
 }
 
+void SessionBlockRunner::run(std::size_t n_keys, const KeyAt& key_at,
+                             const Fold& fold) {
+  impl_->run(n_keys, key_at, fold);
+}
+
 void SessionBlockRunner::run(std::span<const SessionKey> keys,
                              const Fold& fold) {
-  impl_->run(keys, fold);
+  impl_->run(
+      keys.size(), [keys](std::size_t i) { return keys[i]; }, fold);
 }
 
 void SessionBlockRunner::capture_session(const SessionKey& key,

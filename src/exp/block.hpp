@@ -1,17 +1,22 @@
-// Reusable session-block execution: the parallel-map + ordered-fold core
-// of the A/B harness, factored out of run_ab_test so fixed-budget runs and
-// the sequential experiment engine (src/seq) share one implementation.
+// Reusable session-block execution: the streaming parallel-map +
+// ordered-fold core of the A/B harness, factored out of run_ab_test so
+// fixed-budget runs and the sequential experiment engine (src/seq) share
+// one implementation.
 //
 // A SessionBlockRunner owns everything that persists across blocks -- the
 // executor and its per-thread scratch, the population sampler, the reused
-// ABR instances, the trace-collector integration -- and simulates any list
-// of session keys on demand. Each key is streamed by every group under
-// common random numbers, exactly as in run_ab_test, and the per-session
-// metrics are folded in canonical (key, group) order on the calling
-// thread. The output is therefore a pure function of the keys and the
-// config: bit-identical at any thread count, and identical whether the
-// keys arrive in one block or split across many (which is what makes
-// adaptive batching in src/seq safe).
+// ABR instances, the trace-collector integration, the ring of in-flight
+// keys -- and simulates any sequence of session keys on demand. Each key
+// is streamed by every group under common random numbers, exactly as in
+// run_ab_test, and the per-session metrics are folded in canonical
+// (key, group) order on the calling thread, interleaved with the
+// simulation: a key is folded as soon as it and every key before it are
+// done. Only a window of keys (runtime::SessionExecutor::window, a few
+// claims per thread) is ever in flight, so memory does not grow with the
+// block. The output is a pure function of the keys and the config:
+// bit-identical at any thread count, and identical whether the keys arrive
+// in one block or split across many (which is what makes adaptive
+// batching in src/seq safe).
 #pragma once
 
 #include <functional>
@@ -43,15 +48,29 @@ class SessionBlockRunner {
   std::size_t threads() const;
   const Population& population() const;
 
-  /// Receives the finished metrics of (keys[key_index], group), invoked
+  /// Receives the finished metrics of (key key_index, group), invoked
   /// sequentially on the calling thread in ascending (key_index, group)
   /// order.
   using Fold = std::function<void(std::size_t key_index, std::size_t group,
                                   const sim::SessionMetrics&)>;
 
-  /// Simulates every key with every group (parallel map over keys), then
-  /// folds in canonical order. Safe to call repeatedly; session traces are
-  /// appended block by block in call order.
+  /// Key `key_index` of a block. Called from any thread, once per key;
+  /// must be a pure function of the index.
+  using KeyAt = std::function<SessionKey(std::size_t key_index)>;
+
+  /// Simulates keys key_at(0), ..., key_at(n_keys - 1) with every group
+  /// (parallel map over keys) and folds them in canonical order on the
+  /// calling thread, streaming: fold(i, g, m) runs as soon as keys 0..i
+  /// are simulated, while later keys are still being simulated, and a
+  /// key's session traces are written at its fold. Per-key state lives in
+  /// a ring of window-many slots, so neither metrics nor trace bytes are
+  /// held for the whole block, and no key list is built. Safe to call
+  /// repeatedly; session traces are appended block by block in call order.
+  /// If a simulation throws, the keys before it are folded and the
+  /// exception propagates.
+  void run(std::size_t n_keys, const KeyAt& key_at, const Fold& fold);
+
+  /// run() over an explicit key list (the sequential engine's batches).
   void run(std::span<const SessionKey> keys, const Fold& fold);
 
   /// Flushes the trace collector. Call once after the last block (and

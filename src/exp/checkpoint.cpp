@@ -784,24 +784,16 @@ std::uint64_t shard_key_count(const AbTestConfig& cfg,
   return shard_cells * cfg.sessions_per_window;
 }
 
-void shard_keys(const AbTestConfig& cfg, const CheckpointOptions& opts,
-                std::uint64_t first, std::size_t count,
-                std::vector<SessionKey>* out) {
-  BBA_ASSERT(first + count <= shard_key_count(cfg, opts),
-             "key range past the shard's key count");
+SessionKey shard_key(const AbTestConfig& cfg, const CheckpointOptions& opts,
+                     std::uint64_t index) {
+  BBA_ASSERT(index < shard_key_count(cfg, opts),
+             "key index past the shard's key count");
   const std::uint64_t spw = cfg.sessions_per_window;
-  std::uint64_t cell = (first / spw) * opts.shard_count + opts.shard_index - 1;
-  std::uint64_t session = first % spw;
-  out->clear();
-  out->reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    out->push_back(SessionKey{cfg.seed, cell / kWindowsPerDay,
-                              cell % kWindowsPerDay, session});
-    if (++session == spw) {
-      session = 0;
-      cell += opts.shard_count;
-    }
-  }
+  const std::uint64_t cell =
+      (index / spw) * opts.shard_count + opts.shard_index - 1;
+  return SessionKey{cfg.seed, static_cast<std::size_t>(cell / kWindowsPerDay),
+                    static_cast<std::size_t>(cell % kWindowsPerDay),
+                    static_cast<std::size_t>(index % spw)};
 }
 
 bool run_ab_test_checkpointed(const std::vector<Group>& groups,
@@ -842,8 +834,8 @@ bool run_ab_test_checkpointed(const std::vector<Group>& groups,
   // The canonical key sequence, filtered to this shard's (day, window)
   // cells. A cell's sessions all share one shard, so each cell's fold
   // order -- and therefore its order-sensitive incremental means -- is
-  // identical to the unsharded run's. The chunk loop builds each block's
-  // keys on demand.
+  // identical to the unsharded run's. Keys are derived from their index
+  // (shard_key) as the runner simulates them; no key list is built.
   const std::uint64_t total = shard_key_count(cfg, opts);
 
   if (timeline != nullptr) {
@@ -944,21 +936,6 @@ bool run_ab_test_checkpointed(const std::vector<Group>& groups,
                  static_cast<unsigned long long>(total));
   }
 
-  // The keys of the chunk loop's next block: --checkpoint-every keys when
-  // checkpoints are written, else the rest of the run. The first block is
-  // built before the runner allocates its per-thread scratch; built after
-  // it, the same keys added ~0.2 ms (~13%) to a 12,000-key run's set-up
-  // on a 4-vCPU Xeon VM.
-  std::vector<SessionKey> block;
-  auto next_block = [&] {
-    const std::uint64_t chunk =
-        (!opts.out.empty() && opts.every != 0)
-            ? std::min<std::uint64_t>(opts.every, total - cursor)
-            : total - cursor;
-    shard_keys(cfg, opts, cursor, static_cast<std::size_t>(chunk), &block);
-  };
-  next_block();
-
   SessionBlockRunner runner(groups, library, cfg);
   const std::uint64_t start = cursor;
   std::size_t saves = 0;
@@ -1002,13 +979,23 @@ bool run_ab_test_checkpointed(const std::vector<Group>& groups,
     return true;
   };
 
-  // The chunk loop. run() is block-split invariant (exp/block.hpp), so
-  // chunking for --checkpoint-every changes no output byte; a resumed run
-  // simply enters with cursor > 0 and folds the remaining suffix.
+  // The chunk loop: blocks of --checkpoint-every keys when checkpoints are
+  // written, else the rest of the run in one block. run() is block-split
+  // invariant (exp/block.hpp), so chunking for --checkpoint-every changes
+  // no output byte; a resumed run simply enters with cursor > 0 and folds
+  // the remaining suffix.
+  const std::uint64_t block_keys =
+      (!opts.out.empty() && opts.every != 0) ? opts.every : total;
   while (cursor < total) {
-    runner.run(block, [&](std::size_t i, std::size_t g,
-                          const sim::SessionMetrics& m) {
-      const SessionKey& key = block[i];
+    const std::uint64_t first = cursor;
+    const std::size_t n =
+        static_cast<std::size_t>(std::min(block_keys, total - cursor));
+    auto key_at = [&](std::size_t i) {
+      return shard_key(cfg, opts, first + i);
+    };
+    runner.run(n, key_at, [&](std::size_t i, std::size_t g,
+                              const sim::SessionMetrics& m) {
+      const SessionKey key = key_at(i);
       accumulate_session(result->cells[g][key.day][key.window], m);
       if (timeline != nullptr) {
         timeline->record(key.day, key.window, g, m);
@@ -1017,13 +1004,12 @@ bool run_ab_test_checkpointed(const std::vector<Group>& groups,
         monitor->record(key.day, key.window, g, key.session, m);
       }
     });
-    cursor += block.size();
+    cursor += n;
     BBA_ASSERT(runner.keys_folded() == cursor - start,
                "executor fold cursor out of sync with the chunk loop");
     if (!opts.out.empty() && cursor < total) {
       if (!save_now()) return false;
     }
-    next_block();
   }
   // The grid is complete: close the trailing cell and drain the capture
   // queue BEFORE the trace finishes and before the final checkpoint save.

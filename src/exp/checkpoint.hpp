@@ -196,14 +196,12 @@ struct CheckpointOptions {
 std::uint64_t shard_key_count(const AbTestConfig& cfg,
                               const CheckpointOptions& opts);
 
-/// Keys [first, first + count) of that sequence, into *out (cleared first;
-/// its capacity is kept). Key i is session i % sessions_per_window of cell
-/// (i / sessions_per_window) * shard_count + shard_index - 1, so a run
-/// builds each block's keys on demand instead of holding its whole key
-/// list. Requires first + count <= shard_key_count(cfg, opts).
-void shard_keys(const AbTestConfig& cfg, const CheckpointOptions& opts,
-                std::uint64_t first, std::size_t count,
-                std::vector<SessionKey>* out);
+/// Key `index` of that sequence: session index % sessions_per_window of
+/// cell (index / sessions_per_window) * shard_count + shard_index - 1. A
+/// run derives each key from its index as it simulates it, instead of
+/// holding a key list. Requires index < shard_key_count(cfg, opts).
+SessionKey shard_key(const AbTestConfig& cfg, const CheckpointOptions& opts,
+                     std::uint64_t index);
 
 /// run_ab_test with checkpointing, resume, and sharding. With default
 /// options this IS run_ab_test (one chunk, no files): identical fold,

@@ -139,8 +139,14 @@ ObsScope::ObsScope(const ObsOptions& opts, std::size_t threads_hint)
   if (!opts.any()) return;
   const std::size_t slots = default_slots(threads_hint);
   handle_ = std::make_unique<Observability>();
-  handle_->metrics = std::make_unique<MetricsRegistry>(slots);
-  handle_->profiler = std::make_unique<Profiler>(slots);
+  // Each instrument exists only when its output is requested: an unread
+  // registry would still pay for every count and histogram sample.
+  if (!opts.metrics_out.empty()) {
+    handle_->metrics = std::make_unique<MetricsRegistry>(slots);
+  }
+  if (!opts.profile_out.empty()) {
+    handle_->profiler = std::make_unique<Profiler>(slots);
+  }
   if (!opts.timeline_out.empty()) {
     handle_->timeline = std::make_unique<TimelineAggregator>();
   }

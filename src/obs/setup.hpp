@@ -35,9 +35,9 @@ struct ObsOptions {
   // Any of the three JSON outputs accepts "-": the exact file bytes go to
   // stdout and the notice line to stderr.
 
-  /// True when any instrument is requested. The profiler and metrics
-  /// registry also come up when only tracing is on (trace stats ride the
-  /// metrics snapshot), but files are written only for requested outputs.
+  /// True when any instrument is requested. Each instrument is built only
+  /// for its own output: the metrics registry for metrics_out (trace stats
+  /// ride its snapshot), the profiler for profile_out.
   bool any() const {
     return !trace_out.empty() || !metrics_out.empty() ||
            !profile_out.empty() || !timeline_out.empty() ||

@@ -1,11 +1,14 @@
 // Deterministic parallel execution of independent session cells.
 //
 // The A/B harness (and any future sweep) is a map-fold: simulate N
-// independent cells, then aggregate them. SessionExecutor parallelises the
+// independent cells and aggregate them. SessionExecutor parallelises the
 // map on a ThreadPool and keeps the fold sequential in canonical index
 // order, which makes the combined result bit-identical for every thread
 // count -- floating-point accumulation happens in exactly one order, the
-// index order, no matter how cells were scheduled.
+// index order, no matter how cells were scheduled. The fold streams: it
+// runs on the calling thread, interleaved with the map, as soon as a
+// prefix of cells is done, so only a bounded window of cells is ever in
+// flight.
 #pragma once
 
 #include <cstddef>
@@ -16,13 +19,21 @@
 namespace bba::runtime {
 
 /// Runs `produce(i)` for every i in [0, count) on the pool (any thread,
-/// any order), then `fold(i)` for i = 0, 1, ..., count-1 sequentially on
-/// the calling thread.
+/// any order), and `fold(i)` for i = 0, 1, ..., count-1 sequentially on
+/// the calling thread, each as soon as produce has finished i and every
+/// index before it. The caller alternates claims of its own with these
+/// folds; workers keep producing meanwhile.
 ///
-/// Determinism contract: produce(i) must write only to slot i of storage
-/// the caller pre-sized before the call (and read only immutable shared
-/// state); fold reads those slots. Under that contract the result is a
-/// pure function of the inputs, independent of thread count and schedule.
+/// Window contract: with W = window(count, grain), produce(i) starts only
+/// after fold(i - W) has returned. Per-cell results may therefore live in
+/// a ring of W slots indexed by i % W, which produce(i) writes and fold(i)
+/// reads; no two in-flight cells share a slot. W follows from threads()
+/// and the grain alone, so the ring does not grow with the population.
+///
+/// Determinism contract: produce(i) must write only to its own slot (and
+/// read only immutable shared state); fold reads those slots. Under that
+/// contract the result is a pure function of the inputs, independent of
+/// thread count and schedule.
 class SessionExecutor {
  public:
   /// threads == 0 selects hardware concurrency; threads == 1 is the
@@ -34,9 +45,17 @@ class SessionExecutor {
 
   ThreadPool& pool() { return pool_; }
 
-  /// The deterministic map + ordered fold described above. `grain` is the
-  /// parallel_for chunk size (0 = default). Exceptions from produce()
-  /// propagate before any fold() runs; fold() runs only on full success.
+  /// The ring size W of the window contract above for an execute*() of
+  /// `count` cells at `grain` (0 = default): a few claims per thread,
+  /// never more than `count`.
+  std::size_t window(std::size_t count, std::size_t grain = 0) const;
+
+  /// The streaming map + ordered fold described above. `grain` is the
+  /// claim size (0 = default). If produce(i) throws, no further cell is
+  /// claimed; every cell before i is still produced and folded, none at
+  /// or after i is, and the exception is rethrown here. If fold throws,
+  /// its exception propagates once the workers finish their current
+  /// claims. The pool stays usable either way.
   void execute(std::size_t count,
                const std::function<void(std::size_t)>& produce,
                const std::function<void(std::size_t)>& fold,

@@ -6,12 +6,16 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <new>
+#include <span>
 #include <vector>
 
 #include <cstdio>
 #include <string>
 
+#include "alloc_budget.hpp"
 #include "exp/abtest.hpp"
+#include "exp/block.hpp"
 #include "exp/dump.hpp"
 #include "exp/population.hpp"
 #include "exp/report.hpp"
@@ -155,6 +159,49 @@ TEST(AbTest, ShapeAndDeterminism) {
       }
     }
   }
+}
+
+// The runner holds per-key state for a window of keys in flight, not for
+// the block: once its scratch is warm, a 20,000-key two-group block
+// allocates far less than one SessionMetrics per session (4.8 MB).
+TEST(SessionBlockRunner, BlockMemoryIsBoundedByTheWindow) {
+  const media::VideoLibrary lib = media::VideoLibrary::standard(11);
+  const std::vector<Group> groups = {
+      {"control", make_control_factory()},
+      {"bba2", make_bba2_factory()},
+  };
+  AbTestConfig cfg;
+  cfg.seed = 2014;
+  cfg.threads = 4;
+  // Short sessions keep the 80,000 simulations quick; memory per key does
+  // not depend on the watch time.
+  cfg.workload.median_watch_s = 40.0;
+  cfg.workload.min_watch_s = 20.0;
+  constexpr std::size_t kKeys = 20000;
+  std::vector<SessionKey> keys;
+  for (std::size_t i = 0; i < kKeys; ++i) {
+    keys.push_back(
+        SessionKey{cfg.seed, 0, i % kWindowsPerDay, i / kWindowsPerDay});
+  }
+  SessionBlockRunner runner(groups, lib, cfg);
+  std::size_t folded = 0;
+  auto fold = [&](std::size_t, std::size_t, const sim::SessionMetrics&) {
+    ++folded;
+  };
+  // A short block warms the scratch, tables and ABR instances; what the
+  // long block allocates beyond that grows with it.
+  runner.run(std::span<const SessionKey>(keys).first(kKeys / 10), fold);
+  bool over_budget = false;
+  {
+    testing_support::AllocationBudget budget(std::size_t{1} << 20);
+    try {
+      runner.run(keys, fold);
+    } catch (const std::bad_alloc&) {
+      over_budget = true;
+    }
+  }
+  EXPECT_FALSE(over_budget) << "the block allocated more than 1 MiB";
+  EXPECT_EQ(folded, (kKeys / 10 + kKeys) * groups.size());
 }
 
 TEST(AbTest, CommonRandomNumbersGiveIdenticalEnvironments) {

@@ -5,7 +5,6 @@
 // resume validation of the run identity.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <bit>
 #include <cstdint>
 #include <cstdio>
@@ -16,55 +15,22 @@
 #include <string>
 #include <vector>
 
+#include "alloc_budget.hpp"
 #include "exp/abtest.hpp"
 #include "exp/checkpoint.hpp"
 #include "exp/population.hpp"
 #include "media/video.hpp"
 #include "obs/btrace.hpp"
 #include "obs/obs.hpp"
+#include "obs/setup.hpp"
 #include "obs/timeline.hpp"
 #include "sim/metrics.hpp"
 #include "util/binio.hpp"
 
-// Allocation budget for the crafted-section tests: while armed, operator
-// new throws std::bad_alloc once the bytes requested since arming pass the
-// budget, so a parser that tries to allocate a corrupt grid fails the test
-// instead of exhausting the machine. The replacement pair allocates with
-// malloc and frees with free, which GCC's inliner cannot see is matched.
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-namespace {
-std::atomic<bool> g_budget_armed{false};
-std::atomic<std::size_t> g_budget_left{0};
-}  // namespace
-
-void* operator new(std::size_t n) {
-  if (g_budget_armed.load(std::memory_order_relaxed)) {
-    std::size_t left = g_budget_left.load(std::memory_order_relaxed);
-    do {
-      if (n > left) throw std::bad_alloc();
-    } while (!g_budget_left.compare_exchange_weak(left, left - n,
-                                                  std::memory_order_relaxed));
-  }
-  if (void* p = std::malloc(n != 0 ? n : 1)) return p;
-  throw std::bad_alloc();
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-
 namespace bba::exp {
 namespace {
 
-/// Arms the allocation budget for its lifetime.
-class AllocationBudget {
- public:
-  explicit AllocationBudget(std::size_t bytes) {
-    g_budget_left.store(bytes, std::memory_order_relaxed);
-    g_budget_armed.store(true, std::memory_order_relaxed);
-  }
-  ~AllocationBudget() { g_budget_armed.store(false, std::memory_order_relaxed); }
-  AllocationBudget(const AllocationBudget&) = delete;
-  AllocationBudget& operator=(const AllocationBudget&) = delete;
-};
+using testing_support::AllocationBudget;
 
 std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 
@@ -112,10 +78,10 @@ TEST(CheckpointOptions, ParseShard) {
   }
 }
 
-// The keys a checkpointed run builds on demand, block by block, must be the
-// canonical shard-filtered sequence the run used to materialize up front:
-// the same key at every index, from any resume cursor, at every shard
-// count (including ones that do not divide the cell count).
+// The keys a run derives from their index must be the canonical
+// shard-filtered sequence the run used to materialize up front: the same
+// key at every index, at every shard count (including ones that do not
+// divide the cell count).
 TEST(ShardKeys, MatchTheMaterializedSequenceAtEveryIndex) {
   for (const std::size_t days : {1, 3}) {
     AbTestConfig cfg;
@@ -138,19 +104,14 @@ TEST(ShardKeys, MatchTheMaterializedSequenceAtEveryIndex) {
           }
         }
         ASSERT_EQ(shard_key_count(cfg, opts), expected.size());
-        std::vector<SessionKey> block;
-        for (std::size_t cursor = 0; cursor <= expected.size(); ++cursor) {
-          shard_keys(cfg, opts, cursor, expected.size() - cursor, &block);
-          ASSERT_EQ(block.size(), expected.size() - cursor);
-          for (std::size_t i = 0; i < block.size(); ++i) {
-            const SessionKey& want = expected[cursor + i];
-            ASSERT_TRUE(block[i].seed == want.seed &&
-                        block[i].day == want.day &&
-                        block[i].window == want.window &&
-                        block[i].session == want.session)
-                << "shard " << index << "/" << count << ", days " << days
-                << ", cursor " << cursor << ", key " << cursor + i;
-          }
+        for (std::size_t i = 0; i < expected.size(); ++i) {
+          const SessionKey key = shard_key(cfg, opts, i);
+          const SessionKey& want = expected[i];
+          ASSERT_TRUE(key.seed == want.seed && key.day == want.day &&
+                      key.window == want.window &&
+                      key.session == want.session)
+              << "shard " << index << "/" << count << ", days " << days
+              << ", key " << i;
         }
       }
     }
@@ -500,6 +461,57 @@ AbTestConfig tiny_config() {
 std::vector<Group> tiny_groups() {
   return {{"control", make_control_factory()},
           {"bba2", make_bba2_factory()}};
+}
+
+// Each instrument comes up only for its own output: a run that writes a
+// trace, a timeline, alerts and checkpoints builds no metrics registry and
+// no profiler, and every one of those artifacts is byte-identical to the
+// same run with --metrics-out added.
+TEST(ObsScope, UnrequestedRegistryAndProfilerStayNull) {
+  const media::VideoLibrary lib = media::VideoLibrary::standard(11);
+  const std::string base = testing::TempDir() + "/bba_obs_scope";
+  const std::vector<std::string> paths = {base + ".btrace",
+                                          base + ".timeline.json",
+                                          base + ".alerts.jsonl",
+                                          base + ".ckpt"};
+  auto run = [&](bool metrics) {
+    obs::ObsOptions o;
+    o.trace_out = paths[0];
+    o.trace_format = "btrace";
+    o.trace_sample = 2;
+    o.timeline_out = paths[1];
+    o.alerts_out = paths[2];
+    o.alert_spec = "warmup=2,cusum_h=1,ewma_k=1.5";
+    if (metrics) o.metrics_out = base + ".metrics.json";
+    CheckpointOptions ck;
+    ck.out = paths[3];
+    ck.every = 7;
+    {
+      obs::ObsScope scope(o, 2);
+      EXPECT_TRUE(scope.ok());
+      EXPECT_EQ(scope.handle()->metrics != nullptr, metrics);
+      EXPECT_EQ(scope.handle()->profiler, nullptr);
+      AbTestResult result;
+      std::string error;
+      EXPECT_TRUE(run_ab_test_checkpointed(tiny_groups(), lib, tiny_config(),
+                                           ck, &result, &error))
+          << error;
+    }  // the scope writes the trace footer, timeline and alerts here
+    std::vector<std::string> bytes(paths.size());
+    for (std::size_t i = 0; i < paths.size(); ++i) {
+      std::string error;
+      EXPECT_TRUE(util::read_file(paths[i], &bytes[i], &error)) << error;
+      EXPECT_FALSE(bytes[i].empty()) << paths[i];
+      std::remove(paths[i].c_str());
+    }
+    return bytes;
+  };
+  const std::vector<std::string> lean = run(false);
+  const std::vector<std::string> with_metrics = run(true);
+  for (std::size_t i = 0; i < paths.size(); ++i) {
+    EXPECT_TRUE(lean[i] == with_metrics[i]) << paths[i] << " differs";
+  }
+  std::remove((base + ".metrics.json").c_str());
 }
 
 TEST(CheckpointedRun, DefaultOptionsMatchRunAbTest) {

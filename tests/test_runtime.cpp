@@ -4,9 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <numeric>
 #include <stdexcept>
+#include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "abr/baselines.hpp"
@@ -249,6 +253,183 @@ TEST(SessionExecutor, FoldRunsSequentiallyInIndexOrder) {
     ASSERT_EQ(fold_order[i], i);
     ASSERT_EQ(produced[i], static_cast<double>(i) * 0.5);
   }
+}
+
+// The window contract: produce(i) starts only after fold(i - W) returned,
+// so per-cell results can live in a ring of W slots. A slow fold drives
+// the workers to the window edge, where they must wait instead of
+// overwriting a slot whose fold has not run.
+TEST(SessionExecutor, RingSlotsAreNeverReusedBeforeTheirFold) {
+  runtime::SessionExecutor executor(4);
+  constexpr std::size_t kN = 3000;
+  constexpr std::size_t kGrain = 2;
+  const std::size_t w = executor.window(kN, kGrain);
+  ASSERT_LT(w, kN);
+  std::vector<std::size_t> ring(w, kN);
+  std::atomic<std::size_t> folded{0};
+  std::atomic<bool> early{false};
+  std::size_t mismatches = 0;
+  executor.execute(
+      kN,
+      [&](std::size_t i) {
+        if (i >= folded.load() + w) early.store(true);
+        ring[i % w] = i;
+      },
+      [&](std::size_t i) {
+        if (ring[i % w] != i) ++mismatches;
+        if (i % 50 == 0) {
+          std::this_thread::sleep_for(std::chrono::microseconds(200));
+        }
+        folded.fetch_add(1);
+      },
+      kGrain);
+  EXPECT_FALSE(early.load());
+  EXPECT_EQ(mismatches, 0u);
+  EXPECT_EQ(folded.load(), kN);
+}
+
+// A window below one claim per thread: at most `window` indices are ever
+// produced but not drained, so most workers sleep at the edge while the
+// drains still cover the range in consecutive, ascending pieces.
+TEST(ThreadPool, OrderedLoopWithAWindowBelowOneClaimPerThread) {
+  runtime::ThreadPool pool(4);
+  constexpr std::size_t kN = 500;
+  constexpr std::size_t kGrain = 4;
+  for (const std::size_t window : {1, 3, 5}) {
+    std::vector<std::atomic<int>> hits(kN);
+    for (auto& h : hits) h.store(0);
+    std::atomic<std::size_t> drained{0};
+    std::atomic<bool> early{false};
+    std::vector<std::pair<std::size_t, std::size_t>> ranges;
+    const runtime::ThreadPool::Drain drain = [&](std::size_t first,
+                                                 std::size_t last) {
+      ranges.emplace_back(first, last);
+      drained.store(last);
+    };
+    pool.parallel_for_ordered(
+        0, kN, kGrain, window,
+        [&](std::size_t i, std::size_t) {
+          if (i >= drained.load() + window) early.store(true);
+          hits[i].fetch_add(1);
+        },
+        &drain);
+    EXPECT_FALSE(early.load()) << "window " << window;
+    for (std::size_t i = 0; i < kN; ++i) {
+      ASSERT_EQ(hits[i].load(), 1) << "window " << window << ", index " << i;
+    }
+    std::size_t next = 0;
+    for (const auto& [first, last] : ranges) {
+      ASSERT_EQ(first, next) << "window " << window;
+      ASSERT_LT(first, last) << "window " << window;
+      next = last;
+    }
+    EXPECT_EQ(next, kN) << "window " << window;
+  }
+}
+
+TEST(SessionExecutor, EmptySingleAndSubGrainCountsFoldInOrder) {
+  runtime::SessionExecutor executor(4);
+  EXPECT_EQ(executor.window(0), 0u);
+  EXPECT_EQ(executor.window(1), 1u);
+  for (const std::size_t count : {0, 1, 5}) {
+    std::vector<int> produced(count, 0);
+    std::vector<std::size_t> order;
+    executor.execute(
+        count, [&](std::size_t i) { ++produced[i]; },
+        [&](std::size_t i) {
+          EXPECT_EQ(produced[i], 1);
+          order.push_back(i);
+        },
+        /*grain=*/8);
+    ASSERT_EQ(order.size(), count);
+    for (std::size_t i = 0; i < count; ++i) {
+      EXPECT_EQ(order[i], i);
+      EXPECT_EQ(produced[i], 1);
+    }
+  }
+}
+
+// A throw at index i leaves exactly the cells before i folded, at any
+// thread count; with several throwing indices the lowest one's exception
+// is the one rethrown. The executor keeps working afterwards.
+TEST(SessionExecutor, ProduceThrowFoldsEveryEarlierCellThenRethrows) {
+  constexpr std::size_t kN = 2000;
+  for (const std::size_t threads : {1, 4}) {
+    runtime::SessionExecutor executor(threads);
+    for (const std::size_t fail : {std::size_t{0}, std::size_t{1},
+                                   std::size_t{777}, kN - 1}) {
+      std::vector<std::size_t> order;
+      std::string message;
+      try {
+        executor.execute(
+            kN,
+            [&](std::size_t i) {
+              if (i == fail) throw std::runtime_error("first");
+              if (i == fail + 600) throw std::runtime_error("later");
+            },
+            [&](std::size_t i) { order.push_back(i); }, /*grain=*/3);
+      } catch (const std::runtime_error& e) {
+        message = e.what();
+      }
+      EXPECT_EQ(message, "first") << threads << " threads, fail " << fail;
+      ASSERT_EQ(order.size(), fail) << threads << " threads";
+      for (std::size_t j = 0; j < fail; ++j) ASSERT_EQ(order[j], j);
+    }
+    std::size_t folds = 0;
+    executor.execute(
+        100, [](std::size_t) {}, [&](std::size_t) { ++folds; });
+    EXPECT_EQ(folds, 100u) << threads << " threads";
+  }
+}
+
+TEST(SessionExecutor, FoldThrowPropagatesAndThePoolStaysUsable) {
+  runtime::SessionExecutor executor(4);
+  std::vector<std::size_t> order;
+  EXPECT_THROW(executor.execute(
+                   2000, [](std::size_t) {},
+                   [&](std::size_t i) {
+                     if (i == 300) throw std::runtime_error("fold");
+                     order.push_back(i);
+                   },
+                   /*grain=*/2),
+               std::runtime_error);
+  ASSERT_EQ(order.size(), 300u);
+  for (std::size_t j = 0; j < order.size(); ++j) ASSERT_EQ(order[j], j);
+  std::atomic<int> produced{0};
+  std::size_t folds = 0;
+  executor.execute(
+      500, [&](std::size_t) { produced.fetch_add(1); },
+      [&](std::size_t) { ++folds; });
+  EXPECT_EQ(produced.load(), 500);
+  EXPECT_EQ(folds, 500u);
+}
+
+TEST(SessionExecutor, EveryFoldRunsOnTheCallingThread) {
+  runtime::SessionExecutor executor(4);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::size_t elsewhere = 0;
+  std::size_t folds = 0;
+  executor.execute_slotted(
+      5000,
+      [](std::size_t, std::size_t) {
+        std::this_thread::sleep_for(std::chrono::microseconds(1));
+      },
+      [&](std::size_t) {
+        if (std::this_thread::get_id() != caller) ++elsewhere;
+        ++folds;
+      },
+      /*grain=*/4);
+  EXPECT_EQ(folds, 5000u);
+  EXPECT_EQ(elsewhere, 0u);
+}
+
+// The claim size stops growing with the loop, and so does the window: the
+// ring a streaming caller holds is a constant for large populations.
+TEST(SessionExecutor, WindowStopsGrowingWithThePopulation) {
+  runtime::SessionExecutor executor(4);
+  const std::size_t large = std::size_t{1} << 20;
+  EXPECT_EQ(executor.window(large), executor.window(large * 64));
+  EXPECT_LT(executor.window(large), large / 64);
 }
 
 TEST(Rng, SubstreamIsAPureFunctionOfCoordinates) {
