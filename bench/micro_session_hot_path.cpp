@@ -48,6 +48,7 @@
 #include "exp/session_key.hpp"
 #include "exp/workload.hpp"
 #include "media/video.hpp"
+#include "net/search_source.hpp"
 #include "net/trace_gen.hpp"
 #include "obs/btrace.hpp"
 #include "obs/metrics.hpp"
@@ -129,21 +130,6 @@ exp::SessionKey key_of(const BenchSetup& setup, std::size_t task) {
   return exp::SessionKey{setup.seed, 0, window % exp::kWindowsPerDay, user};
 }
 
-// The player's trace Source before the trace cursor existed: every query
-// is the trace's own binary search. Nothing is tallied.
-struct SearchSource {
-  const net::CapacityTrace& trace;
-
-  double finish_time_s(double start_s, double bits) const {
-    return trace.finish_time_s(start_s, bits);
-  }
-  double rate_at_bps(double t_s) const { return trace.rate_at_bps(t_s); }
-  std::uint32_t queries() const { return 0; }
-  std::uint32_t rewinds() const { return 0; }
-  double cycle_duration_s() const { return trace.cycle_duration_s(); }
-  bool loops() const { return trace.loops(); }
-};
-
 // The pre-optimisation hot path: everything constructed fresh per session,
 // per-query binary search, the reservoir window rescanned on every
 // decision, and a SessionResult recording every chunk, as the harness did
@@ -170,7 +156,7 @@ void run_recorded(const BenchSetup& setup, std::size_t task,
   res.rebuffers.reserve(video.num_chunks() + 1);
   sim::RecordingSink recording(&res);
   sim::SessionSink& sink = recording;
-  sim::simulate(video, SearchSource{trace}, policy, player, sink);
+  sim::simulate(video, net::SearchSource{trace}, policy, player, sink);
   *out = sim::compute_metrics(res);
 }
 

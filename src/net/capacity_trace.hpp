@@ -6,9 +6,10 @@
 // integration, so chunk throughputs are exact averages over the download
 // interval just as a real client would measure them.
 //
-// For hot loops that query one trace at monotonically increasing times,
-// use net::TraceCursor (trace_cursor.hpp): it returns bit-identical
-// answers while advancing a segment hint instead of binary-searching.
+// Its own methods are the reference: each query is a fresh binary search.
+// The session player reads a trace through net::StreamCursor
+// (trace_stream.hpp), which returns bit-identical answers while advancing
+// a segment hint over a copy of the prefix tables.
 #pragma once
 
 #include <cstddef>
@@ -67,11 +68,11 @@ class CapacityTrace {
   const std::vector<Segment>& segments() const { return segments_; }
 
   /// Cumulative segment start times: size()+1 entries, [0] == 0 and
-  /// [size()] == cycle_duration_s(). Exposed for TraceCursor.
+  /// [size()] == cycle_duration_s(). TraceStream::assign copies it.
   const std::vector<double>& time_prefix() const { return time_prefix_; }
 
   /// Cumulative bits delivered by each segment boundary: size()+1 entries.
-  /// Exposed for TraceCursor.
+  /// TraceStream::assign copies it.
   const std::vector<double>& bits_prefix_table() const { return bits_prefix_; }
 
   /// Bits delivered over one whole cycle.

@@ -13,8 +13,9 @@ TcpDownloadModel::TcpDownloadModel(TcpModelConfig cfg) : cfg_(cfg) {
 double TcpDownloadModel::finish_time_s(const CapacityTrace& trace,
                                        double start_s, double bits,
                                        double idle_s) const {
-  TraceCursor cursor(trace);
-  return finish_time_s(cursor, start_s, bits, idle_s);
+  // The trace is its own reader. Naming the template argument keeps
+  // overload resolution from choosing this function again.
+  return finish_time_s<const CapacityTrace>(trace, start_s, bits, idle_s);
 }
 
 }  // namespace bba::net

@@ -20,7 +20,6 @@
 #include <algorithm>
 
 #include "net/capacity_trace.hpp"
-#include "net/trace_cursor.hpp"
 #include "util/assert.hpp"
 
 namespace bba::net {
@@ -52,9 +51,10 @@ class TcpDownloadModel {
 
   /// Cursor variant for hot loops: bit-identical to the trace overload
   /// (the slow-start probes and the final integration are monotone in
-  /// time, so the cursor's hint advances instead of re-searching). Any
-  /// trace reader with TraceCursor's rate_at_bps/finish_time_s works --
-  /// the session player passes its trace Source.
+  /// time, so a cursor's hint advances instead of re-searching). Any trace
+  /// reader with CapacityTrace's rate_at_bps/finish_time_s works -- the
+  /// session player passes its trace Source, the trace overload the trace
+  /// itself.
   template <class Cursor>
   double finish_time_s(Cursor& cursor, double start_s, double bits,
                        double idle_s) const;

@@ -15,6 +15,9 @@ void TraceStream::grow() {
 }
 
 void TraceStream::reset(const MarkovTraceConfig& cfg, util::Rng r) {
+  BBA_ASSERT(cfg.median_bps > 0.0, "median capacity must be > 0");
+  BBA_ASSERT(cfg.duration_s > 0.0, "trace duration must be > 0");
+  BBA_ASSERT(cfg.mean_dwell_s > 0.0, "mean dwell must be > 0");
   duration_s = cfg.duration_s;
   mean_dwell_s = cfg.mean_dwell_s;
   mu = std::log(cfg.median_bps);
@@ -28,11 +31,11 @@ void TraceStream::reset(const MarkovTraceConfig& cfg, util::Rng r) {
   tp[0] = 0.0;
   bp[0] = 0.0;
   done = false;
+  loops = true;
   cycle_s = cycle_bits = 0.0;
 }
 
 void TraceStream::assign(const CapacityTrace& trace) {
-  BBA_ASSERT(trace.loops(), "a TraceStream can only hold a looping trace");
   const std::vector<CapacityTrace::Segment>& segments = trace.segments();
   while (rate_buf.size() < segments.size()) grow();
   n = segments.size();
@@ -41,6 +44,7 @@ void TraceStream::assign(const CapacityTrace& trace) {
             trace.bits_prefix_table().end(), bp);
   for (std::size_t i = 0; i < n; ++i) rate[i] = segments[i].rate_bps;
   done = true;
+  loops = trace.loops();
   cycle_s = trace.cycle_duration_s();
   cycle_bits = trace.cycle_bits();
 }

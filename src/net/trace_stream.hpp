@@ -1,4 +1,4 @@
-// Incremental capacity-trace generation for the session player.
+// Incremental capacity-trace generation and the player's trace reader.
 //
 // The scalar hot path materializes a session's whole Markov trace (7200 s,
 // ~700 segments) before the player consumes, typically, the first tenth of
@@ -12,13 +12,15 @@
 // the same kTrace rng *after* every Markov segment has been generated, so
 // a lazy generator cannot know the outage draws without defeating its own
 // laziness. Those sessions materialize their trace exactly as before and
-// copy it into the stream with assign(), so every session still reads its
-// trace through the one StreamCursor.
+// copy it into the stream with assign(), as does the public
+// sim::simulate_session for any trace, looping or not; so every session
+// reads its trace through the one StreamCursor.
 //
-// StreamCursor is net::TraceCursor's counterpart for looping traces:
-// bit-identical finish times, rates AND query/rewind tallies over a lazy
-// or an assigned stream (enforced by tests/test_net_cursor.cpp and the
-// golden digests), with the walk running over raw prefix arrays.
+// StreamCursor answers finish_time_s and rate_at_bps bit-identically to the
+// same-named CapacityTrace methods (the reference: a fresh binary search
+// per query), with the walk running over raw prefix arrays; its
+// query/rewind tallies follow the rule stated on the class. Both are
+// enforced by tests/test_net_cursor.cpp and the golden digests.
 #pragma once
 
 #include <algorithm>
@@ -34,8 +36,8 @@
 
 namespace bba::net {
 
-/// Lazily generated Markov capacity trace, or a materialized looping trace
-/// copied in whole by assign(), in structure-of-arrays form.
+/// Lazily generated Markov capacity trace, or a materialized trace copied
+/// in whole by assign(), in structure-of-arrays form.
 /// Committed segments are exposed through raw pointers into reused
 /// buffers: a commit is three stores and an increment. The buffers grow
 /// (doubling) when a commit needs room, which moves the pointers, so
@@ -53,15 +55,18 @@ struct TraceStream {
   double* rate = nullptr;
   std::size_t n = 0;  ///< committed segments; tp/bp valid through index n
   bool done = false;
+  bool loops = true;  ///< false: capacity is 0 after the last segment
   double cycle_s = 0.0, cycle_bits = 0.0;
 
   /// Rebinds the stream to a fresh (config, rng) pair. No allocation once
   /// the buffers have grown to the longest prefix the workload reads.
+  /// Asserts make_markov_trace_into's preconditions: duration, median rate
+  /// and mean dwell all > 0.
   void reset(const MarkovTraceConfig& cfg, util::Rng r);
 
-  /// Copies a materialized looping trace's prefix tables and rates into the
-  /// reused buffers and marks the stream done. Same no-allocation rule as
-  /// reset(). Asserts trace.loops(): a StreamCursor always wraps.
+  /// Copies a materialized trace's prefix tables, rates and loops flag into
+  /// the reused buffers and marks the stream done. Same no-allocation rule
+  /// as reset().
   void assign(const CapacityTrace& trace);
 
   std::size_t num_segments() const { return n; }
@@ -84,12 +89,23 @@ struct TraceStream {
 };
 
 /// Stateful segment cursor over a TraceStream: the session player's trace
-/// Source for looping traces. Replicates net::TraceCursor bit for bit --
-/// finish times, rates, AND the kCursorQueries / kCursorRewinds tallies
-/// (the scalar cursor seeks twice per finish_time_s call: once for the
-/// bits prefix, once to start the walk; seek2 deduplicates the walk but
-/// counts both) -- while the walk runs over raw prefix arrays and a lazy
-/// stream only generates what the session reads.
+/// Source. finish_time_s and rate_at_bps are bit-identical to the
+/// same-named CapacityTrace methods on the materialized trace. The walk
+/// runs over raw prefix arrays, and a lazy stream only generates what the
+/// session reads.
+///
+/// Lookups are tallied for the kCursorQueries / kCursorRewinds counters:
+///  - rate_at_bps counts one query, or none past the end of a trace that
+///    does not loop (the answer is 0 without a lookup);
+///  - finish_time_s counts two queries, one for the bits delivered before
+///    the start and one to begin the segment walk. It counts none for zero
+///    bits or for a start at or past the end of a trace that does not loop,
+///    and one when it gives up before the walk: the rest of a trace that
+///    does not loop cannot carry the download, or the link is always down;
+///  - a query rewinds when its in-cycle position lies before the start of
+///    the hinted segment, where the previous query landed or the previous
+///    download finished; it then binary-searches. The walk of a download
+///    that wraps the cycle starts with a query at position 0.
 class StreamCursor {
  public:
   /// Segments committed at once when a walk exhausts a lazy prefix.
@@ -99,7 +115,7 @@ class StreamCursor {
 
   std::uint64_t queries() const { return queries_; }
   std::uint64_t rewinds() const { return rewinds_; }
-  bool loops() const { return true; }
+  bool loops() const { return s_->loops; }
   /// Generates the whole trace if it is still lazy: only fault attribution
   /// needs the cycle length.
   double cycle_duration_s() {
@@ -107,18 +123,21 @@ class StreamCursor {
     return s_->cycle_s;
   }
 
-  /// Bit-identical to TraceCursor::rate_at_bps on the materialized trace.
+  /// Capacity at absolute time t_s (0 past the end of a trace that does not
+  /// loop).
   double rate_at_bps(double t_s) {
     ensure_beyond(t_s);
     if (s_->done && t_s >= s_->cycle_s) {
+      if (!s_->loops) return 0.0;
       t_s = std::fmod(t_s, s_->cycle_s);
     }
     ++queries_;
     return s_->rate[seek(t_s)];
   }
 
-  /// Bit-identical to TraceCursor::finish_time_s on the materialized trace,
-  /// including query/rewind tallies. The walk is a tight loop over the
+  /// Time at which a download of `bits` starting at `start_s` completes;
+  /// +infinity if it never does (a link that is always down, or a trace
+  /// that does not loop and runs out). The walk is a tight loop over the
   /// committed prefix; a lazy stream is only asked to generate when the
   /// walk exhausts it.
   double finish_time_s(double start_s, double bits) {
@@ -127,6 +146,7 @@ class StreamCursor {
     double pos = start_s;
     ensure_beyond(pos);
     if (s_->done && pos >= s_->cycle_s) {
+      if (!s_->loops) return std::numeric_limits<double>::infinity();
       cycles_done = std::floor(pos / s_->cycle_s);
       pos -= cycles_done * s_->cycle_s;
       ensure_beyond(pos);
@@ -185,9 +205,10 @@ class StreamCursor {
     return std::min(i, s_->n - 1);
   }
 
-  /// TraceCursor::seek without the query tally (callers count): advances
-  /// the hint, binary-searches on a rewind. The prefix must extend beyond
-  /// `pos` (or be complete), which makes the index equal the full trace's.
+  /// Segment index containing in-cycle position `pos`, without the query
+  /// tally (callers count): advances the hint, binary-searches on a rewind.
+  /// The prefix must extend beyond `pos` (or be complete), which makes the
+  /// index equal CapacityTrace::segment_index_at on the full trace.
   std::size_t seek(double pos) {
     const double* tp = s_->tp;
     const std::size_t last = s_->n - 1;
@@ -202,8 +223,9 @@ class StreamCursor {
     return i;
   }
 
-  /// Verbatim TraceCursor::finish_time_s over the fully generated trace,
-  /// used for the wrap (slow) path and the rare FP-residue fallback.
+  /// CapacityTrace::finish_time_s's expression sequence over the fully
+  /// generated trace, used for the wrap (slow) path, the end of a trace
+  /// that does not loop, and the rare FP-residue fallback.
   double finish_slow(double pos, double cycles_done, double bits,
                      double bp_at_pos) {
     constexpr double kInf = std::numeric_limits<double>::infinity();
@@ -213,16 +235,16 @@ class StreamCursor {
     const double avail0 = cycle_bits - bp_at_pos;
     bool wrapped = false;
     if (avail0 < remaining) {
+      if (!s_->loops || cycle_bits <= 0.0) {
+        // The rest of the trace cannot carry the download: give up before
+        // the walk, which the second query counted would have begun.
+        --queries_;
+        return kInf;
+      }
       wrapped = true;
       remaining -= avail0;
       cycles_done += 1.0;
       pos = 0.0;
-      if (cycle_bits <= 0.0) {
-        // A link that is always down: the scalar path gives up before its
-        // walk seek, so only the first of the two queries counted happened.
-        --queries_;
-        return kInf;
-      }
       const double whole = std::floor(remaining / cycle_bits);
       if (whole > 0.0 && whole * cycle_bits < remaining) {
         cycles_done += whole;
@@ -232,10 +254,9 @@ class StreamCursor {
         remaining -= (whole - 1.0) * cycle_bits;
       }
     }
-    // The scalar path re-seeks here (its walk seek). On the wrap path that
-    // is a real second seek at pos == 0 whose rewind predicate fires
-    // whenever the hint segment starts after 0; otherwise (FP-residue
-    // fallback) the first seek already counted both queries.
+    // The walk's query: on the wrap path a real seek at pos == 0 whose
+    // rewind predicate fires whenever the hint segment starts after 0;
+    // otherwise (FP-residue fallback) the first seek already found it.
     std::size_t idx = wrapped ? seek(pos) : bsearch(pos);
     const double* tp = s_->tp;
     double t = pos;
@@ -253,6 +274,7 @@ class StreamCursor {
       t = seg_end;
       ++idx;
       if (idx == s_->n) {
+        if (!s_->loops) return kInf;
         idx = 0;
         t = 0.0;
         cycles_done += 1.0;

@@ -7,10 +7,10 @@
 // (each slot is touched by one thread at a time, so there is never
 // contention) and summed into a single snapshot when the harness exits.
 //
-// Instrumentation sites (sim/player.cpp, net/trace_cursor.cpp,
-// media/chunk_table.cpp, runtime/thread_pool.cpp) do not receive a registry
-// pointer -- their signatures are hot-path API and must not grow. Instead a
-// thread-local pointer is bound around each unit of work
+// Instrumentation sites (sim/simulate.hpp, which also flushes the trace
+// cursor's tallies, media/chunk_table.cpp, runtime/thread_pool.cpp) do not
+// receive a registry pointer -- their signatures are hot-path API and must
+// not grow. Instead a thread-local pointer is bound around each unit of work
 // (obs::SlotBinding); counting with no binding in place is a single
 // predictable branch and no store, which is what keeps observability
 // compiled-in but free when disabled: bit-identical results and zero
@@ -44,9 +44,9 @@ enum class Counter : std::size_t {
   kOffPeriods,            ///< ON-OFF idle waits (buffer full)
   kReservoirMemoHits,     ///< ChunkTable::window_sums served from the memo
   kReservoirMemoBuilds,   ///< ChunkTable::window_sums table builds
-  kCursorQueries,         ///< TraceCursor segment lookups
+  kCursorQueries,         ///< StreamCursor segment lookups
   kCursorRewinds,         ///< lookups that fell back to binary search
-  kPoolLoops,             ///< parallel_for participations (per thread)
+  kPoolLoops,             ///< pool loop participations (per thread)
   kPoolChunksClaimed,     ///< grain-sized index chunks claimed
   kSeqBatches,            ///< sequential-engine rounds (batches) run
   kSeqSessions,           ///< sessions the sequential engine simulated

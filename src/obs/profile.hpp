@@ -1,7 +1,7 @@
 // Wall-clock phase/scope profiling exported as Chrome trace-event JSON.
 //
 // The profiler answers "where does run_ab_test spend its time, per
-// thread?": ThreadPool workers record their parallel_for participations,
+// thread?": ThreadPool workers record their loop participations,
 // the SessionExecutor records its map and fold phases, and the harness
 // records its setup. Events land in per-slot buffers (one owner thread at
 // a time, no locking) and are merged into a single

@@ -283,24 +283,6 @@ std::size_t ThreadPool::default_window(std::size_t grain) const {
   return kClaimsInFlightPerThread * size() * std::max<std::size_t>(grain, 1);
 }
 
-void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
-                              std::size_t grain, const Body& body) {
-  BBA_ASSERT(body != nullptr, "parallel_for requires a body");
-  const SlotBody slot_body = [&body](std::size_t i, std::size_t) {
-    body(i);
-  };
-  parallel_for_slots(begin, end, grain, slot_body);
-}
-
-void ThreadPool::parallel_for_slots(std::size_t begin, std::size_t end,
-                                    std::size_t grain, const SlotBody& body) {
-  BBA_ASSERT(body != nullptr, "parallel_for_slots requires a body");
-  if (end <= begin) return;
-  if (grain == 0) grain = default_grain(end - begin);
-  parallel_for_ordered(begin, end, grain, default_window(grain), body,
-                       nullptr);
-}
-
 void ThreadPool::parallel_for_ordered(std::size_t begin, std::size_t end,
                                       std::size_t grain, std::size_t window,
                                       const SlotBody& body,

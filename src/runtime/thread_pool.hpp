@@ -24,7 +24,6 @@ namespace bba::runtime {
 /// path) -- the reference sequential schedule.
 class ThreadPool {
  public:
-  using Body = std::function<void(std::size_t)>;
   using SlotBody = std::function<void(std::size_t, std::size_t)>;
   /// Receives [first, last), the next finished indices, on the caller.
   using Drain = std::function<void(std::size_t, std::size_t)>;
@@ -40,31 +39,20 @@ class ThreadPool {
   /// Number of threads that execute loop bodies (workers + caller, >= 1).
   std::size_t size() const { return workers_.size() + 1; }
 
-  /// Runs body(i) exactly once for every i in [begin, end). Chunks of
-  /// `grain` consecutive indices are claimed dynamically; the calling
-  /// thread participates and the call returns only when every index has
-  /// been executed. grain == 0 picks a default. If any body invocation
-  /// throws, no further chunk is claimed and the exception of the lowest
-  /// failing index is rethrown on the calling thread; the pool stays
-  /// usable.
-  void parallel_for(std::size_t begin, std::size_t end, std::size_t grain,
-                    const Body& body);
-
-  /// Like parallel_for, but body(i, slot) also receives the executing
-  /// thread's stable slot index in [0, size()): the caller is slot 0,
-  /// worker k is slot k+1. No two body invocations run concurrently with
-  /// the same slot, so slot-indexed scratch storage needs no locking.
-  /// Which indices land on which slot is schedule-dependent; the
-  /// determinism contract (docs/runtime.md) is unchanged.
-  void parallel_for_slots(std::size_t begin, std::size_t end,
-                          std::size_t grain, const SlotBody& body);
-
-  /// The streaming loop behind both of the above and SessionExecutor.
-  /// Runs body(i, slot) once for every i in [begin, end) on any thread,
-  /// and calls *drain(first, last) on the calling thread for consecutive
-  /// ranges that cover [begin, end) in ascending order, each as soon as
-  /// body has returned for every index up to `last`. The caller alternates
-  /// its own chunks with these drains.
+  /// The pool's one loop, behind SessionExecutor. Runs body(i, slot) once
+  /// for every i in [begin, end) on any thread, and calls
+  /// *drain(first, last) on the calling thread for consecutive ranges that
+  /// cover [begin, end) in ascending order, each as soon as body has
+  /// returned for every index up to `last`. The caller alternates its own
+  /// chunks with these drains and returns only when every index has been
+  /// executed.
+  ///
+  /// `slot` is the executing thread's stable index in [0, size()): the
+  /// caller is slot 0, worker k is slot k+1. No two body invocations run
+  /// concurrently with the same slot, so slot-indexed scratch storage
+  /// needs no locking. Which indices land on which slot is
+  /// schedule-dependent; the determinism contract (docs/runtime.md) is
+  /// unchanged.
   ///
   /// Indices are claimed in ascending order, in chunks of
   /// min(grain, window) indices (both >= 1; the last chunk may be

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <limits>
 
-#include "net/trace_cursor.hpp"
+#include "net/trace_stream.hpp"
 #include "sim/simulate.hpp"
 #include "util/assert.hpp"
 
@@ -13,7 +13,12 @@ void simulate_session(const media::Video& video,
                       const net::CapacityTrace& trace,
                       abr::RateAdaptation& abr, const PlayerConfig& config,
                       SessionSink& sink) {
-  simulate(video, net::TraceCursor(trace), abr, config, sink);
+  // One stream per thread, reused: its buffers grow to the longest trace
+  // the thread plays and are never freed, so steady-state sessions copy
+  // the trace without allocating.
+  thread_local net::TraceStream stream;
+  stream.assign(trace);
+  simulate(video, net::StreamCursor(stream), abr, config, sink);
 }
 
 SessionResult simulate_session(const media::Video& video,
@@ -41,6 +46,11 @@ SessionResult simulate_session_with_seeks(const media::Video& video,
                                           abr::RateAdaptation& abr,
                                           const std::vector<Seek>& seeks,
                                           const PlayerConfig& config) {
+  BBA_ASSERT(std::is_sorted(seeks.begin(), seeks.end(),
+                            [](const Seek& a, const Seek& b) {
+                              return a.after_watched_s < b.after_watched_s;
+                            }),
+             "seeks must be ordered by after_watched_s");
   const double V = video.chunk_duration_s();
   SessionResult total;
   total.chunk_duration_s = V;
@@ -55,9 +65,6 @@ SessionResult simulate_session_with_seeks(const media::Video& video,
                                    ? std::min(seeks[i].after_watched_s,
                                               config.watch_duration_s)
                                    : config.watch_duration_s;
-    BBA_ASSERT(i == 0 || seeks[i - 1].after_watched_s <= segment_end ||
-                   i == seeks.size(),
-               "seeks must be ordered by after_watched_s");
     const double segment_watch = segment_end - watched;
     if (segment_watch > 0.0) {
       PlayerConfig sub = config;
@@ -88,6 +95,12 @@ SessionResult simulate_session_with_seeks(const media::Video& video,
       wall = part.wall_s;
       total.abandoned = part.abandoned;
       if (part.abandoned) break;
+      // The segment ran out of title before its watch ended (the player
+      // caps the watch at the same product): the viewing is over, and the
+      // viewer never reaches a later seek.
+      const double title_left_s =
+          V * static_cast<double>(video.num_chunks() - segment_start);
+      if (title_left_s < segment_watch) break;
     }
     if (i < seeks.size()) {
       const auto target = static_cast<std::size_t>(

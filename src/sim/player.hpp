@@ -75,13 +75,15 @@ struct PlayerConfig {
 
 /// Runs one session of `video` over `trace` with `abr` choosing rates,
 /// emitting every event to `sink` (sim/session_sink.hpp). The ABR is
-/// reset() at session start. Deterministic: no internal randomness. With a
-/// reusable sink it performs no heap allocation. It is the virtual-dispatch
-/// instantiation of the session player template (sim/simulate.hpp) over a
-/// net::TraceCursor, which reads any trace -- a user CSV, a non-looping
-/// test trace. The A/B harness does not come here: it names the ABR's
-/// exact type and the sink's and reads every trace through a
-/// net::StreamCursor (exp/block.cpp).
+/// reset() at session start. Deterministic: no internal randomness. It is
+/// the virtual-dispatch instantiation of the session player template
+/// (sim/simulate.hpp) over net::StreamCursor, the reader the A/B harness
+/// uses: the trace -- a user CSV, a non-looping test trace, anything -- is
+/// copied into a per-thread TraceStream, so with a reusable sink it
+/// performs no heap allocation once that stream has grown to the longest
+/// trace the thread plays. Not reentrant on one thread: an ABR or sink
+/// must not call it from inside a session. The A/B harness does not come
+/// here: it names the ABR's exact type and the sink's (exp/block.cpp).
 void simulate_session(const media::Video& video,
                       const net::CapacityTrace& trace,
                       abr::RateAdaptation& abr, const PlayerConfig& config,
@@ -108,7 +110,8 @@ struct Seek {
 /// (fresh buffer, reset ABR) starting at the seek target; results are
 /// concatenated with monotone wall-clock times. `config.watch_duration_s`
 /// is the total content watched across all segments. Seeks must be ordered
-/// by `after_watched_s`.
+/// by `after_watched_s`. A segment that reaches the end of the title ends
+/// the viewing: later seeks are not applied.
 SessionResult simulate_session_with_seeks(const media::Video& video,
                                           const net::CapacityTrace& trace,
                                           abr::RateAdaptation& abr,

@@ -13,9 +13,10 @@
 //    ABRs whose dynamic type the caller cannot name. A policy that also
 //    has on_session_end() gets it once, after the last decision.
 //  - Source integrates the capacity trace: net::StreamCursor over a
-//    TraceStream, lazily generated or assigned a materialized looping
-//    trace (the A/B harness, every session), or net::TraceCursor over any
-//    CapacityTrace (the public simulate_session). It provides
+//    TraceStream, lazily generated or assigned a materialized trace (the
+//    A/B harness, every session; the public simulate_session, any trace).
+//    Tests and benches also pass net::SearchSource, CapacityTrace's own
+//    binary search, as the independent reference. It provides
 //    finish_time_s, rate_at_bps (TCP model), queries/rewinds (obs
 //    tallies), and cycle_duration_s/loops (fault attribution).
 //  - Sink receives the events: the final StreamingMetricsSink takes each

@@ -1,17 +1,18 @@
-// TraceCursor vs CapacityTrace bit-for-bit equivalence, StreamCursor vs
-// TraceCursor equivalence (answers and query/rewind tallies, over lazy and
-// assigned streams), segment_index_at edge cases, finish_time_s corner
-// cases, and the allocation-free trace rebuild path (make_*_into +
-// CapacityTrace::assign).
+// StreamCursor, the player's one trace reader, against CapacityTrace's own
+// binary search: bit-identical answers over lazy and assigned streams,
+// looping or not, and query/rewind tallies against recorded constants.
+// Also segment_index_at edge cases, finish_time_s corner cases, and the
+// allocation-free trace rebuild path (make_*_into + CapacityTrace::assign).
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <ostream>
 #include <vector>
 
 #include "net/capacity_trace.hpp"
 #include "net/tcp_model.hpp"
-#include "net/trace_cursor.hpp"
 #include "net/trace_gen.hpp"
 #include "net/trace_stream.hpp"
 #include "util/rng.hpp"
@@ -104,105 +105,38 @@ std::vector<CapacityTrace> test_traces() {
   return traces;
 }
 
-TEST(TraceCursor, MonotoneQueryStreamIsBitIdentical) {
-  for (const CapacityTrace& t : test_traces()) {
-    TraceCursor cursor(t);
-    util::Rng rng(7);
-    double now = 0.0;
-    for (int i = 0; i < 400; ++i) {
-      now += rng.uniform(0.0, t.cycle_duration_s() * 0.2);
-      switch (i % 4) {
-        case 0:
-          EXPECT_EQ(cursor.rate_at_bps(now), t.rate_at_bps(now));
-          break;
-        case 1: {
-          const double bits = rng.uniform(0.0, 1e7);
-          EXPECT_EQ(cursor.finish_time_s(now, bits),
-                    t.finish_time_s(now, bits));
-          break;
-        }
-        case 2: {
-          const double t1 = now + rng.uniform(0.0, 30.0);
-          EXPECT_EQ(cursor.bits_between(now, t1), t.bits_between(now, t1));
-          break;
-        }
-        default: {
-          const double t1 = now + rng.uniform(0.0, 30.0);
-          EXPECT_EQ(cursor.average_bps(now, t1), t.average_bps(now, t1));
-          break;
-        }
-      }
-    }
-  }
+// --- StreamCursor against CapacityTrace -----------------------------------
+//
+// Every query stream below checks each answer against the trace's own
+// method, then appends the cursor's query/rewind tallies to a list that
+// the test compares with recorded constants. The constants were recorded
+// by running the identical query streams through the hinted cursor over
+// CapacityTrace that served the public player before StreamCursor did
+// (net/trace_cursor.cpp, on the commit before its removal). The tallies
+// feed the kCursorQueries/kCursorRewinds counters that tool outputs pin,
+// so they must not drift.
+
+struct Tally {
+  std::uint64_t queries = 0;
+  std::uint64_t rewinds = 0;
+  bool operator==(const Tally&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const Tally& t) {
+  return os << "{" << t.queries << ", " << t.rewinds << "}";
 }
 
-TEST(TraceCursor, RandomRewindingStreamIsBitIdentical) {
-  for (const CapacityTrace& t : test_traces()) {
-    TraceCursor cursor(t);
-    util::Rng rng(21);
-    for (int i = 0; i < 400; ++i) {
-      // Uniform over several cycles: successive queries rewind about half
-      // the time, exercising the binary-search fallback.
-      const double now = rng.uniform(0.0, t.cycle_duration_s() * 3.0);
-      const double bits = rng.uniform(0.0, 1e7);
-      EXPECT_EQ(cursor.rate_at_bps(now), t.rate_at_bps(now));
-      EXPECT_EQ(cursor.finish_time_s(now, bits), t.finish_time_s(now, bits));
-    }
-  }
+Tally tally_of(const StreamCursor& cursor) {
+  return {cursor.queries(), cursor.rewinds()};
 }
 
-TEST(TraceCursor, CornerTimesAreBitIdentical) {
-  for (const CapacityTrace& t : test_traces()) {
-    TraceCursor cursor(t);
-    const double cycle = t.cycle_duration_s();
-    std::vector<double> times = {0.0, cycle, cycle * 2.0, cycle * 0.5};
-    for (std::size_t i = 0; i < t.time_prefix().size(); ++i) {
-      times.push_back(t.time_prefix()[i]);  // every segment boundary
-    }
-    for (const double at : times) {
-      EXPECT_EQ(cursor.rate_at_bps(at), t.rate_at_bps(at));
-      EXPECT_EQ(cursor.finish_time_s(at, 12345.0),
-                t.finish_time_s(at, 12345.0));
-      EXPECT_EQ(cursor.finish_time_s(at, t.cycle_bits()),
-                t.finish_time_s(at, t.cycle_bits()));
-      EXPECT_EQ(cursor.bits_between(at, at + cycle),
-                t.bits_between(at, at + cycle));
-    }
-  }
-}
-
-TEST(TraceCursor, TcpModelOverloadIsBitIdentical) {
-  util::Rng rng(31);
-  MarkovTraceConfig cfg;
-  cfg.duration_s = 600.0;
-  const CapacityTrace t = make_markov_trace(cfg, rng);
-  const TcpModelConfig tcp_cfg;
-  const TcpDownloadModel model(tcp_cfg);
-  TraceCursor cursor(t);
-  double now = 0.0;
-  double prev_finish = -1.0;
-  for (int i = 0; i < 200; ++i) {
-    const double bits = rng.uniform(1e5, 2e7);
-    const double idle = prev_finish < 0.0
-                            ? std::numeric_limits<double>::infinity()
-                            : now - prev_finish;
-    const double via_trace = model.finish_time_s(t, now, bits, idle);
-    const double via_cursor = model.finish_time_s(cursor, now, bits, idle);
-    EXPECT_EQ(via_cursor, via_trace);
-    prev_finish = via_trace;
-    now = via_trace + (i % 3 == 0 ? rng.uniform(0.0, 5.0) : 0.0);
-  }
-}
-
-// --- StreamCursor: the A/B harness's reader, against TraceCursor -----------
-
-// A query stream: monotone (each query starts where the last finished,
-// sometimes after an idle gap, as a session's downloads do) or rewinding
-// (uniform over several cycles). Both mix rate_at_bps with finish_time_s
-// calls large enough to wrap the cycle, and the occasional zero-bit call.
-void expect_streams_agree(StreamCursor& stream, const CapacityTrace& trace,
-                          std::uint64_t seed, bool rewinding) {
-  TraceCursor cursor(trace);
+// A session-like query stream: monotone (each query starts where the last
+// finished, sometimes after an idle gap, as a session's downloads do) or
+// rewinding (uniform over several cycles). Both mix rate_at_bps with
+// finish_time_s calls large enough to wrap the cycle, and the occasional
+// zero-bit call.
+Tally session_stream(StreamCursor& stream, const CapacityTrace& trace,
+                     std::uint64_t seed, bool rewinding) {
   util::Rng rng(seed);
   const double cycle = trace.cycle_duration_s();
   double now = 0.0;
@@ -213,20 +147,91 @@ void expect_streams_agree(StreamCursor& stream, const CapacityTrace& trace,
       now += rng.uniform(0.0, cycle * 0.05);
     }
     if (i % 4 == 0) {
-      EXPECT_EQ(stream.rate_at_bps(now), cursor.rate_at_bps(now)) << i;
+      EXPECT_EQ(stream.rate_at_bps(now), trace.rate_at_bps(now)) << i;
       continue;
     }
     const double wrap_bits = rng.uniform(1.0, 3.0) * trace.cycle_bits();
     const double bits = i % 17 == 0   ? 0.0
                         : i % 13 == 0 ? wrap_bits
                                       : rng.uniform(0.0, 2e7);
-    const double got = stream.finish_time_s(now, bits);
-    const double want = cursor.finish_time_s(now, bits);
-    EXPECT_EQ(got, want) << i;
+    const double want = trace.finish_time_s(now, bits);
+    EXPECT_EQ(stream.finish_time_s(now, bits), want) << i;
     if (!rewinding && std::isfinite(want)) now = want;
   }
-  EXPECT_EQ(stream.queries(), cursor.queries());
-  EXPECT_EQ(stream.rewinds(), cursor.rewinds());
+  return tally_of(stream);
+}
+
+// Monotone query times with gaps of up to a fifth of a cycle, alternating
+// rates and downloads of up to 1e7 bits.
+Tally gapped_stream(StreamCursor& stream, const CapacityTrace& trace) {
+  util::Rng rng(7);
+  double now = 0.0;
+  for (int i = 0; i < 400; ++i) {
+    now += rng.uniform(0.0, trace.cycle_duration_s() * 0.2);
+    if (i % 2 == 0) {
+      EXPECT_EQ(stream.rate_at_bps(now), trace.rate_at_bps(now)) << i;
+    } else {
+      const double bits = rng.uniform(0.0, 1e7);
+      EXPECT_EQ(stream.finish_time_s(now, bits),
+                trace.finish_time_s(now, bits))
+          << i;
+    }
+  }
+  return tally_of(stream);
+}
+
+// Uniform over three cycles: successive queries rewind about half the
+// time, exercising the binary-search fallback.
+Tally random_stream(StreamCursor& stream, const CapacityTrace& trace) {
+  util::Rng rng(21);
+  for (int i = 0; i < 400; ++i) {
+    const double now = rng.uniform(0.0, trace.cycle_duration_s() * 3.0);
+    const double bits = rng.uniform(0.0, 1e7);
+    EXPECT_EQ(stream.rate_at_bps(now), trace.rate_at_bps(now)) << i;
+    EXPECT_EQ(stream.finish_time_s(now, bits), trace.finish_time_s(now, bits))
+        << i;
+  }
+  return tally_of(stream);
+}
+
+// Cycle multiples, mid-cycle and every segment boundary, each with a
+// small download and one of exactly a cycle's bits.
+Tally corner_stream(StreamCursor& stream, const CapacityTrace& trace) {
+  const double cycle = trace.cycle_duration_s();
+  std::vector<double> times = {0.0, cycle, cycle * 2.0, cycle * 0.5};
+  times.insert(times.end(), trace.time_prefix().begin(),
+               trace.time_prefix().end());
+  for (const double at : times) {
+    EXPECT_EQ(stream.rate_at_bps(at), trace.rate_at_bps(at)) << at;
+    EXPECT_EQ(stream.finish_time_s(at, 12345.0),
+              trace.finish_time_s(at, 12345.0))
+        << at;
+    EXPECT_EQ(stream.finish_time_s(at, trace.cycle_bits()),
+              trace.finish_time_s(at, trace.cycle_bits()))
+        << at;
+  }
+  return tally_of(stream);
+}
+
+// The TCP slow-start model's probes and integration, through the cursor
+// overload and the trace overload.
+Tally tcp_stream(StreamCursor& stream, const CapacityTrace& trace) {
+  util::Rng rng(31);
+  const TcpDownloadModel model{TcpModelConfig{}};
+  double now = 0.0;
+  double prev_finish = -1.0;
+  for (int i = 0; i < 200; ++i) {
+    const double bits = rng.uniform(1e5, 2e7);
+    const double idle = prev_finish < 0.0
+                            ? std::numeric_limits<double>::infinity()
+                            : now - prev_finish;
+    const double via_trace = model.finish_time_s(trace, now, bits, idle);
+    EXPECT_EQ(model.finish_time_s(stream, now, bits, idle), via_trace) << i;
+    if (!std::isfinite(via_trace)) break;
+    prev_finish = via_trace;
+    now = via_trace + (i % 3 == 0 ? rng.uniform(0.0, 5.0) : 0.0);
+  }
+  return tally_of(stream);
 }
 
 MarkovTraceConfig stream_test_config() {
@@ -236,7 +241,11 @@ MarkovTraceConfig stream_test_config() {
 }
 
 TEST(StreamCursor, LazyStreamMatchesTraceCursor) {
+  const std::vector<Tally> want = {
+      {996, 38}, {996, 36}, {996, 42}, {996, 38}, {996, 42}, {996, 41},
+      {996, 311}, {996, 309}, {996, 317}, {996, 309}, {996, 321}, {996, 308}};
   const MarkovTraceConfig cfg = stream_test_config();
+  std::vector<Tally> got;
   for (const bool rewinding : {false, true}) {
     for (std::uint64_t seed = 1; seed <= 6; ++seed) {
       util::Rng gen(seed);
@@ -244,16 +253,37 @@ TEST(StreamCursor, LazyStreamMatchesTraceCursor) {
       TraceStream lazy;
       lazy.reset(cfg, util::Rng(seed));
       StreamCursor stream(lazy);
-      expect_streams_agree(stream, trace, seed + 100, rewinding);
+      got.push_back(session_stream(stream, trace, seed + 100, rewinding));
     }
   }
+  EXPECT_EQ(got, want);
 }
 
 TEST(StreamCursor, AssignedTracesMatchTraceCursor) {
-  // Outage traces (the harness's materialized keys) and hand-built traces
-  // with zero-rate segments, including a zero-rate head and a link that is
-  // always down.
-  std::vector<CapacityTrace> traces;
+  // One line per trace: monotone and rewinding session streams, then the
+  // gapped, random and corner streams. Last, the TCP stream over a looping
+  // trace and over the same segments ending.
+  const std::vector<Tally> want = {
+      {996, 0}, {996, 0}, {600, 0}, {1200, 0}, {30, 0},
+      {996, 315}, {996, 398}, {600, 190}, {1200, 346}, {35, 6},
+      {996, 375}, {996, 679}, {600, 287}, {1200, 505}, {40, 14},
+      {132, 0}, {194, 43}, {9, 0}, {270, 41}, {14, 1},
+      {996, 36}, {996, 313}, {600, 41}, {1200, 188}, {315, 60},
+      {996, 37}, {996, 325}, {600, 41}, {1200, 188}, {365, 79},
+      {996, 39}, {996, 309}, {600, 46}, {1200, 191}, {430, 101},
+      {996, 41}, {996, 317}, {600, 46}, {1200, 192}, {425, 90},
+      {996, 39}, {996, 315}, {600, 42}, {1200, 195}, {435, 101},
+      {996, 43}, {996, 303}, {600, 43}, {1200, 191}, {355, 73},
+      {996, 422}, {996, 451}, {600, 218}, {1200, 399}, {35, 12},
+      {996, 11}, {996, 244}, {600, 121}, {1200, 186}, {35, 4},
+      {126, 0}, {188, 48}, {9, 0}, {270, 41}, {14, 1},
+      {540, 0}, {540, 0}, {400, 0}, {800, 0}, {12, 0},
+      {565, 1}, {419, 0}};
+  // Outage traces (the harness's materialized keys), the corner-case
+  // battery with its non-looping trace, and hand-built traces with
+  // zero-rate segments, including a zero-rate head, a zero-rate tail and
+  // a link that is always down.
+  std::vector<CapacityTrace> traces = test_traces();
   const MarkovTraceConfig cfg = stream_test_config();
   OutageConfig outages;
   outages.mean_interval_s = 120.0;
@@ -262,53 +292,158 @@ TEST(StreamCursor, AssignedTracesMatchTraceCursor) {
     const CapacityTrace base = make_markov_trace(cfg, gen);
     traces.push_back(with_outages(base, outages, gen));
   }
-  traces.push_back(CapacityTrace::constant(2e6));
-  traces.push_back(CapacityTrace({{10.0, 100.0}, {30.0, 0.0}, {5.0, 1e6}}));
   traces.push_back(CapacityTrace({{30.0, 0.0}, {10.0, 100.0}}));
+  traces.push_back(CapacityTrace({{10.0, 100.0}, {10.0, 0.0}}));
+  traces.push_back(CapacityTrace({{10.0, 100.0}, {10.0, 0.0}},
+                                 /*loop=*/false));
   traces.push_back(CapacityTrace({{10.0, 0.0}}));
   TraceStream assigned;
-  for (const bool rewinding : {false, true}) {
-    for (std::size_t i = 0; i < traces.size(); ++i) {
-      SCOPED_TRACE(testing::Message() << "trace " << i);
-      assigned.assign(traces[i]);
+  std::vector<Tally> got;
+  for (std::size_t i = 0; i < traces.size(); ++i) {
+    SCOPED_TRACE(testing::Message() << "trace " << i);
+    const CapacityTrace& trace = traces[i];
+    assigned.assign(trace);
+    for (const bool rewinding : {false, true}) {
       StreamCursor stream(assigned);
-      EXPECT_EQ(stream.cycle_duration_s(), traces[i].cycle_duration_s());
-      expect_streams_agree(stream, traces[i], i + 200, rewinding);
+      EXPECT_EQ(stream.cycle_duration_s(), trace.cycle_duration_s());
+      EXPECT_EQ(stream.loops(), trace.loops());
+      got.push_back(session_stream(stream, trace, i + 200, rewinding));
     }
+    StreamCursor gapped(assigned);
+    got.push_back(gapped_stream(gapped, trace));
+    StreamCursor random(assigned);
+    got.push_back(random_stream(random, trace));
+    StreamCursor corners(assigned);
+    got.push_back(corner_stream(corners, trace));
   }
+  util::Rng gen(31);
+  MarkovTraceConfig tcp_cfg;
+  tcp_cfg.duration_s = 600.0;
+  const CapacityTrace tcp_trace = make_markov_trace(tcp_cfg, gen);
+  for (const bool loop : {true, false}) {
+    const CapacityTrace trace(tcp_trace.segments(), loop);
+    assigned.assign(trace);
+    StreamCursor tcp(assigned);
+    got.push_back(tcp_stream(tcp, trace));
+  }
+  EXPECT_EQ(got, want);
+}
+
+TEST(StreamCursor, NonLoopingEndMatchesTrace) {
+  // Each step: the answer equals the trace's, and the tallies grow by the
+  // rule on StreamCursor (and as recorded).
+  TraceStream assigned;
+  auto expect_step = [](StreamCursor& c, double got, double want,
+                        Tally before, std::uint64_t queries) {
+    EXPECT_EQ(got, want);
+    EXPECT_EQ(c.queries(), before.queries + queries);
+  };
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+
+  const CapacityTrace once({{10.0, 100.0}, {10.0, 300.0}}, /*loop=*/false);
+  assigned.assign(once);
+  StreamCursor c(assigned);
+  ASSERT_FALSE(c.loops());
+  // A download that the trace carries exactly to its end.
+  expect_step(c, c.finish_time_s(0.0, 4000.0), 20.0, Tally{}, 2);
+  // Starts exactly at and after the end: no lookup at all.
+  Tally t = tally_of(c);
+  expect_step(c, c.finish_time_s(20.0, 1.0), kInf, t, 0);
+  expect_step(c, c.finish_time_s(25.0, 1.0), kInf, t, 0);
+  expect_step(c, c.rate_at_bps(20.0), 0.0, t, 0);
+  expect_step(c, c.rate_at_bps(25.0), 0.0, t, 0);
+  // Exhausted: the rest of the trace cannot carry the download.
+  expect_step(c, c.finish_time_s(15.0, 1501.0), kInf, t, 1);
+  t = tally_of(c);
+  expect_step(c, c.finish_time_s(0.0, 4000.0 + 1e-9), kInf, t, 1);
+  t = tally_of(c);
+  expect_step(c, c.finish_time_s(15.0, 1500.0), 20.0, t, 2);
+  EXPECT_EQ(tally_of(c), (Tally{6, 1}));
+
+  // FP residue: the bits left after 0.12 s are exactly what the prefix
+  // table says the trace still carries, but the walk's per-segment sum
+  // falls short by an ulp, so the trace runs out mid-walk.
+  const CapacityTrace residue({{7.5, 46.4}, {3.1, 32.9}}, /*loop=*/false);
+  const double bits = residue.cycle_bits() - residue.bits_between(0.0, 0.12);
+  ASSERT_TRUE(std::isinf(residue.finish_time_s(0.12, bits)));
+  assigned.assign(residue);
+  StreamCursor r(assigned);
+  expect_step(r, r.finish_time_s(0.12, bits), kInf, Tally{}, 2);
+  EXPECT_EQ(tally_of(r), (Tally{2, 0}));
+  // Looping, the same walk wraps into the next cycle and finishes.
+  const CapacityTrace residue_loop(residue.segments(), /*loop=*/true);
+  assigned.assign(residue_loop);
+  StreamCursor rl(assigned);
+  const double wrapped = residue_loop.finish_time_s(0.12, bits);
+  EXPECT_TRUE(std::isfinite(wrapped));
+  expect_step(rl, rl.finish_time_s(0.12, bits), wrapped, Tally{}, 2);
+
+  // A zero-rate tail: downloads that reach into it never finish.
+  const CapacityTrace tail({{10.0, 100.0}, {10.0, 0.0}}, /*loop=*/false);
+  assigned.assign(tail);
+  StreamCursor z(assigned);
+  expect_step(z, z.finish_time_s(0.0, 1000.0), 10.0, Tally{}, 2);
+  t = tally_of(z);
+  expect_step(z, z.finish_time_s(5.0, 600.0), kInf, t, 1);
+  t = tally_of(z);
+  expect_step(z, z.finish_time_s(12.0, 1.0), kInf, t, 1);
+  t = tally_of(z);
+  expect_step(z, z.rate_at_bps(15.0), 0.0, t, 1);
+  EXPECT_EQ(tally_of(z), (Tally{5, 0}));
 }
 
 TEST(StreamCursor, OneStreamReusedLazyAssignedLazy) {
+  const std::vector<Tally> want = {
+      {996, 40}, {996, 309}, {126, 0},
+      {996, 39}, {996, 322}, {136, 0},
+      {996, 41}, {996, 313}, {126, 0},
+      {996, 302}};
   // The harness's per-slot stream serves lazy and materialized keys in any
-  // order; nothing may leak from one key into the next.
+  // order, and the public player's per-thread stream any trace; nothing
+  // may leak from one key into the next.
   const MarkovTraceConfig cfg = stream_test_config();
   OutageConfig outages;
   outages.mean_interval_s = 90.0;
   TraceStream reused;
+  std::vector<Tally> got;
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
     util::Rng gen(seed);
     const CapacityTrace plain = make_markov_trace(cfg, gen);
     reused.reset(cfg, util::Rng(seed));
     StreamCursor lazy(reused);
-    expect_streams_agree(lazy, plain, seed, false);
+    got.push_back(session_stream(lazy, plain, seed, false));
 
     const CapacityTrace outage = with_outages(plain, outages, gen);
     reused.assign(outage);
     StreamCursor assigned(reused);
-    expect_streams_agree(assigned, outage, seed, true);
+    got.push_back(session_stream(assigned, outage, seed, true));
+
+    const CapacityTrace once(outage.segments(), /*loop=*/false);
+    reused.assign(once);
+    StreamCursor ends(reused);
+    got.push_back(session_stream(ends, once, seed, false));
   }
   util::Rng gen(9);
   const CapacityTrace last = make_markov_trace(cfg, gen);
   reused.reset(cfg, util::Rng(9));
   StreamCursor lazy(reused);
-  expect_streams_agree(lazy, last, 9, true);
+  EXPECT_TRUE(lazy.loops());
+  got.push_back(session_stream(lazy, last, 9, true));
+  EXPECT_EQ(got, want);
 }
 
-TEST(StreamCursorDeathTest, AssigningANonLoopingTraceAborts) {
+TEST(TraceStreamDeathTest, ResetRejectsADegenerateConfig) {
   testing::GTEST_FLAG(death_test_style) = "threadsafe";
   TraceStream stream;
-  const CapacityTrace once({{10.0, 100.0}, {10.0, 300.0}}, /*loop=*/false);
-  EXPECT_DEATH(stream.assign(once), "looping trace");
+  MarkovTraceConfig cfg;
+  cfg.duration_s = 0.0;
+  EXPECT_DEATH(stream.reset(cfg, util::Rng(1)), "duration");
+  cfg = MarkovTraceConfig{};
+  cfg.median_bps = 0.0;
+  EXPECT_DEATH(stream.reset(cfg, util::Rng(1)), "median");
+  cfg = MarkovTraceConfig{};
+  cfg.mean_dwell_s = 0.0;
+  EXPECT_DEATH(stream.reset(cfg, util::Rng(1)), "dwell");
 }
 
 void expect_same_segments(const CapacityTrace& a, const CapacityTrace& b) {
@@ -369,7 +504,9 @@ TEST(TraceRebuild, AssignReusesOneTraceAcrossSessions) {
     reused.assign(scratch.segments, /*loop=*/true);
     expect_same_segments(fresh, reused);
     // Behave identically too, not just structurally.
-    TraceCursor cursor(reused);
+    TraceStream stream;
+    stream.assign(reused);
+    StreamCursor cursor(stream);
     EXPECT_EQ(cursor.finish_time_s(3.0, 1e6), fresh.finish_time_s(3.0, 1e6));
   }
 }

@@ -31,7 +31,7 @@
 #include "media/decision_table.hpp"
 #include "media/vbr.hpp"
 #include "media/video.hpp"
-#include "net/trace_cursor.hpp"
+#include "net/search_source.hpp"
 #include "net/trace_gen.hpp"
 #include "net/trace_stream.hpp"
 #include "sim/metrics.hpp"
@@ -293,10 +293,14 @@ TEST_P(PlayerProperties, InvariantsAndInstantiationsAgree) {
       SCOPED_TRACE(testing::Message() << "seed " << seed << " group " << group);
       std::unique_ptr<abr::RateAdaptation> abr = make_group(group);
 
-      // Recording sink + compute_metrics, with the observed buffer probed.
+      // The reference: recording sink + compute_metrics over the trace's
+      // own binary search, with the observed buffer probed.
       BufferProbe probe(*abr);
-      const sim::SessionResult r =
-          sim::simulate_session(s.video, s.trace, probe, s.cfg);
+      sim::SessionResult r;
+      sim::RecordingSink recording(&r);
+      abr::RateAdaptation& probed = probe;
+      sim::simulate(s.video, net::SearchSource{s.trace}, probed, s.cfg,
+                    recording);
       // The ON-OFF wait drains exactly the overshoot, so a full buffer
       // lands on cap up to the rounding of buffer - (buffer + V - cap) + V.
       const double cap_ulps = cap * (1.0 + 1e-12);
@@ -317,7 +321,8 @@ TEST_P(PlayerProperties, InvariantsAndInstantiationsAgree) {
       EXPECT_EQ(recorded.rebuffer_count,
                 static_cast<long long>(r.rebuffers.size()));
 
-      // Sink invariance: the streaming fold equals the recorded metrics.
+      // Sink and reader invariance: the public player's streaming fold over
+      // its StreamCursor equals the recorded metrics.
       sim::StreamingMetricsSink streaming;
       sim::simulate_session(s.video, s.trace, *abr, s.cfg, streaming);
       EXPECT_TRUE(same_bits(recorded, streaming.metrics()));
@@ -332,7 +337,7 @@ TEST_P(PlayerProperties, InvariantsAndInstantiationsAgree) {
       EXPECT_TRUE(same_bits(
           recorded, fused(*abr, s, net::StreamCursor(stream), tables)));
       EXPECT_TRUE(same_bits(
-          recorded, fused(*abr, s, net::TraceCursor(s.trace), tables)));
+          recorded, fused(*abr, s, net::SearchSource{s.trace}, tables)));
       if (!s.outages) {
         stream.reset(s.markov, s.trace_rng);
         EXPECT_TRUE(same_bits(

@@ -46,8 +46,9 @@ TEST(ThreadPool, ParallelForCoversEveryIndexExactlyOnce) {
   // execution from any thread.
   std::vector<std::atomic<int>> hits(kN);
   for (auto& h : hits) h.store(0);
-  pool.parallel_for(0, kN, /*grain=*/3,
-                    [&](std::size_t i) { hits[i].fetch_add(1); });
+  pool.parallel_for_ordered(
+      0, kN, /*grain=*/3, pool.default_window(3),
+      [&](std::size_t i, std::size_t) { hits[i].fetch_add(1); }, nullptr);
   for (std::size_t i = 0; i < kN; ++i) {
     ASSERT_EQ(hits[i].load(), 1) << "index " << i;
   }
@@ -59,8 +60,9 @@ TEST(ThreadPool, ParallelForCoversSubrangesAndSurvivesReuse) {
     const std::size_t begin = 17, end = 1017;
     std::vector<std::atomic<int>> hits(end);
     for (auto& h : hits) h.store(0);
-    pool.parallel_for(begin, end, /*grain=*/1,
-                      [&](std::size_t i) { hits[i].fetch_add(1); });
+    pool.parallel_for_ordered(
+        begin, end, /*grain=*/1, pool.default_window(1),
+        [&](std::size_t i, std::size_t) { hits[i].fetch_add(1); }, nullptr);
     long long total = 0;
     for (std::size_t i = 0; i < end; ++i) {
       ASSERT_EQ(hits[i].load(), i >= begin ? 1 : 0);
@@ -73,26 +75,34 @@ TEST(ThreadPool, ParallelForCoversSubrangesAndSurvivesReuse) {
 TEST(ThreadPool, EmptyAndDefaultGrainRanges) {
   runtime::ThreadPool pool(2);
   int calls = 0;
-  pool.parallel_for(5, 5, 0, [&](std::size_t) { ++calls; });
+  const std::size_t empty_grain = pool.default_grain(0);
+  pool.parallel_for_ordered(
+      5, 5, empty_grain, pool.default_window(empty_grain),
+      [&](std::size_t, std::size_t) { ++calls; }, nullptr);
   EXPECT_EQ(calls, 0);
   std::vector<std::atomic<int>> hits(1000);
   for (auto& h : hits) h.store(0);
-  pool.parallel_for(0, 1000, /*grain=*/0,
-                    [&](std::size_t i) { hits[i].fetch_add(1); });
+  const std::size_t grain = pool.default_grain(1000);
+  pool.parallel_for_ordered(
+      0, 1000, grain, pool.default_window(grain),
+      [&](std::size_t i, std::size_t) { hits[i].fetch_add(1); }, nullptr);
   for (auto& h : hits) ASSERT_EQ(h.load(), 1);
 }
 
 TEST(ThreadPool, ExceptionPropagatesAndPoolStaysUsable) {
   runtime::ThreadPool pool(4);
-  EXPECT_THROW(
-      pool.parallel_for(0, 1000, 1,
-                        [](std::size_t i) {
-                          if (i == 137) throw std::runtime_error("boom");
-                        }),
-      std::runtime_error);
+  EXPECT_THROW(pool.parallel_for_ordered(
+                   0, 1000, 1, pool.default_window(1),
+                   [](std::size_t i, std::size_t) {
+                     if (i == 137) throw std::runtime_error("boom");
+                   },
+                   nullptr),
+               std::runtime_error);
   // The pool must still work after a failed loop.
   std::atomic<int> count{0};
-  pool.parallel_for(0, 100, 1, [&](std::size_t) { count.fetch_add(1); });
+  pool.parallel_for_ordered(
+      0, 100, 1, pool.default_window(1),
+      [&](std::size_t, std::size_t) { count.fetch_add(1); }, nullptr);
   EXPECT_EQ(count.load(), 100);
 }
 
@@ -106,15 +116,16 @@ TEST(ThreadPool, SlotsCoverEveryIndexAndStayExclusive) {
   std::vector<std::atomic<int>> occupied(pool.size());
   for (auto& o : occupied) o.store(0);
   std::atomic<bool> violation{false};
-  pool.parallel_for_slots(0, kN, /*grain=*/3,
-                          [&](std::size_t i, std::size_t slot) {
-                            if (slot >= pool.size() ||
-                                occupied[slot].fetch_add(1) != 0) {
-                              violation.store(true);
-                            }
-                            hits[i].fetch_add(1);
-                            occupied[slot].fetch_sub(1);
-                          });
+  pool.parallel_for_ordered(
+      0, kN, /*grain=*/3, pool.default_window(3),
+      [&](std::size_t i, std::size_t slot) {
+        if (slot >= pool.size() || occupied[slot].fetch_add(1) != 0) {
+          violation.store(true);
+        }
+        hits[i].fetch_add(1);
+        occupied[slot].fetch_sub(1);
+      },
+      nullptr);
   EXPECT_FALSE(violation.load());
   for (std::size_t i = 0; i < kN; ++i) {
     ASSERT_EQ(hits[i].load(), 1) << "index " << i;
@@ -124,15 +135,18 @@ TEST(ThreadPool, SlotsCoverEveryIndexAndStayExclusive) {
 TEST(ThreadPool, InlineSlotPathUsesSlotZero) {
   runtime::ThreadPool sequential(1);
   std::vector<std::size_t> slots;
-  sequential.parallel_for_slots(
-      0, 10, 0, [&](std::size_t, std::size_t slot) { slots.push_back(slot); });
+  const std::size_t grain = sequential.default_grain(10);
+  sequential.parallel_for_ordered(
+      0, 10, grain, sequential.default_window(grain),
+      [&](std::size_t, std::size_t slot) { slots.push_back(slot); }, nullptr);
   ASSERT_EQ(slots.size(), 10u);
   for (const std::size_t s : slots) EXPECT_EQ(s, 0u);
   // Small ranges run inline on a threaded pool too.
   runtime::ThreadPool pool(4);
   std::size_t seen = 99;
-  pool.parallel_for_slots(0, 1, 10,
-                          [&](std::size_t, std::size_t slot) { seen = slot; });
+  pool.parallel_for_ordered(
+      0, 1, 10, pool.default_window(10),
+      [&](std::size_t, std::size_t slot) { seen = slot; }, nullptr);
   EXPECT_EQ(seen, 0u);
 }
 
@@ -164,7 +178,8 @@ TEST(ChunkTableMemo, ConcurrentFirstAccessIsSafeAndConsistent) {
   const media::VideoLibrary library = media::VideoLibrary::standard(3);
   runtime::ThreadPool pool(8);
   std::atomic<int> mismatches{0};
-  pool.parallel_for(0, 64, 1, [&](std::size_t i) {
+  const runtime::ThreadPool::SlotBody check = [&](std::size_t i,
+                                                  std::size_t) {
     const media::ChunkTable& table = library.at(i % library.size()).chunks();
     const std::size_t count = (i % 2 == 0) ? 120 : 30;
     const std::vector<double>& sums = table.window_sums(0, count);
@@ -173,7 +188,8 @@ TEST(ChunkTableMemo, ConcurrentFirstAccessIsSafeAndConsistent) {
     if (std::memcmp(&sums[k], &direct, sizeof(double)) != 0) {
       mismatches.fetch_add(1);
     }
-  });
+  };
+  pool.parallel_for_ordered(0, 64, 1, pool.default_window(1), check, nullptr);
   EXPECT_EQ(mismatches.load(), 0);
 }
 

@@ -1,11 +1,12 @@
 // Differential tests of the session player's static dispatch: the fused
 // instantiations the A/B harness runs -- exact-type and table-driven
 // policies, one StreamCursor over lazily generated or assigned streams,
-// the inline StreamingMetricsSink -- against the virtual simulate_session
-// over a materialized trace. A "batch" in the test names is the harness's
-// unit of work: one session key streamed by every group. Everything is compared at the byte
-// level (SessionMetrics via memcmp, the obs registry via full snapshot
-// equality) because the contract is bit-identity, not closeness.
+// the inline StreamingMetricsSink -- against the virtual player over a
+// materialized trace read by its own binary search (net::SearchSource).
+// A "batch" in the test names is the harness's unit of work: one session
+// key streamed by every group. Everything is compared at the byte level
+// (SessionMetrics via memcmp, the obs registry via full snapshot equality)
+// because the contract is bit-identity, not closeness.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -24,6 +25,7 @@
 #include "media/video.hpp"
 #include "net/capacity_trace.hpp"
 #include "net/fault_inject.hpp"
+#include "net/search_source.hpp"
 #include "net/trace_gen.hpp"
 #include "net/trace_stream.hpp"
 #include "obs/metrics.hpp"
@@ -124,13 +126,15 @@ struct Fixture {
     return library.at(c.spec.video_index);
   }
 
-  // The reference: virtual ABR, TraceCursor over the materialized trace,
-  // virtual sink.
+  // The reference: virtual ABR, the materialized trace's own binary
+  // search, virtual sink.
   sim::SessionMetrics reference(const Case& c, core::Bba2& abr,
                                 const sim::PlayerConfig& cfg) const {
     sim::StreamingMetricsSink sink;
     sim::SessionSink& virtual_sink = sink;
-    sim::simulate_session(video(c), c.trace, abr, cfg, virtual_sink);
+    abr::RateAdaptation& virtual_abr = abr;
+    sim::simulate(video(c), net::SearchSource{c.trace}, virtual_abr, cfg,
+                  virtual_sink);
     return sink.metrics();
   }
 
@@ -220,11 +224,19 @@ TEST(SimBatch, ObsRegistryDeltasMatchScalar) {
       fx_fused.fused(c, policy, stream, sink, fx_fused.config_for(c));
     }
   }
+  // The virtual side runs the public simulate_session, not the untallied
+  // reference: its StreamCursor over the assigned trace must count the
+  // same cursor queries and rewinds as the harness's lazy streams.
   obs::MetricsRegistry reg_virtual(1);
   {
     obs::SlotBinding bind(&reg_virtual, 0);
     core::Bba2 abr;
-    for (const Case& c : vc) fx_virtual.reference(c, abr, fx_virtual.config_for(c));
+    sim::StreamingMetricsSink sink;
+    sim::SessionSink& virtual_sink = sink;
+    for (const Case& c : vc) {
+      sim::simulate_session(fx_virtual.video(c), c.trace, abr,
+                            fx_virtual.config_for(c), virtual_sink);
+    }
   }
   expect_snapshots_equal(reg_fused.snapshot(), reg_virtual.snapshot());
 }
@@ -278,9 +290,9 @@ std::vector<sim::SessionMetrics> run_blocks(
   return out;
 }
 
-// The same sessions replayed one at a time through the virtual
-// simulate_session over materialized (and, with a fault plan, faulted)
-// traces.
+// The same sessions replayed one at a time through the virtual player over
+// materialized (and, with a fault plan, faulted) traces, read by their own
+// binary search.
 std::vector<sim::SessionMetrics> replay_virtual(
     const std::vector<exp::Group>& groups, const exp::AbTestConfig& cfg) {
   const media::VideoLibrary library = media::VideoLibrary::standard(5);
@@ -302,8 +314,9 @@ std::vector<sim::SessionMetrics> replay_virtual(
     }
     for (const exp::Group& g : groups) {
       std::unique_ptr<abr::RateAdaptation> abr = g.factory();
-      sim::simulate_session(library.at(spec.video_index), trace, *abr, player,
-                            sink);
+      sim::SessionSink& virtual_sink = sink;
+      sim::simulate(library.at(spec.video_index), net::SearchSource{trace},
+                    *abr, player, virtual_sink);
       out.push_back(sink.metrics());
     }
   }

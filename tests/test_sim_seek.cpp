@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "abr/baselines.hpp"
 #include "core/bba2.hpp"
@@ -137,6 +138,48 @@ TEST(Seek, SeekNearVideoEndClamps) {
       simulate_session_with_seeks(video, trace, abr, seeks, cfg);
   // Lands on the last chunk and plays it out.
   EXPECT_NEAR(r.played_s, 24.0, 1e-9);  // 20 s + the final 4 s chunk
+}
+
+std::vector<std::size_t> segment_starts(const SessionResult& r) {
+  std::vector<std::size_t> starts;
+  std::size_t prev_index = 1000000;
+  for (const auto& c : r.chunks) {
+    if (c.index != prev_index + 1) starts.push_back(c.index);
+    prev_index = c.index;
+  }
+  return starts;
+}
+
+TEST(Seek, SegmentThatRunsOutOfTitleEndsTheViewing) {
+  // 200 s title. After 40 s the viewer jumps to 190 s: that segment plays
+  // the last 12 s and runs out of title at 52 s watched, which ends the
+  // viewing. The seeks at 150 s and 300 s watched are never reached, even
+  // though the watch limit (100 s) is not used up.
+  const media::Video video = cbr(50);
+  const net::CapacityTrace trace = net::CapacityTrace::constant(mbps(10));
+  PlayerConfig cfg;
+  cfg.watch_duration_s = 100.0;
+  for (const std::vector<Seek>& seeks :
+       {std::vector<Seek>{{40.0, 190.0}, {150.0, 0.0}, {300.0, 0.0}},
+        std::vector<Seek>{{40.0, 190.0}, {150.0, 0.0}}}) {
+    abr::RMinAlways abr;
+    const SessionResult r =
+        simulate_session_with_seeks(video, trace, abr, seeks, cfg);
+    EXPECT_NEAR(r.played_s, 52.0, 1e-9);
+    EXPECT_EQ(segment_starts(r), (std::vector<std::size_t>{0, 47}));
+  }
+}
+
+TEST(SeekDeathTest, UnorderedSeeksAbort) {
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const media::Video video = cbr(300);
+  const net::CapacityTrace trace = net::CapacityTrace::constant(mbps(10));
+  abr::RMinAlways abr;
+  PlayerConfig cfg;
+  cfg.watch_duration_s = 120.0;
+  const std::vector<Seek> seeks{{80.0, 200.0}, {40.0, 600.0}};
+  EXPECT_DEATH(simulate_session_with_seeks(video, trace, abr, seeks, cfg),
+               "ordered");
 }
 
 TEST(Seek, Bba2RestartsItsStartupRampAfterSeek) {
