@@ -644,7 +644,6 @@ int main(int argc, char** argv) {
   json += buf;
   std::snprintf(buf, sizeof buf,
                 ",\"calibration\":{"
-                "\"use_trace_cursor\":true,\"cache_window_sums\":true,"
                 "\"cursor_rewind_ratio\":%.5f,\"memo_hit_ratio\":%.5f}",
                 cursor_rewind_ratio, memo_hit_ratio);
   json += buf;

@@ -64,10 +64,9 @@ void simulate_fused(abr::RateAdaptation& abr, const media::Video& video,
 
 struct SessionBlockRunner::Impl {
   // Per-thread scratch, indexed by the executor slot: the key's capacity
-  // trace is generated lazily into a reused TraceStream (or rebuilt in
-  // place when it must be materialized -- CapacityTrace::assign
-  // ping-pongs storage with the generation buffers -- and copied into
-  // the stream), metrics stream
+  // trace is generated lazily into a reused TraceStream (or, in a faulted
+  // run, rebuilt in place -- CapacityTrace::assign ping-pongs storage with
+  // the generation buffers -- and copied into the stream), metrics stream
   // through a StreamingMetricsSink (bit-identical to compute_metrics over
   // a recording), BBA decision tables are cached per title, and each
   // group's ABR instance is reused across sessions. Steady state does zero
@@ -132,29 +131,27 @@ struct SessionBlockRunner::Impl {
 
   // Derives what every group session of `key` shares, identically for the
   // counted pass and for an alert capture: the title, the player config and
-  // the slot's trace stream. Outage keys and faulted runs materialize the
-  // trace into s.trace -- outages and faults are drawn after the full
-  // Markov walk, so a lazy stream cannot know them -- and copy it into the
-  // stream. Every other key streams the kTrace substream lazily, generated
-  // once per key and shared by every group. Fault injection rides the
-  // dedicated kFaults substream: with an empty plan nothing downstream
-  // changes byte for byte.
+  // the slot's trace stream. Every key streams its kTrace substream lazily,
+  // outages spliced in as the sessions read, generated once per key and
+  // shared by every group. A faulted run materializes the trace into
+  // s.trace -- its fault plan reads the finished trace -- and copies it
+  // into the stream; kTracesMaterialized counts those keys. Fault
+  // injection rides the dedicated kFaults substream: with an empty plan
+  // nothing downstream changes byte for byte.
   const media::Video& prepare_session(SessionScratch& s, const SessionKey& key,
                                       sim::PlayerConfig& player) {
     const UserEnvironment env = population.environment_for(key);
     const SessionSpec spec = session_for(library, cfg.workload, key);
     player = cfg.player;
     player.watch_duration_s = spec.watch_duration_s;
-    const bool faulted = population.has_faults();
-    if (env.has_outages || faulted) {
+    if (population.has_faults()) {
+      obs::count(obs::Counter::kTracesMaterialized);
       population.trace_for_into(env, key, s.trace_scratch, s.trace);
-      if (faulted) {
-        population.inject_faults(key, s.fault_scratch, s.trace);
-        player.faults = &s.fault_scratch.events;
-      }
+      population.inject_faults(key, s.fault_scratch, s.trace);
+      player.faults = &s.fault_scratch.events;
       s.stream.assign(s.trace);
     } else {
-      s.stream.reset(env.trace, session_rng(key, StreamClass::kTrace));
+      population.stream_into(env, key, s.stream);
     }
     return library.at(spec.video_index);
   }
@@ -306,10 +303,10 @@ void SessionBlockRunner::Impl::capture_session(const SessionKey& key,
   // monitor's cell aggregates saw. Runs on the calling thread (slot 0),
   // with no workers active, so touching the scratch is safe.
   SessionScratch& s = scratch[0];
+  obs::SlotBinding mute(nullptr, 0);
   sim::PlayerConfig player;
   const media::Video& video = prepare_session(s, key, player);
   s.algorithms[group] = instance(s, group);
-  obs::SlotBinding mute(nullptr, 0);
   std::string lines;
   if (play_traced(s, key, group,
                   tracer->sampled(key.seed, key.day, key.window, key.session),

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "net/trace_stream.hpp"
 #include "util/assert.hpp"
 #include "util/table.hpp"
 
@@ -99,6 +100,13 @@ void Population::make_trace_into(const UserEnvironment& env, util::Rng& rng,
   } else {
     out.assign(scratch.segments, /*loop=*/true);
   }
+}
+
+void Population::stream_into(const UserEnvironment& env,
+                             const SessionKey& key,
+                             net::TraceStream& stream) const {
+  stream.reset(env.trace, session_rng(key, StreamClass::kTrace),
+               env.has_outages ? &env.outages : nullptr);
 }
 
 void Population::trace_for_into(const UserEnvironment& env,

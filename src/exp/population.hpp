@@ -19,6 +19,10 @@
 #include "net/trace_gen.hpp"
 #include "util/rng.hpp"
 
+namespace bba::net {
+struct TraceStream;
+}  // namespace bba::net
+
 namespace bba::exp {
 
 /// Number of two-hour GMT windows in a day.
@@ -150,6 +154,13 @@ class Population {
   void trace_for_into(const UserEnvironment& env, const SessionKey& key,
                       net::TraceScratch& scratch,
                       net::CapacityTrace& out) const;
+
+  /// Lazy trace_for: rebinds `stream` to the key's kTrace substream, with
+  /// the environment's outages spliced in as the stream generates. The
+  /// stream's segments equal trace_for's bit for bit. Fault plans are not
+  /// applied (they read the finished trace; see inject_faults).
+  void stream_into(const UserEnvironment& env, const SessionKey& key,
+                   net::TraceStream& stream) const;
 
   /// True when the config carries a non-empty fault plan.
   bool has_faults() const { return !cfg_.faults.empty(); }

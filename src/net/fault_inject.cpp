@@ -12,45 +12,22 @@ namespace bba::net {
 
 namespace {
 
-/// Segments at or below this duration are not emitted on their own: a
-/// fault boundary that lands (up to floating-point residue) on a segment
-/// boundary would otherwise produce a near-zero-duration segment -- the
-/// historical insert_outages bug. Sub-threshold slices are carried into
-/// the next emitted segment so total trace duration is conserved.
-constexpr double kMinSegmentS = 1e-9;
-
-class SegmentEmitter {
- public:
-  explicit SegmentEmitter(std::vector<CapacityTrace::Segment>& out)
-      : out_(out) {
-    out_.clear();
+/// SegmentEmitter output over a segment list, which it clears first.
+struct SegmentList {
+  explicit SegmentList(std::vector<CapacityTrace::Segment>& out)
+      : segments(out) {
+    segments.clear();
   }
 
-  void emit(double duration_s, double rate_bps) {
-    duration_s += carry_;
-    carry_ = 0.0;
-    if (duration_s <= kMinSegmentS) {
-      carry_ = duration_s;
-      return;
-    }
-    out_.push_back({duration_s, rate_bps});
-  }
+  std::vector<CapacityTrace::Segment>& segments;
 
-  /// Folds a trailing sub-threshold slice into the last emitted segment so
-  /// no duration is lost at the end of the trace.
-  void flush(double fallback_rate_bps) {
-    if (carry_ <= 0.0) return;
-    if (!out_.empty()) {
-      out_.back().duration_s += carry_;
-    } else {
-      out_.push_back({carry_, fallback_rate_bps});
-    }
-    carry_ = 0.0;
+  void push(double duration_s, double rate_bps) {
+    segments.push_back({duration_s, rate_bps});
   }
-
- private:
-  std::vector<CapacityTrace::Segment>& out_;
-  double carry_ = 0.0;
+  bool empty() const { return segments.empty(); }
+  void extend_last(double duration_s) {
+    segments.back().duration_s += duration_s;
+  }
 };
 
 /// Time insertion at output time `at_s`: every event recorded by an
@@ -64,41 +41,27 @@ void shift_events(std::vector<InjectedFault>* events, std::size_t first,
   }
 }
 
-/// Hard outages at exponential intervals. Draw order (fixed): one initial
-/// exponential(mean_interval); per outage a uniform(min,max) duration then
-/// the exponential gap to the next. This is bit-identical RNG consumption
-/// to the original trace_gen insert_outages.
+/// Hard outages at exponential intervals (OutageSplice). This is
+/// bit-identical RNG consumption to the original trace_gen insert_outages.
 void pass_outage(const std::vector<CapacityTrace::Segment>& base,
                  const FaultSpec& spec, util::Rng& rng,
                  std::vector<CapacityTrace::Segment>& out,
                  std::vector<InjectedFault>* events, std::size_t first) {
-  SegmentEmitter emit(out);
-  double next_outage = rng.exponential(spec.mean_interval_s);
-  double t = 0.0;
+  SegmentList list(out);
+  SegmentEmitter emit;
+  OutageSplice splice(spec.mean_interval_s, spec.min_duration_s,
+                      spec.max_duration_s, rng);
   for (const auto& seg : base) {
-    double seg_remaining = seg.duration_s;
-    while (seg_remaining > 0.0) {
-      if (t + seg_remaining <= next_outage) {
-        emit.emit(seg_remaining, seg.rate_bps);
-        t += seg_remaining;
-        seg_remaining = 0.0;
-      } else {
-        const double before = next_outage - t;
-        emit.emit(before, seg.rate_bps);
-        const double outage =
-            rng.uniform(spec.min_duration_s, spec.max_duration_s);
-        emit.emit(outage, 0.0);
-        shift_events(events, first, next_outage, outage);
-        if (events != nullptr) {
-          events->push_back({FaultKind::kOutage, next_outage, outage, 0.0});
-        }
-        t = next_outage + outage;
-        seg_remaining -= before;
-        next_outage = t + rng.exponential(spec.mean_interval_s);
-      }
-    }
+    splice.splice(seg.duration_s, seg.rate_bps, rng, emit, list,
+                  [&](double start_s, double duration_s) {
+                    shift_events(events, first, start_s, duration_s);
+                    if (events != nullptr) {
+                      events->push_back(
+                          {FaultKind::kOutage, start_s, duration_s, 0.0});
+                    }
+                  });
   }
-  emit.flush(base.empty() ? 0.0 : base.back().rate_bps);
+  emit.flush(list, base.empty() ? 0.0 : base.back().rate_bps);
 }
 
 /// Multiplicative capacity dips overlaid in place (the timeline is not
@@ -108,7 +71,8 @@ void pass_spike(const std::vector<CapacityTrace::Segment>& base,
                 const FaultSpec& spec, util::Rng& rng,
                 std::vector<CapacityTrace::Segment>& out,
                 std::vector<InjectedFault>* events) {
-  SegmentEmitter emit(out);
+  SegmentList list(out);
+  SegmentEmitter emit;
   double t = 0.0;
   double win_end = 0.0;
   double factor = 1.0;
@@ -118,16 +82,16 @@ void pass_spike(const std::vector<CapacityTrace::Segment>& base,
     while (seg_remaining > 0.0) {
       if (t < win_end) {
         const double span = std::min(seg_remaining, win_end - t);
-        emit.emit(span, seg.rate_bps * factor);
+        emit.emit(list, span, seg.rate_bps * factor);
         t += span;
         seg_remaining -= span;
       } else if (t + seg_remaining <= next_spike) {
-        emit.emit(seg_remaining, seg.rate_bps);
+        emit.emit(list, seg_remaining, seg.rate_bps);
         t += seg_remaining;
         seg_remaining = 0.0;
       } else {
         const double before = next_spike - t;
-        emit.emit(before, seg.rate_bps);
+        emit.emit(list, before, seg.rate_bps);
         seg_remaining -= before;
         t = next_spike;
         const double dur =
@@ -149,7 +113,7 @@ void pass_spike(const std::vector<CapacityTrace::Segment>& base,
       last.duration_s = t - last.start_s;
     }
   }
-  emit.flush(base.empty() ? 0.0 : base.back().rate_bps);
+  emit.flush(list, base.empty() ? 0.0 : base.back().rate_bps);
 }
 
 /// CDN failover: a blackout is inserted (stretching the timeline) and all
@@ -160,7 +124,8 @@ void pass_failover(const std::vector<CapacityTrace::Segment>& base,
                    const FaultSpec& spec, util::Rng& rng,
                    std::vector<CapacityTrace::Segment>& out,
                    std::vector<InjectedFault>* events, std::size_t first) {
-  SegmentEmitter emit(out);
+  SegmentList list(out);
+  SegmentEmitter emit;
   double t = 0.0;
   double regime = 1.0;
   double next_fail = rng.exponential(spec.mean_interval_s);
@@ -168,18 +133,18 @@ void pass_failover(const std::vector<CapacityTrace::Segment>& base,
     double seg_remaining = seg.duration_s;
     while (seg_remaining > 0.0) {
       if (t + seg_remaining <= next_fail) {
-        emit.emit(seg_remaining, seg.rate_bps * regime);
+        emit.emit(list, seg_remaining, seg.rate_bps * regime);
         t += seg_remaining;
         seg_remaining = 0.0;
       } else {
         const double before = next_fail - t;
-        emit.emit(before, seg.rate_bps * regime);
+        emit.emit(list, before, seg.rate_bps * regime);
         seg_remaining -= before;
         const double blackout =
             rng.uniform(spec.min_duration_s, spec.max_duration_s);
         const double shift =
             rng.uniform(spec.min_factor, spec.max_factor);
-        emit.emit(blackout, 0.0);
+        emit.emit(list, blackout, 0.0);
         shift_events(events, first, next_fail, blackout);
         if (events != nullptr) {
           events->push_back({FaultKind::kFailover, next_fail, blackout, shift});
@@ -190,7 +155,7 @@ void pass_failover(const std::vector<CapacityTrace::Segment>& base,
       }
     }
   }
-  emit.flush(base.empty() ? 0.0 : base.back().rate_bps);
+  emit.flush(list, base.empty() ? 0.0 : base.back().rate_bps);
 }
 
 void apply_pass(const std::vector<CapacityTrace::Segment>& base,
@@ -223,6 +188,17 @@ void apply_pass(const std::vector<CapacityTrace::Segment>& base,
 }
 
 }  // namespace
+
+OutageSplice::OutageSplice(double mean_interval_s, double min_duration_s,
+                           double max_duration_s, util::Rng& rng)
+    : mean_interval_s_(mean_interval_s),
+      min_duration_s_(min_duration_s),
+      max_duration_s_(max_duration_s) {
+  BBA_ASSERT(mean_interval_s > 0.0, "mean outage interval must be > 0");
+  BBA_ASSERT(min_duration_s > 0.0 && max_duration_s >= min_duration_s,
+             "outage duration range invalid");
+  next_outage_ = rng.exponential(mean_interval_s);
+}
 
 void apply_fault_spec(const std::vector<CapacityTrace::Segment>& base,
                       const FaultSpec& spec, util::Rng& rng,

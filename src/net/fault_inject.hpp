@@ -104,6 +104,94 @@ struct FaultScratch {
   std::vector<InjectedFault> events;
 };
 
+/// Segments at or below this duration are not emitted on their own: a
+/// fault boundary that lands (up to floating-point residue) on a segment
+/// boundary would otherwise produce a near-zero-duration segment -- the
+/// historical insert_outages bug. Sub-threshold slices are carried into
+/// the next emitted segment so total trace duration is conserved.
+inline constexpr double kMinSegmentS = 1e-9;
+
+/// The sub-threshold carry of a fault pass's output. `Out` receives the
+/// emitted segments: push(duration_s, rate_bps), empty(), and
+/// extend_last(duration_s), which lengthens the last pushed segment.
+class SegmentEmitter {
+ public:
+  template <class Out>
+  void emit(Out& out, double duration_s, double rate_bps) {
+    duration_s += carry_;
+    carry_ = 0.0;
+    if (duration_s <= kMinSegmentS) {
+      carry_ = duration_s;
+      return;
+    }
+    out.push(duration_s, rate_bps);
+  }
+
+  /// Folds a trailing sub-threshold slice into the last emitted segment so
+  /// no duration is lost at the end of the trace.
+  template <class Out>
+  void flush(Out& out, double fallback_rate_bps) {
+    if (carry_ <= 0.0) return;
+    if (!out.empty()) {
+      out.extend_last(carry_);
+    } else {
+      out.push(carry_, fallback_rate_bps);
+    }
+    carry_ = 0.0;
+  }
+
+ private:
+  double carry_ = 0.0;
+};
+
+/// The outage renewal process spliced into a segment sequence, one base
+/// segment at a time: the kOutage pass over a materialized trace and
+/// TraceStream's lazy outage keys both run it. Draw order (fixed): one
+/// exponential(mean interval) on construction; per outage a
+/// uniform(min, max) duration, then the exponential gap to the next. An
+/// outage starts where the base timeline reaches the drawn time strictly
+/// inside a segment, and inserts its duration there. The caller flushes
+/// its emitter after the last base segment.
+class OutageSplice {
+ public:
+  OutageSplice() = default;
+  /// Asserts mean_interval_s > 0 and 0 < min_duration_s <= max_duration_s,
+  /// then draws the first gap from `rng`.
+  OutageSplice(double mean_interval_s, double min_duration_s,
+               double max_duration_s, util::Rng& rng);
+
+  /// Splices one base segment into `out` through `emit`. Calls
+  /// on_outage(start_s, duration_s) for each outage inserted, in output
+  /// time.
+  template <class Out, class OnOutage>
+  void splice(double duration_s, double rate_bps, util::Rng& rng,
+              SegmentEmitter& emit, Out& out, OnOutage&& on_outage) {
+    double seg_remaining = duration_s;
+    while (seg_remaining > 0.0) {
+      if (t_ + seg_remaining <= next_outage_) {
+        emit.emit(out, seg_remaining, rate_bps);
+        t_ += seg_remaining;
+        seg_remaining = 0.0;
+      } else {
+        const double before = next_outage_ - t_;
+        emit.emit(out, before, rate_bps);
+        const double outage = rng.uniform(min_duration_s_, max_duration_s_);
+        emit.emit(out, outage, 0.0);
+        on_outage(next_outage_, outage);
+        t_ = next_outage_ + outage;
+        seg_remaining -= before;
+        next_outage_ = t_ + rng.exponential(mean_interval_s_);
+      }
+    }
+  }
+
+ private:
+  double mean_interval_s_ = 0.0, min_duration_s_ = 0.0,
+         max_duration_s_ = 0.0;
+  double t_ = 0.0;  ///< output time spliced so far
+  double next_outage_ = 0.0;
+};
+
 /// Applies one fault pass to `base`, clearing and filling `out`.
 /// Consumes rng draws in the documented per-event order; appends the
 /// injected events (in this pass's output time) to `*events` when

@@ -4,17 +4,20 @@
 // ~700 segments) before the player consumes, typically, the first tenth of
 // it. TraceStream generates the identical committed segment sequence --
 // same rng consumption, same prefix arithmetic as make_markov_trace_into
-// followed by CapacityTrace::assign -- but only as far as consumers ask,
-// which removes most of the generation cost from the per-session budget.
+// (then insert_outages, for a key with outages) followed by
+// CapacityTrace::assign -- but only as far as consumers ask, which removes
+// most of the generation cost from the per-session budget.
 //
-// Outage splicing (Population sessions with env.has_outages) and fault
-// injection are deliberately NOT generated here: insert_outages draws from
-// the same kTrace rng *after* every Markov segment has been generated, so
-// a lazy generator cannot know the outage draws without defeating its own
-// laziness. Those sessions materialize their trace exactly as before and
-// copy it into the stream with assign(), as does the public
-// sim::simulate_session for any trace, looping or not; so every session
-// reads its trace through the one StreamCursor.
+// Outages are drawn from the same kTrace rng *after* every Markov segment.
+// A stream with outages therefore pre-walks a copy of the generator on
+// reset: it draws each dwell exactly and steps over each level's draws
+// without computing it, which leaves the copy at the exact post-walk
+// state. The outage process (net::OutageSplice, the kOutage pass's own
+// splice step) then draws from that copy as the lazily generated base
+// segments reach it. Fault plans read the finished trace, so a faulted
+// session materializes it and copies it in with assign(), as does the
+// public sim::simulate_session for any trace, looping or not; so every
+// session reads its trace through the one StreamCursor.
 //
 // StreamCursor answers finish_time_s and rate_at_bps bit-identically to the
 // same-named CapacityTrace methods (the reference: a fresh binary search
@@ -31,6 +34,7 @@
 #include <vector>
 
 #include "net/capacity_trace.hpp"
+#include "net/fault_inject.hpp"
 #include "net/trace_gen.hpp"
 #include "util/rng.hpp"
 
@@ -58,11 +62,24 @@ struct TraceStream {
   bool loops = true;  ///< false: capacity is 0 after the last segment
   double cycle_s = 0.0, cycle_bits = 0.0;
 
-  /// Rebinds the stream to a fresh (config, rng) pair. No allocation once
-  /// the buffers have grown to the longest prefix the workload reads.
-  /// Asserts make_markov_trace_into's preconditions: duration, median rate
-  /// and mean dwell all > 0.
-  void reset(const MarkovTraceConfig& cfg, util::Rng r);
+  /// Outage splicing, set up by reset() with an OutageConfig: the outage
+  /// process draws from `outage_rng`, the pre-walked post-walk generator.
+  /// The last emitted segment is held back until the next one (or the
+  /// final flush, which may lengthen it) makes it final.
+  bool outages = false;
+  util::Rng outage_rng{0};
+  OutageSplice splice;
+  SegmentEmitter emitter;
+  double held_s = 0.0, held_bps = 0.0;
+  bool held = false;
+
+  /// Rebinds the stream to a fresh (config, rng) pair, with the outage
+  /// process `outage_cfg` spliced in when it is non-null. No allocation
+  /// once the buffers have grown to the longest prefix the workload reads.
+  /// Asserts make_markov_trace_into's preconditions (duration, median rate
+  /// and mean dwell all > 0) and OutageSplice's.
+  void reset(const MarkovTraceConfig& cfg, util::Rng r,
+             const OutageConfig* outage_cfg = nullptr);
 
   /// Copies a materialized trace's prefix tables, rates and loops flag into
   /// the reused buffers and marks the stream done. Same no-allocation rule
@@ -71,7 +88,8 @@ struct TraceStream {
 
   std::size_t num_segments() const { return n; }
 
-  /// Generates and commits one Markov segment (or finishes the trace).
+  /// Generates one Markov segment and commits it, or, with outages,
+  /// splices it in (committing what it makes final); or finishes the trace.
   void step_one();
 
   /// Commits segments until the prefix extends strictly beyond `pos` (or
@@ -84,6 +102,18 @@ struct TraceStream {
   }
 
  private:
+  /// The splice's SegmentEmitter output: holds back the last segment.
+  struct Spliced;
+
+  /// Appends one segment to the committed prefix.
+  void commit(double duration_s, double rate_bps) {
+    if (n == rate_buf.size()) grow();
+    rate[n] = rate_bps;
+    tp[n + 1] = tp[n] + duration_s;
+    bp[n + 1] = bp[n] + rate_bps * duration_s;
+    ++n;
+  }
+
   /// Doubles the buffers (keeping the committed prefix) and repoints.
   void grow();
 };

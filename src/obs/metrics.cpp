@@ -25,6 +25,7 @@ const char* counter_name(Counter c) {
     case Counter::kSeqBatches: return "seq_batches";
     case Counter::kSeqSessions: return "seq_sessions";
     case Counter::kSeqSessionsSaved: return "seq_sessions_saved";
+    case Counter::kTracesMaterialized: return "traces_materialized";
     case Counter::kCount: break;
   }
   return "unknown";

@@ -51,6 +51,7 @@ enum class Counter : std::size_t {
   kSeqBatches,            ///< sequential-engine rounds (batches) run
   kSeqSessions,           ///< sessions the sequential engine simulated
   kSeqSessionsSaved,      ///< budget sessions early stopping skipped
+  kTracesMaterialized,    ///< harness keys whose trace was built whole
   kCount
 };
 

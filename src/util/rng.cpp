@@ -65,6 +65,11 @@ std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
 double Rng::normal() {
   if (has_cached_normal_) {
     has_cached_normal_ = false;
+    if (spare_pending_) {
+      spare_pending_ = false;
+      return std::sqrt(-2.0 * std::log(spare_u1_)) *
+             std::sin(2.0 * M_PI * spare_u2_);
+    }
     return cached_normal_;
   }
   // Box-Muller; u1 in (0,1] to avoid log(0).
@@ -75,6 +80,18 @@ double Rng::normal() {
   cached_normal_ = radius * std::sin(theta);
   has_cached_normal_ = true;
   return radius * std::cos(theta);
+}
+
+void Rng::skip_normal() {
+  if (has_cached_normal_) {
+    has_cached_normal_ = false;
+    spare_pending_ = false;
+    return;
+  }
+  spare_u1_ = 1.0 - uniform();
+  spare_u2_ = uniform();
+  spare_pending_ = true;
+  has_cached_normal_ = true;
 }
 
 double Rng::normal(double mean, double sigma) {

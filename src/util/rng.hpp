@@ -39,6 +39,12 @@ class Rng {
   /// Normal with the given mean and standard deviation (sigma >= 0).
   double normal(double mean, double sigma);
 
+  /// Advances the generator exactly as normal() would, without computing
+  /// the variate. A fresh pair's spare is computed only if a later normal()
+  /// reads it, so every later draw equals the one after normal(). A lazy
+  /// trace's pre-walk (net::TraceStream) steps over its levels this way.
+  void skip_normal();
+
   /// Log-normal: exp(N(mu, sigma)) where mu/sigma parameterize the
   /// underlying normal.
   double lognormal(double mu, double sigma);
@@ -72,6 +78,9 @@ class Rng {
   std::uint64_t seed_;
   double cached_normal_ = 0.0;
   bool has_cached_normal_ = false;
+  // A spare skip_normal() left uncomputed: the pair's two uniforms.
+  double spare_u1_ = 0.0, spare_u2_ = 0.0;
+  bool spare_pending_ = false;
 };
 
 }  // namespace bba::util

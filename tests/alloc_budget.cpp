@@ -45,13 +45,17 @@ void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
 
 namespace bba::testing_support {
 
-AllocationBudget::AllocationBudget(std::size_t bytes) {
+AllocationBudget::AllocationBudget(std::size_t bytes) : bytes_(bytes) {
   g_budget_left.store(bytes, std::memory_order_relaxed);
   g_budget_armed.store(true, std::memory_order_relaxed);
 }
 
 AllocationBudget::~AllocationBudget() {
   g_budget_armed.store(false, std::memory_order_relaxed);
+}
+
+std::size_t AllocationBudget::used() const {
+  return bytes_ - g_budget_left.load(std::memory_order_relaxed);
 }
 
 }  // namespace bba::testing_support

@@ -17,8 +17,14 @@ class AllocationBudget {
   explicit AllocationBudget(std::size_t bytes);
   ~AllocationBudget();
 
+  /// Bytes charged to the budget since arming.
+  std::size_t used() const;
+
   AllocationBudget(const AllocationBudget&) = delete;
   AllocationBudget& operator=(const AllocationBudget&) = delete;
+
+ private:
+  std::size_t bytes_;
 };
 
 }  // namespace bba::testing_support

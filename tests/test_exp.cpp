@@ -204,6 +204,42 @@ TEST(SessionBlockRunner, BlockMemoryIsBoundedByTheWindow) {
   EXPECT_EQ(folded, (kKeys / 10 + kKeys) * groups.size());
 }
 
+// Outage keys stream their traces like every other key, so once the
+// scratch is warm an all-outage run allocates nothing per key: a block of
+// 240 keys allocates exactly what a block of 12 does (the run's own
+// std::function wrappers).
+TEST(SessionBlockRunner, AllOutageRunAllocatesNothingPerKeyOnceWarm) {
+  const media::VideoLibrary lib = media::VideoLibrary::standard(11);
+  const std::vector<Group> groups = {
+      {"control", make_control_factory()},
+      {"bba2", make_bba2_factory()},
+  };
+  AbTestConfig cfg;
+  cfg.seed = 2014;
+  cfg.threads = 1;
+  cfg.population.outage_session_fraction = 1.0;
+  std::vector<SessionKey> keys;
+  for (std::size_t i = 0; i < 240; ++i) {
+    keys.push_back(
+        SessionKey{cfg.seed, 0, i % kWindowsPerDay, i / kWindowsPerDay});
+  }
+  SessionBlockRunner runner(groups, lib, cfg);
+  std::size_t folded = 0;
+  auto fold = [&](std::size_t, std::size_t, const sim::SessionMetrics&) {
+    ++folded;
+  };
+  runner.run(keys, fold);
+  auto bytes_of = [&](std::span<const SessionKey> block) {
+    testing_support::AllocationBudget budget(std::size_t{1} << 20);
+    runner.run(block, fold);
+    return budget.used();
+  };
+  const std::size_t few = bytes_of(std::span<const SessionKey>(keys).first(12));
+  EXPECT_EQ(bytes_of(keys), few);
+  EXPECT_LT(few, 1024u);
+  EXPECT_EQ(folded, (2 * keys.size() + 12) * groups.size());
+}
+
 TEST(AbTest, CommonRandomNumbersGiveIdenticalEnvironments) {
   // Two groups running the same algorithm must produce identical cells:
   // the environment stream does not depend on the group.

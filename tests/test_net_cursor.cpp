@@ -1,6 +1,7 @@
 // StreamCursor, the player's one trace reader, against CapacityTrace's own
 // binary search: bit-identical answers over lazy and assigned streams,
 // looping or not, and query/rewind tallies against recorded constants.
+// Lazy streams with outages spliced in against the materialized trace.
 // Also segment_index_at edge cases, finish_time_s corner cases, and the
 // allocation-free trace rebuild path (make_*_into + CapacityTrace::assign).
 #include <gtest/gtest.h>
@@ -11,7 +12,10 @@
 #include <ostream>
 #include <vector>
 
+#include "exp/population.hpp"
+#include "exp/session_key.hpp"
 #include "net/capacity_trace.hpp"
+#include "net/fault_inject.hpp"
 #include "net/tcp_model.hpp"
 #include "net/trace_gen.hpp"
 #include "net/trace_stream.hpp"
@@ -444,6 +448,286 @@ TEST(TraceStreamDeathTest, ResetRejectsADegenerateConfig) {
   cfg = MarkovTraceConfig{};
   cfg.mean_dwell_s = 0.0;
   EXPECT_DEATH(stream.reset(cfg, util::Rng(1)), "dwell");
+}
+
+TEST(TraceStreamDeathTest, ResetRejectsABadOutageConfig) {
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  TraceStream stream;
+  const MarkovTraceConfig cfg;
+  OutageConfig bad;
+  bad.mean_interval_s = 0.0;
+  EXPECT_DEATH(stream.reset(cfg, util::Rng(1), &bad), "interval");
+  bad = OutageConfig{};
+  bad.min_outage_s = 0.0;
+  EXPECT_DEATH(stream.reset(cfg, util::Rng(1), &bad), "duration range");
+  bad = OutageConfig{};
+  bad.min_outage_s = -5.0;
+  EXPECT_DEATH(stream.reset(cfg, util::Rng(1), &bad), "duration range");
+  bad = OutageConfig{};
+  bad.max_outage_s = bad.min_outage_s / 2.0;
+  EXPECT_DEATH(stream.reset(cfg, util::Rng(1), &bad), "duration range");
+}
+
+// --- Lazy outage streams against the materialized trace --------------------
+
+// A harness-like session: back-to-back downloads from t = 0 with an idle
+// gap now and then, a rate probe per download and an occasional look back
+// (a rewind). On a 7200 s trace it reads a few hundred segments.
+void short_session(StreamCursor& c, const CapacityTrace& trace,
+                   std::uint64_t seed) {
+  util::Rng rng(seed);
+  double now = 0.0;
+  for (int i = 0; i < 200; ++i) {
+    if (i % 5 == 0) now += rng.uniform(0.0, 8.0);
+    EXPECT_EQ(c.rate_at_bps(now), trace.rate_at_bps(now)) << i;
+    if (i % 23 == 0) {
+      const double back = rng.uniform(0.0, now);
+      EXPECT_EQ(c.rate_at_bps(back), trace.rate_at_bps(back)) << i;
+    }
+    const double bits = rng.uniform(1e5, 2e7);
+    const double want = trace.finish_time_s(now, bits);
+    EXPECT_EQ(c.finish_time_s(now, bits), want) << i;
+    if (!std::isfinite(want)) break;
+    now = want;
+  }
+}
+
+// The finished stream holds exactly the trace's prefix tables and rates.
+void expect_same_tables(TraceStream& stream, const CapacityTrace& trace) {
+  stream.ensure_done();
+  ASSERT_EQ(stream.num_segments(), trace.segments().size());
+  for (std::size_t i = 0; i < stream.num_segments(); ++i) {
+    ASSERT_EQ(stream.rate[i], trace.segments()[i].rate_bps) << i;
+    ASSERT_EQ(stream.tp[i + 1], trace.time_prefix()[i + 1]) << i;
+    ASSERT_EQ(stream.bp[i + 1], trace.bits_prefix_table()[i + 1]) << i;
+  }
+  EXPECT_EQ(stream.cycle_s, trace.cycle_duration_s());
+  EXPECT_EQ(stream.cycle_bits, trace.cycle_bits());
+  EXPECT_TRUE(stream.loops);
+}
+
+TEST(TraceStream, LazyOutageKeysMatchMaterializedTraces) {
+  // Every key of an all-outage population: the lazily spliced stream
+  // answers and tallies exactly as the materialized trace assigned into a
+  // stream, first over a short session, then over random queries across
+  // three cycles, and finishes with the trace's own tables.
+  exp::PopulationConfig pc;
+  pc.outage_session_fraction = 1.0;
+  const exp::Population population(pc);
+  TraceStream lazy, assigned;
+  TraceScratch scratch;
+  CapacityTrace trace = CapacityTrace::constant(1.0);
+  std::size_t read = 0, total = 0;
+  for (std::uint64_t i = 0; i < 2000; ++i) {
+    const exp::SessionKey key{2014, i / 600, i % 12, (i / 12) % 50};
+    SCOPED_TRACE(testing::Message() << "key " << i);
+    const exp::UserEnvironment env = population.environment_for(key);
+    ASSERT_TRUE(env.has_outages);
+    population.trace_for_into(env, key, scratch, trace);
+    assigned.assign(trace);
+    population.stream_into(env, key, lazy);
+    ASSERT_EQ(lazy.num_segments(), 0u);
+    {
+      StreamCursor a(assigned), l(lazy);
+      short_session(a, trace, i);
+      short_session(l, trace, i);
+      EXPECT_EQ(l.queries(), a.queries());
+      EXPECT_EQ(l.rewinds(), a.rewinds());
+    }
+    read += lazy.num_segments();
+    total += trace.segments().size();
+    {
+      StreamCursor a(assigned), l(lazy);
+      EXPECT_EQ(session_stream(l, trace, i, true),
+                session_stream(a, trace, i, true));
+    }
+    expect_same_tables(lazy, trace);
+  }
+  // The short sessions left most of every trace ungenerated.
+  EXPECT_LT(read, total / 2);
+}
+
+// Dwells of exactly 0.5 s (the floor, under a vanishing mean) and frequent
+// outages of 1 us: an outage that starts within kMinSegmentS of where the
+// previous one ended, or of where a base segment ends, carries a sliver.
+MarkovTraceConfig dense_config() {
+  MarkovTraceConfig cfg;
+  cfg.mean_dwell_s = 1e-12;
+  cfg.duration_s = 0.5;
+  return cfg;
+}
+
+OutageConfig dense_outages() {
+  OutageConfig outages;
+  outages.mean_interval_s = 1e-5;
+  outages.min_outage_s = 1e-6;
+  outages.max_outage_s = 1e-6;
+  return outages;
+}
+
+// The kOutage pass's splice over (cfg, seed), counting what it did.
+struct SpliceShape {
+  std::size_t base = 0, outages = 0, segments = 0;
+  bool flushed = false;  ///< the final flush lengthened the last segment
+
+  void push(double, double) { ++segments; }
+  bool empty() const { return segments == 0; }
+  void extend_last(double) { flushed = true; }
+};
+
+SpliceShape splice_shape(const MarkovTraceConfig& cfg,
+                         const OutageConfig& outages, std::uint64_t seed) {
+  util::Rng rng(seed);
+  std::vector<CapacityTrace::Segment> base;
+  make_markov_trace_into(cfg, rng, base);
+  SpliceShape shape;
+  shape.base = base.size();
+  SegmentEmitter emit;
+  OutageSplice splice(outages.mean_interval_s, outages.min_outage_s,
+                      outages.max_outage_s, rng);
+  for (const CapacityTrace::Segment& seg : base) {
+    splice.splice(seg.duration_s, seg.rate_bps, rng, emit, shape,
+                  [&](double, double) { ++shape.outages; });
+  }
+  emit.flush(shape, base.back().rate_bps);
+  return shape;
+}
+
+// The lazy stream of (cfg, outages, seed) against make_markov_trace +
+// with_outages: a monotone and a rewinding session stream, then the tables.
+void expect_lazy_matches(const MarkovTraceConfig& cfg,
+                         const OutageConfig& outages, std::uint64_t seed) {
+  util::Rng gen(seed);
+  const CapacityTrace base = make_markov_trace(cfg, gen);
+  const CapacityTrace trace = with_outages(base, outages, gen);
+  TraceStream lazy, assigned;
+  assigned.assign(trace);
+  for (const bool rewinding : {false, true}) {
+    lazy.reset(cfg, util::Rng(seed), &outages);
+    StreamCursor a(assigned), l(lazy);
+    EXPECT_EQ(session_stream(l, trace, seed, rewinding),
+              session_stream(a, trace, seed, rewinding));
+  }
+  lazy.reset(cfg, util::Rng(seed), &outages);
+  expect_same_tables(lazy, trace);
+}
+
+TEST(TraceStream, OutageCarryMatchesTrace) {
+  // Seed 1 carries slivers mid-trace: fewer segments than two per outage
+  // on top of the base segments. Its last emitted segment is not a sliver.
+  const SpliceShape shape = splice_shape(dense_config(), dense_outages(), 1);
+  ASSERT_GT(shape.outages, 40000u);
+  ASSERT_LT(shape.segments, shape.base + 2 * shape.outages);
+  ASSERT_FALSE(shape.flushed);
+  expect_lazy_matches(dense_config(), dense_outages(), 1);
+}
+
+TEST(TraceStream, OutageCarryAtTheEndIsFlushed) {
+  // Seed 21505 (found by search) ends an outage within kMinSegmentS of
+  // the trace's end: the flush lengthens the last segment, which the lazy
+  // stream holds back until then.
+  const SpliceShape shape =
+      splice_shape(dense_config(), dense_outages(), 21505);
+  ASSERT_TRUE(shape.flushed);
+  expect_lazy_matches(dense_config(), dense_outages(), 21505);
+}
+
+TEST(TraceStream, ResetDropsWhatTheLastKeyLeftPending) {
+  // Seed 276 (found by search) splices its first base segment into an
+  // emitted segment held back and a sliver carried. The harness may move
+  // on to its next key right there; neither may leak into that key.
+  MarkovTraceConfig cfg = dense_config();
+  cfg.duration_s = 1.0;
+  const OutageConfig outages = dense_outages();
+  {
+    util::Rng rng(276);
+    std::vector<CapacityTrace::Segment> base;
+    make_markov_trace_into(cfg, rng, base);
+    ASSERT_EQ(base.size(), 2u);
+    SpliceShape first;
+    SegmentEmitter emit;
+    OutageSplice splice(outages.mean_interval_s, outages.min_outage_s,
+                        outages.max_outage_s, rng);
+    splice.splice(base[0].duration_s, base[0].rate_bps, rng, emit, first,
+                  [](double, double) {});
+    ASSERT_GT(first.segments, 0u);
+    emit.flush(first, 0.0);
+    ASSERT_TRUE(first.flushed);
+  }
+  TraceStream reused;
+  reused.reset(cfg, util::Rng(276), &outages);
+  reused.step_one();
+  ASSERT_FALSE(reused.done);
+
+  OutageConfig next_outages;
+  next_outages.mean_interval_s = 90.0;
+  const MarkovTraceConfig next_cfg = stream_test_config();
+  util::Rng gen(5);
+  const CapacityTrace base = make_markov_trace(next_cfg, gen);
+  const CapacityTrace trace = with_outages(base, next_outages, gen);
+  reused.reset(next_cfg, util::Rng(5), &next_outages);
+  expect_same_tables(reused, trace);
+}
+
+TEST(TraceStream, OutagesShorterThanASliverAreCarried) {
+  // Every outage is itself a sliver: carried into the next segment, none
+  // is emitted, and the trace keeps no zero-rate segment.
+  OutageConfig outages;
+  outages.mean_interval_s = 20.0;
+  outages.min_outage_s = kMinSegmentS;
+  outages.max_outage_s = kMinSegmentS;
+  const MarkovTraceConfig cfg = stream_test_config();
+  const SpliceShape shape = splice_shape(cfg, outages, 3);
+  ASSERT_GT(shape.outages, 10u);
+  ASSERT_EQ(shape.segments, shape.base + shape.outages);
+  expect_lazy_matches(cfg, outages, 3);
+}
+
+TEST(TraceStream, OutageGapLongerThanTheTrace) {
+  // The first gap outlasts the trace: no outage, and the stream equals the
+  // plain Markov trace, whose rng it never touches past the walk.
+  OutageConfig outages;
+  outages.mean_interval_s = 1e12;
+  const MarkovTraceConfig cfg = stream_test_config();
+  const SpliceShape shape = splice_shape(cfg, outages, 4);
+  ASSERT_EQ(shape.outages, 0u);
+  ASSERT_EQ(shape.segments, shape.base);
+  expect_lazy_matches(cfg, outages, 4);
+  util::Rng gen(4);
+  const CapacityTrace plain = make_markov_trace(cfg, gen);
+  TraceStream lazy;
+  lazy.reset(cfg, util::Rng(4), &outages);
+  expect_same_tables(lazy, plain);
+}
+
+TEST(TraceStream, DownloadsThatWrapAFreshOutageStream) {
+  // Each download is the first query of a fresh lazy stream: the walk
+  // exhausts the lazy prefix, the stream finishes, and the download wraps
+  // the cycle (once, or several times) -- as on the assigned trace.
+  OutageConfig outages;
+  outages.mean_interval_s = 90.0;
+  const MarkovTraceConfig cfg = stream_test_config();
+  util::Rng gen(5);
+  const CapacityTrace base = make_markov_trace(cfg, gen);
+  const CapacityTrace trace = with_outages(base, outages, gen);
+  const double cycle = trace.cycle_duration_s();
+  const double cycle_bits = trace.cycle_bits();
+  TraceStream lazy, assigned;
+  assigned.assign(trace);
+  const double starts[] = {0.0, cycle * 0.3, cycle * 0.99, cycle * 1.5};
+  const double sizes[] = {cycle_bits * 0.8, cycle_bits, cycle_bits * 2.5};
+  for (const double start : starts) {
+    for (const double bits : sizes) {
+      SCOPED_TRACE(testing::Message() << start << " " << bits);
+      lazy.reset(cfg, util::Rng(5), &outages);
+      StreamCursor l(lazy), a(assigned);
+      const double want = trace.finish_time_s(start, bits);
+      EXPECT_EQ(l.finish_time_s(start, bits), want);
+      EXPECT_EQ(a.finish_time_s(start, bits), want);
+      EXPECT_EQ(tally_of(l), tally_of(a));
+      EXPECT_EQ(l.rate_at_bps(want), trace.rate_at_bps(want));
+    }
+  }
 }
 
 void expect_same_segments(const CapacityTrace& a, const CapacityTrace& b) {

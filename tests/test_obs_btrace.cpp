@@ -162,10 +162,15 @@ TEST(BtraceRegistry, TracingEverySessionCountsEachSessionOnce) {
          {Counter::kSessions, Counter::kSessionsAbandoned,
           Counter::kChunksDownloaded, Counter::kRebuffers,
           Counter::kRateSwitches, Counter::kOffPeriods,
-          Counter::kCursorQueries, Counter::kCursorRewinds}) {
+          Counter::kCursorQueries, Counter::kCursorRewinds,
+          Counter::kTracesMaterialized}) {
       EXPECT_EQ(plain.counter(c), traced.counter(c))
           << obs::counter_name(c);
     }
+    // Only a fault plan materializes a key's trace, once for all groups.
+    EXPECT_EQ(plain.counter(Counter::kTracesMaterialized) *
+                  tiny_groups().size(),
+              faults ? plain.counter(Counter::kSessions) : 0u);
     // Two workers can race to build the same chunk-table memo entry, so the
     // split between hits and builds depends on timing; their sum does not.
     EXPECT_EQ(plain.counter(Counter::kReservoirMemoHits) +

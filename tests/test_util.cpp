@@ -104,6 +104,31 @@ TEST(Rng, NormalScalesMeanAndSigma) {
   EXPECT_NEAR(sum / kN, 10.0, 0.05);
 }
 
+TEST(Rng, SkipNormalLeavesTheStateNormalLeaves) {
+  // Interleaved with uniforms as a trace's dwells are, from a fresh
+  // generator and from one holding a spare: every later draw -- uniform,
+  // normal, and the spare a skip left uncomputed -- equals the draws after
+  // the same sequence with normal().
+  for (const bool spare_first : {false, true}) {
+    for (int skips = 0; skips <= 5; ++skips) {
+      Rng drawn(17), skipped(17);
+      if (spare_first) {
+        drawn.normal();
+        skipped.normal();
+      }
+      for (int i = 0; i < skips; ++i) {
+        EXPECT_EQ(drawn.exponential(3.0), skipped.exponential(3.0));
+        drawn.normal();
+        skipped.skip_normal();
+      }
+      for (int i = 0; i < 4; ++i) {
+        EXPECT_EQ(drawn.normal(), skipped.normal()) << skips << " " << i;
+        EXPECT_EQ(drawn.uniform(), skipped.uniform()) << skips << " " << i;
+      }
+    }
+  }
+}
+
 TEST(Rng, LognormalMedianIsExpMu) {
   Rng rng(9);
   constexpr int kN = 50001;
@@ -319,9 +344,9 @@ std::vector<unsigned char> random_bytes(std::size_t n, std::uint64_t seed) {
 }
 
 TEST(Binio, Crc32MatchesReferenceAtEveryLengthAndOffset) {
-  // Every tail length and every start offset against the 8-byte stride.
-  const std::vector<unsigned char> bytes = random_bytes(64 + 8, 2014);
-  for (std::size_t offset = 0; offset < 8; ++offset) {
+  // Every tail length and every start offset against the 16-byte stride.
+  const std::vector<unsigned char> bytes = random_bytes(64 + 16, 2014);
+  for (std::size_t offset = 0; offset < 16; ++offset) {
     for (std::size_t n = 0; n <= 64; ++n) {
       EXPECT_EQ(crc32(bytes.data() + offset, n),
                 crc32_bitwise(bytes.data() + offset, n))
