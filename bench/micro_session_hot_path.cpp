@@ -5,13 +5,13 @@
 //   micro_session_hot_path [--sessions N] [--passes N] [--out PATH]
 //
 // The recorded path reproduces the pre-optimisation main loop: a fresh
-// CapacityTrace by value, a factory-fresh ABR with the historical
-// per-decision reservoir scan (cache_window_sums off), a SessionResult
-// recording every chunk, then compute_metrics. The streaming path is what
+// CapacityTrace by value, a fresh BBA-2 that rescans the reservoir window
+// on every decision (this file's ScanningBba2), a SessionResult recording
+// every chunk, then compute_metrics. The streaming path is what
 // run_ab_test now does: per-thread scratch (TraceScratch +
-// CapacityTrace::assign + reused ABR with memoized window sums) feeding a
-// StreamingMetricsSink. Both produce bit-identical SessionMetrics, which
-// this binary also checks.
+// CapacityTrace::assign + a reused Bba2 reading its title's decision
+// table) feeding a StreamingMetricsSink. Both produce bit-identical
+// SessionMetrics, which this binary also checks.
 // Allocations are counted by interposing global operator new in this
 // binary; the strict single-thread pass checks the MAXIMUM allocations of
 // any one steady-state session, which must be exactly zero. Observability
@@ -43,6 +43,7 @@
 #include <vector>
 
 #include "core/bba2.hpp"
+#include "core/reservoir.hpp"
 #include "exp/abtest.hpp"
 #include "exp/population.hpp"
 #include "exp/session_key.hpp"
@@ -130,10 +131,51 @@ exp::SessionKey key_of(const BenchSetup& setup, std::size_t task) {
   return exp::SessionKey{setup.seed, 0, window % exp::kWindowsPerDay, user};
 }
 
+// Chunk k's BBA decision inputs read from the ChunkTable, the reservoir
+// window rescanned by core::raw_reservoir_s on every call.
+struct ScanRow {
+  const media::Video& video;
+  std::size_t k;
+  double lookahead_s;
+
+  double raw_reservoir_s() const {
+    const media::EncodingLadder& ladder = video.ladder();
+    return core::raw_reservoir_s(video.chunks(), ladder.min_index(),
+                                 ladder.rmin_bps(), k, lookahead_s);
+  }
+  double size_bits(std::size_t i) const {
+    return video.chunks().size_bits(i, k);
+  }
+  std::size_t num_rates() const { return video.ladder().size(); }
+  double chunk_min_mean() const {
+    return video.chunks().mean_size_bits(video.ladder().min_index());
+  }
+  double chunk_max_mean() const {
+    return video.chunks().mean_size_bits(video.ladder().max_index());
+  }
+  double chunk_duration_s() const { return video.chunk_duration_s(); }
+};
+
+// BBA-2's decision over ScanRow: the rates core::Bba2 chooses, with the
+// historical per-decision reservoir scan instead of a decision table.
+class ScanningBba2 final : public abr::RateAdaptation {
+ public:
+  std::size_t choose_rate(const abr::Observation& obs) override {
+    return decision_.decide(
+        obs, ScanRow{*obs.video, obs.chunk_index,
+                     decision_.params().base.reservoir.lookahead_s});
+  }
+  void reset() override { decision_.reset(); }
+  std::string name() const override { return "bba2-scan"; }
+
+ private:
+  core::BbaDecision decision_{core::Bba2{}.params()};
+};
+
 // The pre-optimisation hot path: everything constructed fresh per session,
 // per-query binary search, the reservoir window rescanned on every
 // decision, and a SessionResult recording every chunk, as the harness did
-// before per-thread scratch, the trace cursor and the window-sum memo
+// before per-thread scratch, the trace cursor and the decision tables
 // existed. The ABR and the sink stay behind their virtual interfaces.
 void run_recorded(const BenchSetup& setup, std::size_t task,
                   sim::SessionMetrics* out) {
@@ -145,9 +187,7 @@ void run_recorded(const BenchSetup& setup, std::size_t task,
   const media::Video& video = setup.library->at(spec.video_index);
   sim::PlayerConfig player = setup.player;
   player.watch_duration_s = spec.watch_duration_s;
-  core::Bba2Config legacy;
-  legacy.base.reservoir.cache_window_sums = false;
-  const auto abr = std::make_unique<core::Bba2>(legacy);
+  const auto abr = std::make_unique<ScanningBba2>();
   abr::RateAdaptation& policy = *abr;
   // The exact worst case, reserved up front like the recording
   // simulate_session: one record per chunk, one stall per chunk in flight.
@@ -335,10 +375,10 @@ int main(int argc, char** argv) {
     run_streaming(setup, i, scratch, &streamed[i]);
   });
 
-  // Calibration tallies of the player defaults (the trace cursor,
-  // memoized window sums): one instrumented pass over the workload, ratios
-  // recorded in the JSON so a regression in cursor locality or memo
-  // effectiveness is visible in CI diffs even when timings are noisy.
+  // Calibration tallies of the player defaults (the trace cursor, the
+  // decision tables): one instrumented pass over the workload, ratios
+  // recorded in the JSON so a regression in cursor locality or table reuse
+  // is visible in CI diffs even when timings are noisy.
   double cursor_rewind_ratio = 0.0, memo_hit_ratio = 0.0;
   {
     obs::MetricsRegistry calib_registry(1);

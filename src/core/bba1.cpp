@@ -2,37 +2,13 @@
 
 #include <algorithm>
 
+#include "core/bba_table.hpp"
+#include "obs/metrics.hpp"
 #include "util/assert.hpp"
 
 namespace bba::core {
 
 namespace {
-
-// Chunk k's decision inputs read from the ChunkTable: the reservoir
-// lookahead goes through the window-sum memo, one lookup per decision.
-struct ChunkTableRow {
-  const media::Video& video;
-  std::size_t k;
-  const ReservoirConfig& reservoir;
-
-  double raw_reservoir_s() const {
-    const media::EncodingLadder& ladder = video.ladder();
-    return core::raw_reservoir_s(video.chunks(), ladder.min_index(),
-                                 ladder.rmin_bps(), k, reservoir.lookahead_s,
-                                 reservoir.cache_window_sums);
-  }
-  double size_bits(std::size_t i) const {
-    return video.chunks().size_bits(i, k);
-  }
-  std::size_t num_rates() const { return video.ladder().size(); }
-  double chunk_min_mean() const {
-    return video.chunks().mean_size_bits(video.ladder().min_index());
-  }
-  double chunk_max_mean() const {
-    return video.chunks().mean_size_bits(video.ladder().max_index());
-  }
-  double chunk_duration_s() const { return video.chunk_duration_s(); }
-};
 
 BbaDecision::Params bba1_params(const Bba1Config& cfg) {
   BbaDecision::Params p;
@@ -93,9 +69,16 @@ Bba1::Bba1(const BbaDecision::Params& params) : decision_(params) {}
 
 std::size_t Bba1::choose_rate(const abr::Observation& obs) {
   BBA_ASSERT(obs.video != nullptr, "observation must carry the video");
-  return decision_.decide(
-      obs, ChunkTableRow{*obs.video, obs.chunk_index,
-                         decision_.params().base.reservoir});
+  BBA_ASSERT(obs.chunk_index < obs.video->num_chunks(),
+             "chunk index out of range");
+  bool built = false;
+  if (obs.video != video_) {
+    table_ = BbaTable::table_for(
+        *obs.video, decision_.params().base.reservoir.lookahead_s, &built);
+    video_ = obs.video;
+  }
+  if (!built) obs::count(obs::Counter::kReservoirMemoHits);
+  return decision_.decide(obs, BbaTable::Row{table_, obs.chunk_index});
 }
 
 }  // namespace bba::core

@@ -15,6 +15,10 @@
 #include "core/reservoir.hpp"
 #include "util/assert.hpp"
 
+namespace bba::media {
+struct DecisionTable;
+}  // namespace bba::media
+
 namespace bba::core {
 
 /// Configuration shared by BBA-1 and its derivatives.
@@ -51,8 +55,8 @@ struct Bba1Config {
 /// The decision of the BBA family -- the dynamic reservoir and outage
 /// protection (Bba1), BBA-2's startup ramp, and BBA-Others' up-switch
 /// smoothing -- with its per-session state. The only implementation: the
-/// Bba1/Bba2/BbaOthers classes run it over the ChunkTable, and
-/// core::BbaTable runs it over DecisionTable rows, so both choose
+/// Bba1/Bba2/BbaOthers classes and core::BbaTable both run it over the
+/// title's media::DecisionTable rows (core/bba_table.hpp), so both choose
 /// bit-identical rates.
 ///
 /// `Row` supplies chunk k's inputs: raw_reservoir_s() (the unclamped
@@ -235,7 +239,10 @@ class Bba1 : public abr::RateAdaptation {
   explicit Bba1(Bba1Config cfg = {});
 
   std::size_t choose_rate(const abr::Observation& obs) override;
-  void reset() override { decision_.reset(); }
+  void reset() override {
+    decision_.reset();
+    video_ = nullptr;
+  }
   std::string name() const override { return "bba1"; }
 
   const BbaDecision::Params& params() const { return decision_.params(); }
@@ -253,6 +260,12 @@ class Bba1 : public abr::RateAdaptation {
   explicit Bba1(const BbaDecision::Params& params);
 
   BbaDecision decision_;
+
+ private:
+  // The title decided last and its decision table, looked up when the
+  // title changes.
+  const media::Video* video_ = nullptr;
+  const media::DecisionTable* table_ = nullptr;
 };
 
 }  // namespace bba::core

@@ -22,25 +22,21 @@ struct ReservoirConfig {
   /// Practical bounds on the reservoir (paper: 8 s to 140 s).
   double min_s = 8.0;
   double max_s = 140.0;
-
-  /// Serve the window sum from ChunkTable's memoized per-k table instead of
-  /// rescanning the lookahead window on every decision. Values are
-  /// bit-identical either way (the memo is built by the same loop); the
-  /// flag only trades a one-time O(chunks * window) build plus O(chunks)
-  /// memory per table for an O(1) steady-state decision. Off reproduces
-  /// the historical per-decision scan (used by benchmarks as the baseline).
-  bool cache_window_sums = true;
 };
+
+/// Chunks in the lookahead window: floor(X / V), at least one.
+std::size_t reservoir_window_chunks(double lookahead_s,
+                                    double chunk_duration_s);
 
 /// Raw (unclamped) reservoir: sum over the next X seconds of chunks at
 /// R_min of (download seconds at capacity R_min) - (video seconds gained).
 /// Negative for low-complexity segments such as opening credits.
 /// `rmin_index` addresses the R_min row of the table; `rmin_bps` is its
-/// nominal rate. `cache_window_sums` as in ReservoirConfig; the default
-/// keeps the historical direct-scan behaviour for existing callers.
+/// nominal rate. Scans the window on every call: the BBA classes read the
+/// same values from the title's media::DecisionTable.
 double raw_reservoir_s(const media::ChunkTable& chunks, std::size_t rmin_index,
                        double rmin_bps, std::size_t next_chunk,
-                       double lookahead_s, bool cache_window_sums = false);
+                       double lookahead_s);
 
 /// Clamped reservoir per the paper's implementation bounds.
 double compute_reservoir_s(const media::ChunkTable& chunks,

@@ -13,7 +13,6 @@
 #include "exp/population.hpp"
 #include "exp/session_key.hpp"
 #include "exp/workload.hpp"
-#include "media/decision_table.hpp"
 #include "net/capacity_trace.hpp"
 #include "net/trace_gen.hpp"
 #include "net/trace_stream.hpp"
@@ -33,13 +32,13 @@ namespace {
 // Runs one session over the stream's trace through the player template with
 // the ABR resolved to its exact type, so the decision and the metrics fold
 // inline into the chunk loop -- also when the metrics sink is teed with a
-// trace sink. BBA-1/2/Others read the per-slot decision tables; an ABR of
-// any other dynamic type (a derived class, a user ABR) keeps the virtual
-// call.
+// trace sink. BBA-1/2/Others read their title's decision table; an ABR
+// of any other dynamic type (a derived class, a user ABR) keeps the
+// virtual call.
 template <class Sink>
 void simulate_fused(abr::RateAdaptation& abr, const media::Video& video,
                     net::TraceStream& stream, const sim::PlayerConfig& player,
-                    Sink& sink, media::DecisionTableCache& tables) {
+                    Sink& sink) {
   net::StreamCursor src(stream);
   const std::type_info& type = typeid(abr);
   if (type == typeid(abr::ControlAbr)) {
@@ -52,8 +51,7 @@ void simulate_fused(abr::RateAdaptation& abr, const media::Video& video,
     sim::simulate(video, src, static_cast<core::Bba0&>(abr), player, sink);
   } else if (type == typeid(abr::BolaAbr)) {
     sim::simulate(video, src, static_cast<abr::BolaAbr&>(abr), player, sink);
-  } else if (std::optional<core::BbaTable> table =
-                 core::BbaTable::of(abr, tables)) {
+  } else if (std::optional<core::BbaTable> table = core::BbaTable::of(abr)) {
     sim::simulate(video, src, *table, player, sink);
   } else {
     sim::simulate(video, src, abr, player, sink);
@@ -68,16 +66,14 @@ struct SessionBlockRunner::Impl {
   // run, rebuilt in place -- CapacityTrace::assign ping-pongs storage with
   // the generation buffers -- and copied into the stream), metrics stream
   // through a StreamingMetricsSink (bit-identical to compute_metrics over
-  // a recording), BBA decision tables are cached per title, and each
-  // group's ABR instance is reused across sessions. Steady state does zero
-  // heap allocation per session. None of this affects the produced values,
-  // so the determinism contract holds.
+  // a recording), and each group's ABR instance is reused across
+  // sessions. Steady state does zero heap allocation per session. None of
+  // this affects the produced values, so the determinism contract holds.
   struct SessionScratch {
     net::TraceScratch trace_scratch;
     net::FaultScratch fault_scratch;
     net::CapacityTrace trace = net::CapacityTrace::constant(1.0);
     net::TraceStream stream;
-    media::DecisionTableCache tables;
     sim::StreamingMetricsSink sink;
     // Created by the collector (make_sink), so the scratch serializes in
     // whatever format the run selected -- JSONL lines or btrace blocks.
@@ -176,7 +172,7 @@ struct SessionBlockRunner::Impl {
     }
     if (alert_line != nullptr) trace_sink.set_alert(*alert_line);
     sim::TeeSink tee(s.sink, trace_sink);
-    simulate_fused(*s.algorithms[g], video, s.stream, player, tee, s.tables);
+    simulate_fused(*s.algorithms[g], video, s.stream, player, tee);
     return trace_sink.finish(lines);
   }
 
@@ -240,8 +236,7 @@ void SessionBlockRunner::Impl::run(std::size_t n_keys, const KeyAt& key_at,
                                   nullptr, &key_trace[at].lines);
             metrics[at * n_groups + g] = s.sink.metrics();
           } else {
-            simulate_fused(*s.algorithms[g], video, s.stream, player, s.sink,
-                           s.tables);
+            simulate_fused(*s.algorithms[g], video, s.stream, player, s.sink);
             const sim::SessionMetrics& m = s.sink.metrics();
             metrics[at * n_groups + g] = m;
             if (tracer == nullptr) continue;

@@ -3,7 +3,6 @@
 // varies with the encoding; BBA-1/2/Others consume exactly this table.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <vector>
 
@@ -21,14 +20,6 @@ class ChunkTable {
   /// strictly positive sizes, chunk_duration_s > 0.
   ChunkTable(std::vector<std::vector<double>> sizes_bits,
              double chunk_duration_s);
-
-  // The memoized window sums (below) live in an intrusive list the table
-  // owns; copies start with an empty memo, moves steal it.
-  ChunkTable(const ChunkTable& other);
-  ChunkTable& operator=(const ChunkTable& other);
-  ChunkTable(ChunkTable&& other) noexcept;
-  ChunkTable& operator=(ChunkTable&& other) noexcept;
-  ~ChunkTable();
 
   std::size_t num_rates() const { return sizes_bits_.size(); }
   std::size_t num_chunks() const { return sizes_bits_.front().size(); }
@@ -65,34 +56,10 @@ class ChunkTable {
   double sum_size_in_window_bits(std::size_t rate, std::size_t k,
                                  std::size_t count) const;
 
-  /// Memoized window sums: entry `k` of the returned vector equals
-  /// sum_size_in_window_bits(rate, k, count) bit-for-bit (it is computed by
-  /// that very function on first access). The table is built once per
-  /// (rate, count) pair and cached for the table's lifetime, turning the
-  /// per-decision O(count) reservoir scan into an O(1) lookup. Thread-safe:
-  /// lookups are lock-free, concurrent first accesses race benignly (one
-  /// build wins, the others are discarded). The returned reference stays
-  /// valid for the table's lifetime.
-  const std::vector<double>& window_sums(std::size_t rate,
-                                         std::size_t count) const;
-
  private:
-  // Immutable once published; pushed front onto a lock-free list. The
-  // handful of distinct (rate, count) keys in practice keeps traversal
-  // cheaper than any map.
-  struct WindowSumNode {
-    std::size_t rate;
-    std::size_t count;
-    std::vector<double> sums;
-    const WindowSumNode* next;
-  };
-
-  void free_window_sums();
-
   std::vector<std::vector<double>> sizes_bits_;
   double chunk_duration_s_;
   std::vector<double> mean_bits_;  // cached per-rate means
-  mutable std::atomic<const WindowSumNode*> window_sums_head_{nullptr};
 };
 
 }  // namespace bba::media

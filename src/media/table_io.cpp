@@ -71,8 +71,14 @@ std::optional<Video> read_chunk_table_csv(const std::string& path,
       sizes[r][k] = bits;
     }
   }
-  return Video(std::move(name), EncodingLadder(rates),
-               ChunkTable(std::move(sizes), chunk_duration_s));
+  // Every decision needs a ladder to choose from, and BBA's chunk map
+  // needs Chunk_max above Chunk_min.
+  if (rates.size() < 2) return std::nullopt;
+  ChunkTable chunks(std::move(sizes), chunk_duration_s);
+  if (chunks.mean_size_bits(rates.size() - 1) <= chunks.mean_size_bits(0)) {
+    return std::nullopt;
+  }
+  return Video(std::move(name), EncodingLadder(rates), std::move(chunks));
 }
 
 }  // namespace bba::media

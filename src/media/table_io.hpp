@@ -27,7 +27,9 @@ bool write_chunk_table_csv(const std::string& path, const Video& video);
 
 /// Reads a video (named `name`) back from `path`. Returns nullopt on I/O
 /// failure or malformed content (non-positive sizes, ragged rows,
-/// unsorted/duplicate ladder rates, missing chunks).
+/// unsorted/duplicate ladder rates, missing chunks), and on a table no ABR
+/// here can play: fewer than 2 rates, or a mean chunk size at R_max not
+/// above the one at R_min.
 std::optional<Video> read_chunk_table_csv(const std::string& path,
                                           std::string name);
 

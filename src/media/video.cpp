@@ -1,16 +1,43 @@
 #include "media/video.hpp"
 
+#include <mutex>
+
+#include "media/decision_table.hpp"
+#include "obs/metrics.hpp"
 #include "util/assert.hpp"
 #include "util/table.hpp"
 
 namespace bba::media {
 
+// The tables built so far, one per window. A handful of windows per run:
+// a linear scan beats any map. Entries are pointer-stable.
+struct Video::DecisionTables {
+  std::mutex mutex;
+  std::vector<std::unique_ptr<const DecisionTable>> built;
+};
+
 Video::Video(std::string name, EncodingLadder ladder, ChunkTable chunks)
     : name_(std::move(name)),
       ladder_(std::move(ladder)),
-      chunks_(std::move(chunks)) {
+      chunks_(std::move(chunks)),
+      tables_(std::make_shared<DecisionTables>()) {
   BBA_ASSERT(ladder_.size() == chunks_.num_rates(),
              "ladder and chunk table must have the same number of rates");
+}
+
+const DecisionTable& Video::decision_table(std::size_t window_chunks,
+                                           bool* built) const {
+  std::lock_guard<std::mutex> lock(tables_->mutex);
+  for (const auto& table : tables_->built) {
+    if (table->window_chunks == window_chunks) {
+      if (built != nullptr) *built = false;
+      return *table;
+    }
+  }
+  obs::count(obs::Counter::kReservoirMemoBuilds);
+  if (built != nullptr) *built = true;
+  return *tables_->built.emplace_back(
+      std::make_unique<const DecisionTable>(chunks_, ladder_, window_chunks));
 }
 
 Video make_cbr_video(std::string name, const EncodingLadder& ladder,

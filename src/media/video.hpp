@@ -3,6 +3,7 @@
 // workload.
 #pragma once
 
+#include <cstddef>
 #include <memory>
 #include <string>
 #include <vector>
@@ -13,6 +14,8 @@
 #include "util/rng.hpp"
 
 namespace bba::media {
+
+struct DecisionTable;
 
 /// One title as seen by the client: the rates it is encoded at and the size
 /// of every chunk at every rate. Immutable after construction.
@@ -27,10 +30,22 @@ class Video {
   std::size_t num_chunks() const { return chunks_.num_chunks(); }
   double duration_s() const { return chunks_.video_duration_s(); }
 
+  /// The title's BBA decision table for a reservoir lookahead of
+  /// `window_chunks` chunks (media/decision_table.hpp). Built on the first
+  /// call for a window -- exactly once, under a lock, counted as one
+  /// kReservoirMemoBuilds -- and shared by every thread and by copies of
+  /// this Video. `*built`, if given, says whether this call built it. The
+  /// reference stays valid while any copy of the Video lives.
+  const DecisionTable& decision_table(std::size_t window_chunks,
+                                      bool* built = nullptr) const;
+
  private:
+  struct DecisionTables;
+
   std::string name_;
   EncodingLadder ladder_;
   ChunkTable chunks_;
+  std::shared_ptr<DecisionTables> tables_;
 };
 
 /// Builds a CBR test video (every chunk exactly V * R bits).

@@ -42,8 +42,8 @@ enum class Counter : std::size_t {
   kRebuffers,             ///< playback stalls
   kRateSwitches,          ///< rate changes between adjacent chunks
   kOffPeriods,            ///< ON-OFF idle waits (buffer full)
-  kReservoirMemoHits,     ///< ChunkTable::window_sums served from the memo
-  kReservoirMemoBuilds,   ///< ChunkTable::window_sums table builds
+  kReservoirMemoHits,     ///< BBA decisions served by a built table
+  kReservoirMemoBuilds,   ///< Video::decision_table builds
   kCursorQueries,         ///< StreamCursor segment lookups
   kCursorRewinds,         ///< lookups that fell back to binary search
   kPoolLoops,             ///< pool loop participations (per thread)

@@ -132,25 +132,6 @@ TEST(Reservoir, WindowTruncatesAtVideoEnd) {
                    0.0);
 }
 
-TEST(Reservoir, CachedWindowSumsAreBitIdentical) {
-  const media::EncodingLadder ladder = media::EncodingLadder::netflix_2013();
-  util::Rng rng(11);
-  std::vector<double> complexity(300);
-  for (double& c : complexity) c = rng.uniform(0.4, 2.2);
-  const auto table = media::make_vbr_table(ladder, complexity, 4.0);
-
-  ReservoirConfig cached;  // cache_window_sums defaults to on
-  ReservoirConfig scanning = cached;
-  scanning.cache_window_sums = false;
-  for (std::size_t k = 0; k <= table.num_chunks(); ++k) {
-    // EXPECT_EQ on doubles is exact: the memoized reservoir must be
-    // bit-for-bit the per-decision scan, at every position.
-    EXPECT_EQ(compute_reservoir_s(table, 0, ladder.rmin_bps(), k, cached),
-              compute_reservoir_s(table, 0, ladder.rmin_bps(), k, scanning))
-        << "next_chunk " << k;
-  }
-}
-
 TEST(Reservoir, ShorterLookaheadSeesLess) {
   const media::EncodingLadder ladder = media::EncodingLadder::netflix_2013();
   std::vector<double> complexity(300, 1.0);

@@ -6,6 +6,8 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <iterator>
+#include <memory>
 #include <new>
 #include <span>
 #include <vector>
@@ -20,8 +22,10 @@
 #include "exp/population.hpp"
 #include "exp/report.hpp"
 #include "exp/workload.hpp"
-#include "util/csv.hpp"
 #include "media/video.hpp"
+#include "obs/metrics.hpp"
+#include "obs/obs.hpp"
+#include "util/csv.hpp"
 #include "util/units.hpp"
 
 namespace bba::exp {
@@ -159,6 +163,58 @@ TEST(AbTest, ShapeAndDeterminism) {
       }
     }
   }
+}
+
+// The registry a run fills is a pure function of (seed, config), like its
+// results: at 1 and 4 threads every counter and histogram agrees, except
+// the executor's own (at 1 thread no pool runs). A histogram's sum is a
+// floating-point fold per slot, so its rounding follows the slot split;
+// its count and buckets are exact. Each run gets a fresh library, so both
+// build every title's decision table from cold.
+TEST(AbTest, RegistryIsThreadInvariant) {
+  const std::vector<Group> groups = {
+      {"control", make_control_factory()},
+      {"bba1", make_bba1_factory()},
+      {"bba2", make_bba2_factory()},
+      {"bba-others", make_bba_others_factory()},
+  };
+  auto run = [&](std::size_t threads) {
+    const media::VideoLibrary lib = media::VideoLibrary::standard(11);
+    obs::Observability handle;
+    handle.metrics = std::make_unique<obs::MetricsRegistry>(threads);
+    obs::install(&handle);
+    AbTestConfig cfg = tiny_config();
+    cfg.threads = threads;
+    run_ab_test(groups, lib, cfg);
+    obs::install(nullptr);
+    return handle.metrics->snapshot();
+  };
+  const obs::MetricsSnapshot one = run(1);
+  const obs::MetricsSnapshot four = run(4);
+
+  using obs::Counter;
+  for (std::size_t i = 0; i < obs::kNumCounters; ++i) {
+    const auto c = static_cast<Counter>(i);
+    if (c == Counter::kPoolLoops || c == Counter::kPoolChunksClaimed) {
+      continue;
+    }
+    EXPECT_EQ(one.counter(c), four.counter(c)) << obs::counter_name(c);
+  }
+  for (std::size_t i = 0; i < obs::kNumHists; ++i) {
+    const auto h = static_cast<obs::Hist>(i);
+    if (h == obs::Hist::kExecutorBacklog) continue;
+    const obs::MetricsSnapshot::HistValues& a = one.hist(h);
+    const obs::MetricsSnapshot::HistValues& b = four.hist(h);
+    EXPECT_EQ(a.count, b.count) << obs::hist_name(h);
+    EXPECT_NEAR(a.sum, b.sum, 1e-9 * a.sum) << obs::hist_name(h);
+    EXPECT_TRUE(std::equal(std::begin(a.buckets), std::end(a.buckets),
+                           std::begin(b.buckets)))
+        << obs::hist_name(h);
+  }
+  // One build per title a BBA session played, at most the library's six.
+  EXPECT_GT(one.counter(Counter::kReservoirMemoBuilds), 0u);
+  EXPECT_LE(one.counter(Counter::kReservoirMemoBuilds), 6u);
+  EXPECT_GT(one.counter(Counter::kReservoirMemoHits), 0u);
 }
 
 // The runner holds per-key state for a window of keys in flight, not for

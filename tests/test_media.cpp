@@ -1,12 +1,14 @@
-// Tests for bba::media: encoding ladder, chunk tables, VBR generation,
-// video library.
+// Tests for bba::media: encoding ladder, chunk tables, decision tables, VBR
+// generation, video library.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <utility>
 #include <vector>
 
+#include "core/reservoir.hpp"
 #include "media/chunk_table.hpp"
+#include "media/decision_table.hpp"
 #include "media/encoding_ladder.hpp"
 #include "media/vbr.hpp"
 #include "media/video.hpp"
@@ -121,42 +123,74 @@ ChunkTable irregular_table(std::size_t chunks) {
   return ChunkTable(std::move(sizes), 4.0);
 }
 
-TEST(ChunkTable, WindowSumsMatchDirectScanBitForBit) {
-  const ChunkTable t = irregular_table(257);
-  for (std::size_t count : {std::size_t{1}, std::size_t{7}, std::size_t{120},
-                            std::size_t{500}}) {
-    for (std::size_t rate = 0; rate < t.num_rates(); ++rate) {
-      const std::vector<double>& sums = t.window_sums(rate, count);
-      ASSERT_EQ(sums.size(), t.num_chunks());
-      for (std::size_t k = 0; k < t.num_chunks(); ++k) {
-        // EXPECT_EQ on doubles is exact equality -- the memo contract.
-        EXPECT_EQ(sums[k], t.sum_size_in_window_bits(rate, k, count))
-            << "rate " << rate << " k " << k << " count " << count;
+// A ladder to pair with irregular_table's three rates.
+EncodingLadder irregular_ladder() {
+  return EncodingLadder({kbps(235), kbps(750), kbps(1750)});
+}
+
+// Every row of the title's decision table is bitwise what a decision
+// would read without it: the reservoir column is the core::raw_reservoir_s
+// scan, and each size column the chunk table's size.
+void expect_rows_match_scan(const Video& video) {
+  const ChunkTable& chunks = video.chunks();
+  const EncodingLadder& ladder = video.ladder();
+  const double V = video.chunk_duration_s();
+  for (std::size_t window : {std::size_t{1}, std::size_t{7},
+                             std::size_t{120}, std::size_t{500}}) {
+    SCOPED_TRACE(testing::Message() << video.name() << " window " << window);
+    const double lookahead_s = static_cast<double>(window) * V;
+    ASSERT_EQ(core::reservoir_window_chunks(lookahead_s, V), window);
+    const DecisionTable& t = video.decision_table(window);
+    ASSERT_EQ(t.window_chunks, window);
+    ASSERT_EQ(t.n_rates, ladder.size());
+    ASSERT_EQ(t.szt.size(), chunks.num_chunks() * t.row_stride);
+    for (std::size_t k = 0; k < chunks.num_chunks(); ++k) {
+      const double* row = t.szt.data() + k * t.row_stride;
+      // EXPECT_EQ on doubles is exact equality.
+      EXPECT_EQ(row[0], core::raw_reservoir_s(chunks, ladder.min_index(),
+                                              ladder.rmin_bps(), k,
+                                              lookahead_s))
+          << "k " << k;
+      for (std::size_t r = 0; r < ladder.size(); ++r) {
+        EXPECT_EQ(row[1 + r], chunks.size_bits(r, k))
+            << "k " << k << " rate " << r;
       }
     }
   }
 }
 
-TEST(ChunkTable, WindowSumsReturnsStableReference) {
-  const ChunkTable t = irregular_table(64);
-  const std::vector<double>* first = &t.window_sums(0, 16);
-  t.window_sums(1, 16);  // new key: pushes another node
-  t.window_sums(0, 8);
-  EXPECT_EQ(first, &t.window_sums(0, 16));
+TEST(DecisionTable, RowsMatchReservoirScanAndSizesBitForBit) {
+  const VideoLibrary library = VideoLibrary::standard(2014);
+  for (std::size_t i = 0; i < library.size(); ++i) {
+    expect_rows_match_scan(library.at(i));
+  }
+  expect_rows_match_scan(
+      Video("irregular", irregular_ladder(), irregular_table(257)));
 }
 
-TEST(ChunkTable, CopyAndMoveKeepWindowSumValues) {
-  ChunkTable original = irregular_table(64);
-  const double want = original.window_sums(0, 16)[5];
+TEST(DecisionTable, CopiesShareValuesAndAddressesStayStable) {
+  const Video original("irregular", irregular_ladder(), irregular_table(64));
+  const Video early_copy = original;  // copied before any table exists
+  bool built = false;
+  const DecisionTable* first = &original.decision_table(16, &built);
+  EXPECT_TRUE(built);
+  const std::vector<double> rows = first->szt;
 
-  ChunkTable copy = original;  // copies data, starts with an empty memo
-  EXPECT_EQ(copy.window_sums(0, 16)[5], want);
+  // Building other windows leaves the first table where it was.
+  original.decision_table(8);
+  original.decision_table(500);
+  EXPECT_EQ(&original.decision_table(16, &built), first);
+  EXPECT_FALSE(built);
+  EXPECT_EQ(first->szt, rows);
 
-  ChunkTable moved = std::move(original);  // steals data and memo
-  EXPECT_EQ(moved.window_sums(0, 16)[5], want);
-
-  copy = moved;
-  EXPECT_EQ(copy.window_sums(0, 16)[5], want);
+  const Video late_copy = original;
+  EXPECT_EQ(late_copy.decision_table(16).szt, rows);
+  EXPECT_EQ(early_copy.decision_table(16).szt, rows);
+  EXPECT_EQ(early_copy.decision_table(8).szt,
+            original.decision_table(8).szt);
+  Video source = late_copy;
+  const Video moved = std::move(source);
+  EXPECT_EQ(moved.decision_table(16).szt, rows);
 }
 
 TEST(Vbr, ComplexityHasMeanOne) {

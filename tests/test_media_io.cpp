@@ -1,5 +1,6 @@
 // Tests for chunk-table CSV I/O (replaying real encodings).
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 
 #include <cstdio>
 #include <string>
@@ -109,6 +110,59 @@ TEST(TableIo, AcceptsMinimalValidTable) {
   EXPECT_EQ(video->num_chunks(), 2u);
   EXPECT_DOUBLE_EQ(video->chunk_duration_s(), 2.0);
   EXPECT_DOUBLE_EQ(video->chunks().size_bits(1, 1), 900000.0);
+  std::remove(path.c_str());
+}
+
+// A one-rate ladder leaves no rate to switch to: every ABR here asserts
+// R_min < R_max.
+constexpr const char* kOneRateTable =
+    "chunk_duration_s,4\nrate_bps,250000\n0,1000000\n1,900000\n";
+// Sorted rates whose mean chunk size at R_max is not above the one at
+// R_min: BBA's chunk map needs Chunk_min < Chunk_max.
+constexpr const char* kFlatTable =
+    "chunk_duration_s,4\nrate_bps,250000,500000\n"
+    "0,1000000,600000\n1,800000,1200000\n";
+
+TEST(TableIo, RejectsOneRateTable) {
+  const std::string path = testing::TempDir() + "/bba_table_one_rate.csv";
+  write_lines(path, kOneRateTable);
+  EXPECT_FALSE(read_chunk_table_csv(path, "x").has_value());
+  std::remove(path.c_str());
+}
+
+TEST(TableIo, RejectsTopRateNoLargerThanBottom) {
+  const std::string path = testing::TempDir() + "/bba_table_flat.csv";
+  write_lines(path, kFlatTable);  // equal means
+  EXPECT_FALSE(read_chunk_table_csv(path, "x").has_value());
+  write_lines(path,
+              "chunk_duration_s,4\nrate_bps,250000,500000\n"
+              "0,1000000,600000\n1,800000,700000\n");  // smaller at R_max
+  EXPECT_FALSE(read_chunk_table_csv(path, "x").has_value());
+  std::remove(path.c_str());
+}
+
+// bba_session reports such a table and exits 1; the BBA family used to
+// abort on it.
+TEST(TableIo, SessionToolRejectsUnplayableTables) {
+  const std::string path = testing::TempDir() + "/bba_table_cli.csv";
+  for (const char* table : {kOneRateTable, kFlatTable}) {
+    write_lines(path, table);
+    for (const char* abr : {"bba0", "bba1", "bba2", "bba-others"}) {
+      SCOPED_TRACE(testing::Message() << abr << " on " << table);
+      const std::string cmd = std::string(BBA_SESSION_BIN) + " --video " +
+                              path + " --abr " + abr + " 2>&1";
+      std::FILE* p = popen(cmd.c_str(), "r");
+      ASSERT_NE(p, nullptr);
+      std::string log;
+      char buf[4096];
+      std::size_t n;
+      while ((n = std::fread(buf, 1, sizeof buf, p)) > 0) log.append(buf, n);
+      const int rc = pclose(p);
+      ASSERT_TRUE(WIFEXITED(rc)) << log;
+      EXPECT_EQ(WEXITSTATUS(rc), 1) << log;
+      EXPECT_NE(log.find("could not read video"), std::string::npos) << log;
+    }
+  }
   std::remove(path.c_str());
 }
 

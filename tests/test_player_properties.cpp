@@ -265,9 +265,9 @@ std::unique_ptr<abr::RateAdaptation> make_group(int group) {
 // The exact-type instantiation the A/B harness would pick for `abr`.
 template <class Source>
 sim::SessionMetrics fused(abr::RateAdaptation& abr, const RandomSession& s,
-                          Source src, media::DecisionTableCache& tables) {
+                          Source src) {
   sim::StreamingMetricsSink sink;
-  if (std::optional<core::BbaTable> table = core::BbaTable::of(abr, tables)) {
+  if (std::optional<core::BbaTable> table = core::BbaTable::of(abr)) {
     sim::simulate(s.video, src, *table, s.cfg, sink);
   } else if (auto* control = dynamic_cast<abr::ControlAbr*>(&abr)) {
     sim::simulate(s.video, src, *control, s.cfg, sink);
@@ -331,17 +331,16 @@ TEST_P(PlayerProperties, InvariantsAndInstantiationsAgree) {
       // over the materialized looping trace assigned to a stream, and --
       // for outage-free traces, which the harness never materializes --
       // over the lazy stream.
-      media::DecisionTableCache tables;
       net::TraceStream stream;
       stream.assign(s.trace);
       EXPECT_TRUE(same_bits(
-          recorded, fused(*abr, s, net::StreamCursor(stream), tables)));
+          recorded, fused(*abr, s, net::StreamCursor(stream))));
       EXPECT_TRUE(same_bits(
-          recorded, fused(*abr, s, net::SearchSource{s.trace}, tables)));
+          recorded, fused(*abr, s, net::SearchSource{s.trace})));
       if (!s.outages) {
         stream.reset(s.markov, s.trace_rng);
         EXPECT_TRUE(same_bits(
-            recorded, fused(*abr, s, net::StreamCursor(stream), tables)));
+            recorded, fused(*abr, s, net::StreamCursor(stream))));
       }
     }
   }

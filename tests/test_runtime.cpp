@@ -18,7 +18,9 @@
 #include "exp/population.hpp"
 #include "exp/session_key.hpp"
 #include "exp/workload.hpp"
+#include "media/decision_table.hpp"
 #include "media/video.hpp"
+#include "obs/metrics.hpp"
 #include "runtime/session_executor.hpp"
 #include "runtime/thread_pool.hpp"
 #include "sim/metrics.hpp"
@@ -171,26 +173,35 @@ TEST(SessionExecutor, SlottedExecuteMatchesPlainExecute) {
   }
 }
 
-TEST(ChunkTableMemo, ConcurrentFirstAccessIsSafeAndConsistent) {
-  // Many threads race to build the same window-sum memos (the harness
-  // pattern right after a cold start). Every thread must read values
-  // bitwise equal to the direct scan regardless of who built the node.
-  const media::VideoLibrary library = media::VideoLibrary::standard(3);
-  runtime::ThreadPool pool(8);
-  std::atomic<int> mismatches{0};
-  const runtime::ThreadPool::SlotBody check = [&](std::size_t i,
-                                                  std::size_t) {
-    const media::ChunkTable& table = library.at(i % library.size()).chunks();
-    const std::size_t count = (i % 2 == 0) ? 120 : 30;
-    const std::vector<double>& sums = table.window_sums(0, count);
-    const std::size_t k = i % table.num_chunks();
-    const double direct = table.sum_size_in_window_bits(0, k, count);
-    if (std::memcmp(&sums[k], &direct, sizeof(double)) != 0) {
-      mismatches.fetch_add(1);
+TEST(DecisionTable, ConcurrentFirstLookupBuildsOnce) {
+  // Eight threads, released together, make a title's first table lookup
+  // (the harness pattern right after a cold start). Exactly one builds the
+  // table, and every thread gets that one. A long title with a wide window
+  // makes the build take milliseconds, so the lookups overlap it.
+  constexpr std::size_t kThreads = 8;
+  for (int trial = 0; trial < 3; ++trial) {
+    const media::Video video = media::make_cbr_video(
+        "long", media::EncodingLadder::netflix_2013(), 20000, 4.0);
+    obs::MetricsRegistry registry(kThreads);
+    std::atomic<std::size_t> arrived{0};
+    std::vector<const media::DecisionTable*> got(kThreads, nullptr);
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        obs::SlotBinding bind(&registry, t);
+        arrived.fetch_add(1);
+        while (arrived.load() < kThreads) std::this_thread::yield();
+        got[t] = &video.decision_table(500);
+      });
     }
-  };
-  pool.parallel_for_ordered(0, 64, 1, pool.default_window(1), check, nullptr);
-  EXPECT_EQ(mismatches.load(), 0);
+    for (std::thread& th : threads) th.join();
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      EXPECT_EQ(got[t], got[0]) << "thread " << t;
+    }
+    EXPECT_EQ(got[0], &video.decision_table(500));
+    EXPECT_EQ(
+        registry.snapshot().counter(obs::Counter::kReservoirMemoBuilds), 1u);
+  }
 }
 
 TEST(ThreadPool, DefaultGrainGivesManyClaimsPerThread) {

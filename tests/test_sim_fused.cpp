@@ -156,9 +156,8 @@ struct Fixture {
   }
 };
 
-core::BbaTable table_policy(const core::Bba2& abr,
-                            media::DecisionTableCache& tables) {
-  std::optional<core::BbaTable> policy = core::BbaTable::of(abr, tables);
+core::BbaTable table_policy(const core::Bba2& abr) {
+  std::optional<core::BbaTable> policy = core::BbaTable::of(abr);
   EXPECT_TRUE(policy.has_value());
   return *policy;
 }
@@ -169,8 +168,7 @@ TEST(SimBatch, MixedStreamAndTraceLanesMatchScalar) {
   Fixture fx;
   const std::vector<Case> cases = fx.cases(kSweep);
   core::Bba2 abr;
-  media::DecisionTableCache tables;
-  core::BbaTable policy = table_policy(abr, tables);
+  core::BbaTable policy = table_policy(abr);
   net::TraceStream stream;
   sim::StreamingMetricsSink sink;
   std::size_t streamed = 0;
@@ -191,8 +189,7 @@ TEST(SimBatch, AllOutageLanesMatchScalar) {
   Fixture fx(pop);
   const std::vector<Case> cases = fx.cases(60);
   core::Bba2 abr;
-  media::DecisionTableCache tables;
-  core::BbaTable policy = table_policy(abr, tables);
+  core::BbaTable policy = table_policy(abr);
   net::TraceStream stream;
   sim::StreamingMetricsSink sink;
   for (std::size_t i = 0; i < cases.size(); ++i) {
@@ -204,9 +201,8 @@ TEST(SimBatch, AllOutageLanesMatchScalar) {
 }
 
 TEST(SimBatch, ObsRegistryDeltasMatchScalar) {
-  // Memo accounting (kReservoirMemoHits / kReservoirMemoBuilds) depends on
-  // the ChunkTable memo temperature, so each side gets its own
-  // identically-seeded library copy and a cold registry.
+  // Table builds (kReservoirMemoBuilds) happen once per title, so each side
+  // gets its own identically-seeded library copy and a cold registry.
   Fixture fx_fused;
   Fixture fx_virtual;
   const std::vector<Case> fc = fx_fused.cases(kSweep);
@@ -216,8 +212,7 @@ TEST(SimBatch, ObsRegistryDeltasMatchScalar) {
   {
     obs::SlotBinding bind(&reg_fused, 0);
     core::Bba2 abr;
-    media::DecisionTableCache tables;
-    core::BbaTable policy = table_policy(abr, tables);
+    core::BbaTable policy = table_policy(abr);
     net::TraceStream stream;
     sim::StreamingMetricsSink sink;
     for (const Case& c : fc) {
@@ -346,8 +341,7 @@ TEST(SimBatch, SharedStreamKeyLanesMatchPrivateStreams) {
   Fixture fx;
   const std::vector<Case> cases = fx.cases(40);
   core::Bba2 abr;
-  media::DecisionTableCache tables;
-  core::BbaTable policy = table_policy(abr, tables);
+  core::BbaTable policy = table_policy(abr);
   sim::StreamingMetricsSink sink;
   std::size_t shared_keys = 0;
   for (std::size_t i = 0; i < cases.size(); ++i) {
@@ -378,8 +372,7 @@ TEST(SimBatch, IneligibleLanesFallBackIdentically) {
   Fixture fx;
   const std::vector<Case> cases = fx.cases(40);
   core::Bba2 abr;
-  media::DecisionTableCache tables;
-  core::BbaTable policy = table_policy(abr, tables);
+  core::BbaTable policy = table_policy(abr);
   net::TraceStream stream;
   sim::StreamingMetricsSink sink;
   for (std::size_t i = 0; i < cases.size(); ++i) {
@@ -398,21 +391,14 @@ TEST(SimBatch, IneligibleLanesFallBackIdentically) {
 }
 
 TEST(SimBatch, EligibilityRejectsUnsupportedConfigs) {
-  // The table-driven policy answers exactly for Bba1/Bba2/BbaOthers with
-  // memoized window sums; everything else keeps the class's own
-  // choose_rate.
-  media::DecisionTableCache tables;
-  EXPECT_TRUE(core::BbaTable::of(core::Bba1{}, tables).has_value());
-  EXPECT_TRUE(core::BbaTable::of(core::Bba2{}, tables).has_value());
+  // The table-driven policy answers exactly for Bba1/Bba2/BbaOthers;
+  // everything else keeps the class's own choose_rate.
+  EXPECT_TRUE(core::BbaTable::of(core::Bba1{}).has_value());
+  EXPECT_TRUE(core::BbaTable::of(core::Bba2{}).has_value());
   EXPECT_TRUE(
-      core::BbaTable::of(*exp::make_bba_others_factory()(), tables).has_value());
-  core::Bba2Config no_memo;
-  no_memo.base.reservoir.cache_window_sums = false;
-  EXPECT_FALSE(core::BbaTable::of(core::Bba2{no_memo}, tables).has_value());
-  EXPECT_FALSE(
-      core::BbaTable::of(*exp::make_control_factory()(), tables).has_value());
-  EXPECT_FALSE(
-      core::BbaTable::of(*exp::make_bba0_factory()(), tables).has_value());
+      core::BbaTable::of(*exp::make_bba_others_factory()()).has_value());
+  EXPECT_FALSE(core::BbaTable::of(*exp::make_control_factory()()).has_value());
+  EXPECT_FALSE(core::BbaTable::of(*exp::make_bba0_factory()()).has_value());
 }
 
 TEST(SimBatch, HarnessBatchOnOffBitIdentical) {
@@ -445,8 +431,7 @@ TEST(SimBatch, DerivedAbrRefusesProfile) {
   struct TweakedBba2 : core::Bba2 {
     using core::Bba2::Bba2;
   };
-  media::DecisionTableCache tables;
-  EXPECT_FALSE(core::BbaTable::of(TweakedBba2{}, tables).has_value());
+  EXPECT_FALSE(core::BbaTable::of(TweakedBba2{}).has_value());
 
   std::vector<exp::Group> groups = harness_groups();
   groups.push_back(
