@@ -9,11 +9,6 @@ std::size_t RMaxAlways::choose_rate(const Observation& obs) {
   return obs.video->ladder().max_index();
 }
 
-std::size_t FixedRate::choose_rate(const Observation& obs) {
-  BBA_ASSERT(obs.video != nullptr, "observation must carry the video");
-  return std::min(index_, obs.video->ladder().max_index());
-}
-
 ThroughputAbr::ThroughputAbr(
     std::unique_ptr<net::ThroughputEstimator> estimator, double safety,
     std::size_t start_index)

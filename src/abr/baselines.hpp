@@ -31,17 +31,6 @@ class RMaxAlways final : public RateAdaptation {
   std::string name() const override { return "rmax-always"; }
 };
 
-/// Always requests a fixed ladder index (clamped to the ladder).
-class FixedRate final : public RateAdaptation {
- public:
-  explicit FixedRate(std::size_t index) : index_(index) {}
-  std::size_t choose_rate(const Observation& obs) override;
-  std::string name() const override { return "fixed-rate"; }
-
- private:
-  std::size_t index_;
-};
-
 /// Naive capacity chasing: picks the highest rate not above
 /// safety * estimate, with no buffer awareness at all.
 class ThroughputAbr final : public RateAdaptation {

@@ -29,16 +29,14 @@ namespace bba::exp {
 
 namespace {
 
-// Runs one session over the stream's trace through the player template with
-// the ABR resolved to its exact type, so the decision and the metrics fold
-// inline into the chunk loop -- also when the metrics sink is teed with a
-// trace sink. BBA-1/2/Others read their title's decision table; an ABR
-// of any other dynamic type (a derived class, a user ABR) keeps the
-// virtual call.
-template <class Sink>
+// Runs one untraced session with the ABR resolved to its exact type, so
+// the decision and the metrics fold inline into the chunk loop. BBA-1/2/
+// Others read their title's decision table; an ABR of any other dynamic
+// type keeps the virtual call. So does every traced session (play_traced):
+// the same decisions, from the same table rows, at one instantiation.
 void simulate_fused(abr::RateAdaptation& abr, const media::Video& video,
                     net::TraceStream& stream, const sim::PlayerConfig& player,
-                    Sink& sink) {
+                    sim::StreamingMetricsSink& sink) {
   net::StreamCursor src(stream);
   const std::type_info& type = typeid(abr);
   if (type == typeid(abr::ControlAbr)) {
@@ -153,7 +151,8 @@ struct SessionBlockRunner::Impl {
   }
 
   // Simulates group g's session of `key` with the slot's trace sink teed
-  // next to the metrics sink, on the stream prepare_session() set up.
+  // next to the metrics sink, on the stream prepare_session() set up,
+  // through the ABR's virtual interface (see simulate_fused).
   // Faulted sessions carry their injected faults, read from the
   // materialized s.trace; an alert capture carries its marker line.
   // Appends the serialized session to *lines and returns whether the sink
@@ -172,7 +171,8 @@ struct SessionBlockRunner::Impl {
     }
     if (alert_line != nullptr) trace_sink.set_alert(*alert_line);
     sim::TeeSink tee(s.sink, trace_sink);
-    simulate_fused(*s.algorithms[g], video, s.stream, player, tee);
+    sim::simulate(video, net::StreamCursor(s.stream), *s.algorithms[g],
+                  player, tee);
     return trace_sink.finish(lines);
   }
 
@@ -320,27 +320,9 @@ SessionBlockRunner::SessionBlockRunner(const std::vector<Group>& groups,
 
 SessionBlockRunner::~SessionBlockRunner() = default;
 
-std::size_t SessionBlockRunner::num_groups() const {
-  return impl_->groups.size();
-}
-
-std::size_t SessionBlockRunner::threads() const {
-  return impl_->executor.threads();
-}
-
-const Population& SessionBlockRunner::population() const {
-  return impl_->population;
-}
-
 void SessionBlockRunner::run(std::size_t n_keys, const KeyAt& key_at,
                              const Fold& fold) {
   impl_->run(n_keys, key_at, fold);
-}
-
-void SessionBlockRunner::run(std::span<const SessionKey> keys,
-                             const Fold& fold) {
-  impl_->run(
-      keys.size(), [keys](std::size_t i) { return keys[i]; }, fold);
 }
 
 void SessionBlockRunner::capture_session(const SessionKey& key,

@@ -21,7 +21,6 @@
 
 #include <functional>
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "exp/abtest.hpp"
@@ -44,10 +43,6 @@ class SessionBlockRunner {
   SessionBlockRunner(const SessionBlockRunner&) = delete;
   SessionBlockRunner& operator=(const SessionBlockRunner&) = delete;
 
-  std::size_t num_groups() const;
-  std::size_t threads() const;
-  const Population& population() const;
-
   /// Receives the finished metrics of (key key_index, group), invoked
   /// sequentially on the calling thread in ascending (key_index, group)
   /// order.
@@ -67,11 +62,10 @@ class SessionBlockRunner {
   /// held for the whole block, and no key list is built. Safe to call
   /// repeatedly; session traces are appended block by block in call order.
   /// If a simulation throws, the keys before it are folded and the
-  /// exception propagates.
+  /// exception propagates. Both harnesses call it: run_ab_test with
+  /// shard_key over --checkpoint-every blocks, the sequential engine with
+  /// each round's contiguous range of its canonical key sequence.
   void run(std::size_t n_keys, const KeyAt& key_at, const Fold& fold);
-
-  /// run() over an explicit key list (the sequential engine's batches).
-  void run(std::span<const SessionKey> keys, const Fold& fold);
 
   /// Flushes the trace collector. Call once after the last block (and
   /// before reading the trace file); run_ab_test and the sequential engine

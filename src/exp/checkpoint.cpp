@@ -772,6 +772,135 @@ CheckpointOptions CheckpointOptions::from_env() {
   return opts;
 }
 
+// --- The shared save and resume protocol ----------------------------------
+
+CheckpointInstruments CheckpointInstruments::installed(bool monitor) {
+  CheckpointInstruments in;
+  if (obs::Observability* o = obs::global()) {
+    in.timeline = o->timeline.get();
+    if (o->trace != nullptr && o->trace->ok()) in.trace = o->trace.get();
+    if (monitor) in.monitor = o->monitor.get();
+  }
+  return in;
+}
+
+void RunCheckpoints::begin_run() const {
+  if (instruments.timeline != nullptr) {
+    instruments.timeline->begin_run(cfg.seed, groups, cfg.days,
+                                    kWindowsPerDay);
+  }
+  if (instruments.monitor != nullptr) {
+    instruments.monitor->begin_run(cfg.seed, groups, cfg.days,
+                                   kWindowsPerDay);
+    // A shard sees only its own (day, window) subsequence, which would
+    // feed the detectors a different cell order than the unsharded fold:
+    // accumulate cells only, and let the merged checkpoint's resume render
+    // refold() the full grid.
+    instruments.monitor->set_deferred(opts.sharded());
+  }
+}
+
+Checkpoint RunCheckpoints::snapshot() const {
+  Checkpoint ck;
+  ck.kind = kind;
+  ck.seed = cfg.seed;
+  ck.days = cfg.days;
+  ck.windows_per_day = kWindowsPerDay;
+  ck.sessions_per_window = cfg.sessions_per_window;
+  ck.shard_index = opts.shard_index;
+  ck.shard_count = opts.shard_count;
+  ck.groups = groups;
+  const CheckpointInstruments& in = instruments;
+  if (in.timeline != nullptr && in.timeline->configured()) {
+    ck.has_timeline = true;
+    ck.timeline = *in.timeline;
+  }
+  if (in.trace != nullptr) {
+    ck.has_trace = true;
+    ck.trace = in.trace->resume_state();  // flushes first
+  }
+  if (in.monitor != nullptr && in.monitor->configured()) {
+    ck.has_alerts = true;
+    ck.alerts = in.monitor->state();
+    ck.alerts_spec_json = in.monitor->spec().to_json();
+  }
+  return ck;
+}
+
+bool RunCheckpoints::save(const Checkpoint& ck, const std::string& progress,
+                          std::string* error) {
+  if (!save_checkpoint(ck, opts.out, error)) return false;
+  std::fprintf(stderr, "checkpoint: wrote %s (%s)\n", opts.out.c_str(),
+               progress.c_str());
+  if (opts.kill_after != 0 && ++saves >= opts.kill_after) {
+    std::fprintf(stderr,
+                 "checkpoint: --checkpoint-kill %llu reached, exiting\n",
+                 static_cast<unsigned long long>(opts.kill_after));
+    std::_Exit(3);
+  }
+  return true;
+}
+
+bool RunCheckpoints::load(Checkpoint* ck, std::string* error) const {
+  if (!load_checkpoint(opts.resume, ck, error)) return false;
+  if (ck->kind != kind || (kind == 1 && !ck->has_seq)) {
+    *error = opts.resume + (kind == 0 ? " checkpoints a sequential run; "
+                                        "resume it with --sequential"
+                                      : " checkpoints a fixed-budget run; "
+                                        "resume it without --sequential");
+    return false;
+  }
+  if (ck->seed != cfg.seed || ck->days != cfg.days ||
+      ck->windows_per_day != kWindowsPerDay ||
+      ck->sessions_per_window != cfg.sessions_per_window) {
+    *error = opts.resume +
+             " was checkpointed with different run dimensions or seed";
+    return false;
+  }
+  if (ck->groups != groups) {
+    *error = opts.resume + " was checkpointed with different groups";
+    return false;
+  }
+  return true;
+}
+
+bool RunCheckpoints::restore(Checkpoint& ck, const std::string& progress,
+                             std::string* error) const {
+  auto missing = [&](const char* flag, const char* section) {
+    *error = std::string(flag) + " is set but " + opts.resume + " has no " +
+             section + " section (was the original run started without " +
+             flag + "?)";
+    return false;
+  };
+  const CheckpointInstruments& in = instruments;
+  if (in.timeline != nullptr) {
+    if (!ck.has_timeline) return missing("--timeline-out", "timeline");
+    *in.timeline = ck.timeline;
+  }
+  if (in.trace != nullptr) {
+    if (!ck.has_trace) return missing("--trace-out", "trace");
+    if (!in.trace->resume_from(ck.trace, error)) return false;
+  }
+  if (in.monitor != nullptr) {
+    if (!ck.has_alerts) return missing("--alerts-out", "alerts");
+    if (ck.alerts_spec_json != in.monitor->spec().to_json()) {
+      *error = opts.resume +
+               " was checkpointed with a different --alert-spec (" +
+               ck.alerts_spec_json + "); resuming with new detector "
+               "parameters would change the fired alerts";
+      return false;
+    }
+    in.monitor->restore(std::move(ck.alerts));
+    // A merged (sharded) checkpoint carries deferred cells; an unsharded
+    // resume render folds them through the detectors now, in canonical
+    // order -- the unsharded run's alert bytes exactly.
+    if (in.monitor->deferred() && !opts.sharded()) in.monitor->refold();
+  }
+  std::fprintf(stderr, "checkpoint: resumed %s at %s\n", opts.resume.c_str(),
+               progress.c_str());
+  return true;
+}
+
 // --- The checkpointed harness ----------------------------------------------
 
 std::uint64_t shard_key_count(const AbTestConfig& cfg,
@@ -813,15 +942,8 @@ bool run_ab_test_checkpointed(const std::vector<Group>& groups,
   }
 
   obs::Observability* o = obs::global();
-  obs::Profiler* profiler = o != nullptr ? o->profiler.get() : nullptr;
-  obs::ScopedTimer run_span(profiler, 0, "run_ab_test");
-  obs::TimelineAggregator* timeline =
-      o != nullptr ? o->timeline.get() : nullptr;
-  obs::TraceCollector* tracer =
-      (o != nullptr && o->trace != nullptr && o->trace->ok())
-          ? o->trace.get()
-          : nullptr;
-  obs::HealthMonitor* monitor = o != nullptr ? o->monitor.get() : nullptr;
+  obs::ScopedTimer run_span(o != nullptr ? o->profiler.get() : nullptr, 0,
+                            "run_ab_test");
 
   *result = AbTestResult{};
   result->group_names.reserve(groups.size());
@@ -838,40 +960,20 @@ bool run_ab_test_checkpointed(const std::vector<Group>& groups,
   // (shard_key) as the runner simulates them; no key list is built.
   const std::uint64_t total = shard_key_count(cfg, opts);
 
-  if (timeline != nullptr) {
-    timeline->begin_run(cfg.seed, result->group_names, cfg.days,
-                        kWindowsPerDay);
-  }
-  if (monitor != nullptr) {
-    monitor->begin_run(cfg.seed, result->group_names, cfg.days,
-                       kWindowsPerDay);
-    // A shard sees only its own (day, window) subsequence, which would
-    // feed the detectors a different cell order than the unsharded fold:
-    // accumulate cells only, and let the merged checkpoint's resume render
-    // refold() the full grid.
-    monitor->set_deferred(opts.sharded());
-  }
+  RunCheckpoints checkpoints{
+      0, cfg, opts, result->group_names,
+      CheckpointInstruments::installed(/*monitor=*/true)};
+  obs::TimelineAggregator* timeline = checkpoints.instruments.timeline;
+  obs::HealthMonitor* monitor = checkpoints.instruments.monitor;
+  checkpoints.begin_run();
 
   std::uint64_t cursor = 0;
+  auto progress = [&] {
+    return "key " + std::to_string(cursor) + "/" + std::to_string(total);
+  };
   if (opts.resuming()) {
     Checkpoint ck;
-    if (!load_checkpoint(opts.resume, &ck, error)) return false;
-    if (ck.kind != 0) {
-      *error = opts.resume + " checkpoints a sequential run; resume it "
-               "with --sequential";
-      return false;
-    }
-    if (ck.seed != cfg.seed || ck.days != cfg.days ||
-        ck.windows_per_day != kWindowsPerDay ||
-        ck.sessions_per_window != cfg.sessions_per_window) {
-      *error = opts.resume +
-               " was checkpointed with different run dimensions or seed";
-      return false;
-    }
-    if (ck.groups != result->group_names) {
-      *error = opts.resume + " was checkpointed with different groups";
-      return false;
-    }
+    if (!checkpoints.load(&ck, error)) return false;
     if (ck.shard_index != opts.shard_index ||
         ck.shard_count != opts.shard_count) {
       // A complete merged checkpoint (shard 1/1, cursor at total) may be
@@ -891,92 +993,17 @@ bool run_ab_test_checkpointed(const std::vector<Group>& groups,
     }
     result->cells = std::move(ck.cells);
     cursor = ck.cursor;
-    if (timeline != nullptr) {
-      if (!ck.has_timeline) {
-        *error = "--timeline-out is set but " + opts.resume +
-                 " has no timeline section (was the original run started "
-                 "without --timeline-out?)";
-        return false;
-      }
-      *timeline = ck.timeline;
-    }
-    if (tracer != nullptr) {
-      if (!ck.has_trace) {
-        *error = "--trace-out is set but " + opts.resume +
-                 " has no trace section (was the original run started "
-                 "without --trace-out?)";
-        return false;
-      }
-      if (!tracer->resume_from(ck.trace, error)) return false;
-    }
-    if (monitor != nullptr) {
-      if (!ck.has_alerts) {
-        *error = "--alerts-out is set but " + opts.resume +
-                 " has no alerts section (was the original run started "
-                 "without --alerts-out?)";
-        return false;
-      }
-      if (ck.alerts_spec_json != monitor->spec().to_json()) {
-        *error = opts.resume +
-                 " was checkpointed with a different --alert-spec (" +
-                 ck.alerts_spec_json + "); resuming with new detector "
-                 "parameters would change the fired alerts";
-        return false;
-      }
-      monitor->restore(std::move(ck.alerts));
-      // A merged (sharded) checkpoint carries deferred cells; an unsharded
-      // resume render folds them through the detectors now, in canonical
-      // order -- the unsharded run's alert bytes exactly.
-      if (monitor->deferred() && !opts.sharded()) monitor->refold();
-    }
-    std::fprintf(stderr,
-                 "checkpoint: resumed %s at key %llu/%llu\n",
-                 opts.resume.c_str(),
-                 static_cast<unsigned long long>(cursor),
-                 static_cast<unsigned long long>(total));
+    if (!checkpoints.restore(ck, progress(), error)) return false;
   }
 
   SessionBlockRunner runner(groups, library, cfg);
   const std::uint64_t start = cursor;
-  std::size_t saves = 0;
   auto save_now = [&]() -> bool {
-    Checkpoint ck;
-    ck.kind = 0;
-    ck.seed = cfg.seed;
-    ck.days = cfg.days;
-    ck.windows_per_day = kWindowsPerDay;
-    ck.sessions_per_window = cfg.sessions_per_window;
-    ck.shard_index = opts.shard_index;
-    ck.shard_count = opts.shard_count;
+    Checkpoint ck = checkpoints.snapshot();
     ck.total_keys = total;
     ck.cursor = cursor;
-    ck.groups = result->group_names;
     ck.cells = result->cells;
-    if (timeline != nullptr && timeline->configured()) {
-      ck.has_timeline = true;
-      ck.timeline = *timeline;
-    }
-    if (tracer != nullptr) {
-      ck.has_trace = true;
-      ck.trace = tracer->resume_state();  // flushes first
-    }
-    if (monitor != nullptr && monitor->configured()) {
-      ck.has_alerts = true;
-      ck.alerts = monitor->state();
-      ck.alerts_spec_json = monitor->spec().to_json();
-    }
-    if (!save_checkpoint(ck, opts.out, error)) return false;
-    ++saves;
-    std::fprintf(stderr, "checkpoint: wrote %s (key %llu/%llu)\n",
-                 opts.out.c_str(), static_cast<unsigned long long>(cursor),
-                 static_cast<unsigned long long>(total));
-    if (opts.kill_after != 0 && saves >= opts.kill_after) {
-      std::fprintf(stderr,
-                   "checkpoint: --checkpoint-kill %llu reached, exiting\n",
-                   static_cast<unsigned long long>(opts.kill_after));
-      std::_Exit(3);
-    }
-    return true;
+    return checkpoints.save(ck, progress(), error);
   };
 
   // The chunk loop: blocks of --checkpoint-every keys when checkpoints are

@@ -189,6 +189,55 @@ struct CheckpointOptions {
   static CheckpointOptions from_env();
 };
 
+/// The instruments a checkpointed run carries, each saved in its own
+/// section (TLIN, TRCE, ALRT); null = not configured.
+struct CheckpointInstruments {
+  obs::TimelineAggregator* timeline = nullptr;
+  obs::TraceCollector* trace = nullptr;
+  obs::HealthMonitor* monitor = nullptr;
+
+  /// The ones obs::global() holds (a trace only while its file is ok);
+  /// the monitor only if `monitor`.
+  static CheckpointInstruments installed(bool monitor);
+};
+
+/// The save and resume protocol both checkpointed harnesses share: the
+/// run's header, and which sections its instruments require.
+struct RunCheckpoints {
+  std::uint32_t kind;  ///< 0: run_ab_test_checkpointed, 1: seq engine
+  const AbTestConfig& cfg;
+  const CheckpointOptions& opts;
+  std::vector<std::string> groups;
+  CheckpointInstruments instruments;
+  std::size_t saves = 0;
+
+  /// Begins the timeline and the monitor on the run's grid; a sharded
+  /// run's monitor defers its detectors to the merged resume.
+  void begin_run() const;
+
+  /// The run's header (kind, seed, dimensions, shard, groups) and a
+  /// section per configured instrument; capturing the trace flushes it.
+  /// The caller adds total_keys, cursor, cells and its own sections.
+  Checkpoint snapshot() const;
+
+  /// Saves `ck` to opts.out and notes "checkpoint: wrote FILE (progress)"
+  /// on stderr; exits 3 after the --checkpoint-kill'th save.
+  bool save(const Checkpoint& ck, const std::string& progress,
+            std::string* error);
+
+  /// Loads opts.resume and checks its kind, seed, dimensions and groups
+  /// against this run's. Restores nothing.
+  bool load(Checkpoint* ck, std::string* error) const;
+
+  /// Restores every configured instrument from `ck`, which must carry its
+  /// section (the trace file is truncated back to the checkpoint; a merged
+  /// shard checkpoint's monitor is refolded by an unsharded run), then
+  /// notes "checkpoint: resumed FILE at progress". Call it after the
+  /// harness's own checks, since it rewrites the trace file.
+  bool restore(Checkpoint& ck, const std::string& progress,
+               std::string* error) const;
+};
+
 /// Number of keys in the canonical key sequence of shard
 /// opts.shard_index/opts.shard_count of a run: every session of the
 /// (day, window) cells whose index day * kWindowsPerDay + window is

@@ -81,11 +81,6 @@ double CapacityTrace::bits_between(double t0_s, double t1_s) const {
   return bits_to(t1_s) - bits_to(t0_s);
 }
 
-double CapacityTrace::average_bps(double t0_s, double t1_s) const {
-  if (t1_s <= t0_s) return 0.0;
-  return bits_between(t0_s, t1_s) / (t1_s - t0_s);
-}
-
 double CapacityTrace::finish_time_s(double start_s, double bits) const {
   BBA_ASSERT(start_s >= 0.0, "start time must be >= 0");
   BBA_ASSERT(bits >= 0.0, "bits must be >= 0");

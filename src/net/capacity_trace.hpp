@@ -52,9 +52,6 @@ class CapacityTrace {
   /// Bits deliverable in [t0, t1] (t1 >= t0).
   double bits_between(double t0_s, double t1_s) const;
 
-  /// Average capacity over [t0, t1]; 0 if the interval is empty.
-  double average_bps(double t0_s, double t1_s) const;
-
   /// Index of the segment containing in-cycle time `t_s`, for
   /// t_s in [0, cycle_duration_s()]: the last segment whose start is
   /// <= t_s (t_s == cycle_duration_s() maps to the last segment). The

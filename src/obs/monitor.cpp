@@ -47,11 +47,6 @@ bool parse_f64_field(const char* s, double* out) {
 
 }  // namespace
 
-const char* monitor_metric_name(std::size_t metric) {
-  BBA_ASSERT(metric < kNumMonitorMetrics, "monitor metric out of range");
-  return kMetricNames[metric];
-}
-
 double monitor_metric_value(const TimelineCell& cell, std::size_t metric) {
   BBA_ASSERT(metric < kNumMonitorMetrics, "monitor metric out of range");
   switch (metric) {

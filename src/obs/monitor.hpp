@@ -59,7 +59,6 @@ namespace bba::obs {
 inline constexpr std::size_t kNumMonitorMetrics = 4;
 /// The SLO burn rules per group: rebuffer-ratio, then join-time.
 inline constexpr std::size_t kNumMonitorSlos = 2;
-const char* monitor_metric_name(std::size_t metric);
 
 /// Derives metric `metric` from a closed cell: rebuffer_ratio (stall /
 /// (play + stall)), join_s (mean startup delay), rate_kbps (play-weighted

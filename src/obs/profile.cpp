@@ -63,14 +63,4 @@ std::string Profiler::chrome_trace_json() const {
   return out;
 }
 
-bool Profiler::write_chrome_trace(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const std::string json = chrome_trace_json();
-  std::fputs(json.c_str(), f);
-  std::fputc('\n', f);
-  std::fclose(f);
-  return true;
-}
-
 }  // namespace bba::obs

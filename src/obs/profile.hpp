@@ -52,12 +52,9 @@ class Profiler {
     return dropped_.load(std::memory_order_relaxed);
   }
 
-  /// Writes every recorded span, merged across slots and sorted by start
-  /// time, as {"traceEvents":[...]} -- load via chrome://tracing or
-  /// https://ui.perfetto.dev. Returns false if the file cannot be written.
-  bool write_chrome_trace(const std::string& path) const;
-
-  /// The merged JSON document (what write_chrome_trace writes).
+  /// Every recorded span, merged across slots and sorted by start time,
+  /// as {"traceEvents":[...]} -- load via chrome://tracing or
+  /// https://ui.perfetto.dev (ObsScope writes it to --profile-out).
   std::string chrome_trace_json() const;
 
  private:

@@ -25,22 +25,25 @@ std::size_t default_slots(std::size_t threads_hint) {
 /// Writes `body` + '\n' to `path`, or the exact same bytes to stdout when
 /// path is "-". The notice goes to stderr either way, so stdout carries
 /// only the artifact (the seq-log convention all JSON outputs now share).
-void write_json_output(const char* what, const std::string& path,
+/// Returns false, with a notice, when any byte failed to land: a file that
+/// would not open, a full disk, or a failed close or stdout flush.
+bool write_json_output(const char* what, const std::string& path,
                        const std::string& body) {
-  if (path == "-") {
-    std::fputs(body.c_str(), stdout);
-    std::fputc('\n', stdout);
-    std::fprintf(stderr, "obs: wrote %s to stdout\n", what);
-    return;
+  const bool to_stdout = path == "-";
+  std::FILE* f = to_stdout ? stdout : std::fopen(path.c_str(), "w");
+  bool ok = f != nullptr;
+  if (ok) {
+    ok = std::fputs(body.c_str(), f) >= 0 && std::fputc('\n', f) != EOF;
+    ok = (to_stdout ? std::fflush(f) : std::fclose(f)) == 0 && ok;
   }
-  if (std::FILE* f = std::fopen(path.c_str(), "w")) {
-    std::fputs(body.c_str(), f);
-    std::fputc('\n', f);
-    std::fclose(f);
-    std::fprintf(stderr, "obs: wrote %s %s\n", what, path.c_str());
-  } else {
+  if (!ok) {
     std::fprintf(stderr, "obs: could not write %s %s\n", what, path.c_str());
+  } else if (to_stdout) {
+    std::fprintf(stderr, "obs: wrote %s to stdout\n", what);
+  } else {
+    std::fprintf(stderr, "obs: wrote %s %s\n", what, path.c_str());
   }
+  return ok;
 }
 
 }  // namespace
@@ -182,8 +185,10 @@ ObsScope::ObsScope(const ObsOptions& opts, std::size_t threads_hint)
       std::make_unique<SlotBinding>(handle_->metrics.get(), 0);
 }
 
-ObsScope::~ObsScope() {
-  if (handle_ == nullptr) return;
+ObsScope::~ObsScope() { finish(); }
+
+bool ObsScope::finish() {
+  if (handle_ == nullptr) return written_;
   main_binding_.reset();  // unbind before the registry goes away
   install(nullptr);
 
@@ -196,16 +201,17 @@ ObsScope::~ObsScope() {
     const MetricsSnapshot snap = handle_->metrics->snapshot();
     const std::string extra =
         handle_->trace != nullptr ? handle_->trace->stats_json() : "";
-    write_json_output("metrics", opts_.metrics_out, snap.to_json(extra));
+    written_ &=
+        write_json_output("metrics", opts_.metrics_out, snap.to_json(extra));
   }
   if (!opts_.profile_out.empty() && handle_->profiler != nullptr) {
-    write_json_output("profile", opts_.profile_out,
-                      handle_->profiler->chrome_trace_json());
+    written_ &= write_json_output("profile", opts_.profile_out,
+                                  handle_->profiler->chrome_trace_json());
   }
   if (!opts_.timeline_out.empty() && handle_->timeline != nullptr) {
     if (handle_->timeline->configured()) {
-      write_json_output("timeline", opts_.timeline_out,
-                        handle_->timeline->to_json());
+      written_ &= write_json_output("timeline", opts_.timeline_out,
+                                    handle_->timeline->to_json());
     } else {
       std::fprintf(stderr,
                    "obs: timeline %s not written (no sessions recorded)\n",
@@ -229,7 +235,7 @@ ObsScope::~ObsScope() {
                    opts_.alerts_out.c_str());
     } else {
       mon.finalize();  // idempotent; covers CLIs without explicit finalize
-      write_json_output("alerts", opts_.alerts_out, mon.render());
+      written_ &= write_json_output("alerts", opts_.alerts_out, mon.render());
     }
   }
   if (!opts_.trace_out.empty() && handle_->trace != nullptr) {
@@ -246,8 +252,11 @@ ObsScope::~ObsScope() {
                    opts_.trace_out.c_str(),
                    static_cast<unsigned long long>(
                        handle_->trace->write_errors()));
+      written_ = false;
     }
   }
+  handle_.reset();
+  return written_;
 }
 
 }  // namespace bba::obs

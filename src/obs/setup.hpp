@@ -4,8 +4,8 @@
 // --metrics-out, --profile-out) or the BBA_TRACE / BBA_TRACE_SAMPLE /
 // BBA_METRICS / BBA_PROFILE environment variables goes through ObsOptions;
 // an ObsScope then turns the options into an installed obs::Observability
-// for its lifetime and writes the output files on destruction. With no
-// option set, ObsScope installs nothing and costs nothing.
+// and writes the output files at finish() or destruction. With no option
+// set, ObsScope installs nothing and costs nothing.
 #pragma once
 
 #include <cstdint>
@@ -59,8 +59,9 @@ struct ObsOptions {
 };
 
 /// RAII: builds the instruments, installs them globally, binds the calling
-/// thread to metrics slot 0 (so single-session tools count too), and on
-/// destruction uninstalls and writes every requested output file.
+/// thread to metrics slot 0 (so single-session tools count too), and at
+/// finish() -- or on destruction, if nobody called it -- uninstalls and
+/// writes every requested output file.
 class ObsScope {
  public:
   /// `threads_hint` sizes the per-slot shards (0 = hardware concurrency);
@@ -79,11 +80,18 @@ class ObsScope {
 
   Observability* handle() { return handle_.get(); }
 
+  /// Uninstalls the instruments, writes every requested output and frees
+  /// them, once. False when any write failed: an output that could not be
+  /// written whole, or a trace with failed writes. Later calls return the
+  /// same.
+  bool finish();
+
  private:
   ObsOptions opts_;
   std::unique_ptr<Observability> handle_;
   std::unique_ptr<SlotBinding> main_binding_;
   bool ok_ = true;
+  bool written_ = true;
 };
 
 }  // namespace bba::obs

@@ -1,21 +1,11 @@
 #include "obs/timeline.hpp"
 
-#include <cstdio>
-
+#include "obs/trace_jsonl.hpp"
 #include "util/assert.hpp"
 
 namespace bba::obs {
 
-namespace {
-
-void append_u64(std::string& out, std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%llu",
-                static_cast<unsigned long long>(v));
-  out += buf;
-}
-
-}  // namespace
+using jsonl::append_u64;
 
 void TimelineAggregator::begin_run(std::uint64_t seed,
                                    const std::vector<std::string>& groups,

@@ -3,15 +3,15 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
+#include <string>
 
 #include "exp/block.hpp"
-#include "exp/population.hpp"
 #include "exp/session_key.hpp"
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
 #include "obs/profile.hpp"
+#include "obs/trace_jsonl.hpp"
 #include "stats/ttest.hpp"
 #include "util/assert.hpp"
 
@@ -28,12 +28,7 @@ void append_double(std::string& out, double v) {
   out += buf;
 }
 
-void append_u64(std::string& out, std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%llu",
-                static_cast<unsigned long long>(v));
-  out += buf;
-}
+using obs::jsonl::append_u64;
 
 /// The canonical key sequence: the (day, window) grid walked session-major
 /// -- index i covers user i / (days*windows) of cell i % (days*windows).
@@ -139,20 +134,8 @@ bool run_sequential_checkpointed(const std::vector<exp::Group>& groups,
   result = SeqResult{};
 
   obs::Observability* o = obs::global();
-  obs::Profiler* profiler = o != nullptr ? o->profiler.get() : nullptr;
-  obs::ScopedTimer run_span(profiler, 0, "run_sequential");
-  obs::TimelineAggregator* timeline =
-      o != nullptr ? o->timeline.get() : nullptr;
-  obs::TraceCollector* tracer =
-      (o != nullptr && o->trace != nullptr && o->trace->ok())
-          ? o->trace.get()
-          : nullptr;
-  if (timeline != nullptr) {
-    std::vector<std::string> names;
-    names.reserve(groups.size());
-    for (const auto& g : groups) names.push_back(g.name);
-    timeline->begin_run(cfg.seed, names, cfg.days, exp::kWindowsPerDay);
-  }
+  obs::ScopedTimer run_span(o != nullptr ? o->profiler.get() : nullptr, 0,
+                            "run_sequential");
 
   const std::size_t n_arms = groups.size();
   const double direction = metric.higher_is_better ? 1.0 : -1.0;
@@ -167,6 +150,14 @@ bool run_sequential_checkpointed(const std::vector<exp::Group>& groups,
       n_arms, std::vector<std::vector<exp::WindowMetrics>>(
                   cfg.days, std::vector<exp::WindowMetrics>(
                                 exp::kWindowsPerDay)));
+
+  // Round checkpoints (kind 1) carry no health monitor: the engine folds
+  // keys in its own adaptive order.
+  exp::RunCheckpoints checkpoints{
+      1, cfg, opts, result.cells.group_names,
+      exp::CheckpointInstruments::installed(/*monitor=*/false)};
+  obs::TimelineAggregator* timeline = checkpoints.instruments.timeline;
+  checkpoints.begin_run();
 
   std::vector<ArmState> arms(n_arms);
   for (std::size_t a = 0; a < n_arms; ++a) {
@@ -195,7 +186,6 @@ bool run_sequential_checkpointed(const std::vector<exp::Group>& groups,
   };
 
   std::size_t next_key = 0;  ///< cursor into the canonical key sequence
-  std::vector<exp::SessionKey> keys;
   std::vector<double> row;  ///< per-key metric values, sim order
 
   auto candidate_count = [&] {
@@ -241,27 +231,12 @@ bool run_sequential_checkpointed(const std::vector<exp::Group>& groups,
                result.budget_sessions - result.sessions_used);
   };
 
-  // Round-boundary checkpoint: the complete engine state, kind = 1.
-  std::size_t saves = 0;
+  auto progress = [&] { return "round " + std::to_string(result.rounds); };
   auto save_seq = [&](const std::string& verdict) -> bool {
-    exp::Checkpoint ck;
-    ck.kind = 1;
-    ck.seed = cfg.seed;
-    ck.days = cfg.days;
-    ck.windows_per_day = exp::kWindowsPerDay;
-    ck.sessions_per_window = cfg.sessions_per_window;
+    exp::Checkpoint ck = checkpoints.snapshot();
     ck.total_keys = result.budget_sessions;
     ck.cursor = result.sessions_used;
-    ck.groups = result.cells.group_names;
     ck.cells = result.cells.cells;
-    if (timeline != nullptr && timeline->configured()) {
-      ck.has_timeline = true;
-      ck.timeline = *timeline;
-    }
-    if (tracer != nullptr) {
-      ck.has_trace = true;
-      ck.trace = tracer->resume_state();  // flushes first
-    }
     ck.has_seq = true;
     exp::CheckpointSeq& cs = ck.seq;
     cs.rounds = result.rounds;
@@ -286,40 +261,12 @@ bool run_sequential_checkpointed(const std::vector<exp::Group>& groups,
       ca.hi = arms[a].hi;
     }
     cs.decision_log = result.decision_log;
-    if (!exp::save_checkpoint(ck, opts.out, error)) return false;
-    ++saves;
-    std::fprintf(stderr, "checkpoint: wrote %s (round %llu)\n",
-                 opts.out.c_str(),
-                 static_cast<unsigned long long>(result.rounds));
-    if (opts.kill_after != 0 && saves >= opts.kill_after) {
-      std::fprintf(stderr,
-                   "checkpoint: --checkpoint-kill %llu reached, exiting\n",
-                   static_cast<unsigned long long>(opts.kill_after));
-      std::_Exit(3);
-    }
-    return true;
+    return checkpoints.save(ck, progress(), error);
   };
 
   if (opts.resuming()) {
     exp::Checkpoint ck;
-    if (!exp::load_checkpoint(opts.resume, &ck, error)) return false;
-    if (ck.kind != 1 || !ck.has_seq) {
-      *error = opts.resume +
-               " checkpoints a fixed-budget run; resume it without "
-               "--sequential";
-      return false;
-    }
-    if (ck.seed != cfg.seed || ck.days != cfg.days ||
-        ck.windows_per_day != exp::kWindowsPerDay ||
-        ck.sessions_per_window != cfg.sessions_per_window) {
-      *error = opts.resume +
-               " was checkpointed with different run dimensions or seed";
-      return false;
-    }
-    if (ck.groups != result.cells.group_names) {
-      *error = opts.resume + " was checkpointed with different groups";
-      return false;
-    }
+    if (!checkpoints.load(&ck, error)) return false;
     const exp::CheckpointSeq& cs = ck.seq;
     if (cs.metric != metric.name || cs.confidence != seq.confidence ||
         cs.batch_sessions != seq.batch_sessions ||
@@ -344,25 +291,7 @@ bool run_sequential_checkpointed(const std::vector<exp::Group>& groups,
       arms[a].lo = cs.arms[a].lo;
       arms[a].hi = cs.arms[a].hi;
     }
-    if (timeline != nullptr) {
-      if (!ck.has_timeline) {
-        *error = "--timeline-out is set but " + opts.resume +
-                 " has no timeline section";
-        return false;
-      }
-      *timeline = ck.timeline;
-    }
-    if (tracer != nullptr) {
-      if (!ck.has_trace) {
-        *error = "--trace-out is set but " + opts.resume +
-                 " has no trace section";
-        return false;
-      }
-      if (!tracer->resume_from(ck.trace, error)) return false;
-    }
-    std::fprintf(stderr, "checkpoint: resumed %s at round %llu\n",
-                 opts.resume.c_str(),
-                 static_cast<unsigned long long>(cs.rounds));
+    if (!checkpoints.restore(ck, progress(), error)) return false;
     if (!cs.verdict.empty()) {
       // The run already finished: re-render the result; simulate nothing.
       finish_result(cs.verdict);
@@ -387,10 +316,10 @@ bool run_sequential_checkpointed(const std::vector<exp::Group>& groups,
     }
     ++result.rounds;
 
-    keys.clear();
-    for (std::size_t i = 0; i < n_keys; ++i) {
-      keys.push_back(key_at(cfg.seed, cfg.days, next_key + i));
-    }
+    const std::size_t first = next_key;
+    auto batch_key = [&](std::size_t i) {
+      return key_at(cfg.seed, cfg.days, first + i);
+    };
     next_key += n_keys;
     result.sessions_used += n_keys * sim.size();
 
@@ -399,13 +328,14 @@ bool run_sequential_checkpointed(const std::vector<exp::Group>& groups,
       if (sim[p] == seq.baseline) baseline_pos = p;
     }
     row.assign(sim.size(), 0.0);
-    runner->run(keys, [&](std::size_t i, std::size_t g,
-                          const sim::SessionMetrics& m) {
+    runner->run(n_keys, batch_key, [&](std::size_t i, std::size_t g,
+                                       const sim::SessionMetrics& m) {
+      const exp::SessionKey key = batch_key(i);
       const std::size_t arm = sim[g];
-      exp::accumulate_session(
-          result.cells.cells[arm][keys[i].day][keys[i].window], m);
+      exp::accumulate_session(result.cells.cells[arm][key.day][key.window],
+                              m);
       if (timeline != nullptr) {
-        timeline->record(keys[i].day, keys[i].window, arm, m);
+        timeline->record(key.day, key.window, arm, m);
       }
       row[g] = session_value(metric.def, m);
       if (g + 1 == sim.size()) {

@@ -24,7 +24,10 @@
 //    harness's tracing tee, TeeSink<StreamingMetricsSink,
 //    obs::SessionTraceSink>, runs its metrics half inline too and calls
 //    the trace sink; SessionSink keeps the virtual interface (recording,
-//    the public simulate_session).
+//    the public simulate_session). The harness resolves the policy for
+//    the metrics sink only: its traced sessions (the sampled few, anomaly
+//    replays, alert captures) run the tee with Policy =
+//    abr::RateAdaptation, one instantiation for every ABR.
 //
 // TCP slow start, viewer give-up, the wall-clock cap, fault attribution and
 // mid-title starts (seek segments) are ordinary branches of the same loop,

@@ -51,14 +51,6 @@ TEST(Baselines, RMaxAlwaysPicksTop) {
   EXPECT_EQ(abr.choose_rate(make_obs(5, 3.0, 0, kbps(100))), top);
 }
 
-TEST(Baselines, FixedRateClampsToLadder) {
-  FixedRate abr(99);
-  EXPECT_EQ(abr.choose_rate(make_obs(0, 0.0, 0, 0.0)),
-            test_video().ladder().max_index());
-  FixedRate abr3(3);
-  EXPECT_EQ(abr3.choose_rate(make_obs(0, 0.0, 0, 0.0)), 3u);
-}
-
 TEST(Baselines, ThroughputAbrChasesEstimate) {
   ThroughputAbr abr(std::make_unique<net::LastSampleEstimator>(),
                     /*safety=*/1.0, /*start_index=*/0);

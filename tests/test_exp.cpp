@@ -244,14 +244,15 @@ TEST(SessionBlockRunner, BlockMemoryIsBoundedByTheWindow) {
   auto fold = [&](std::size_t, std::size_t, const sim::SessionMetrics&) {
     ++folded;
   };
+  auto key_at = [&](std::size_t i) { return keys[i]; };
   // A short block warms the scratch, tables and ABR instances; what the
   // long block allocates beyond that grows with it.
-  runner.run(std::span<const SessionKey>(keys).first(kKeys / 10), fold);
+  runner.run(kKeys / 10, key_at, fold);
   bool over_budget = false;
   {
     testing_support::AllocationBudget budget(std::size_t{1} << 20);
     try {
-      runner.run(keys, fold);
+      runner.run(kKeys, key_at, fold);
     } catch (const std::bad_alloc&) {
       over_budget = true;
     }
@@ -284,14 +285,15 @@ TEST(SessionBlockRunner, AllOutageRunAllocatesNothingPerKeyOnceWarm) {
   auto fold = [&](std::size_t, std::size_t, const sim::SessionMetrics&) {
     ++folded;
   };
-  runner.run(keys, fold);
-  auto bytes_of = [&](std::span<const SessionKey> block) {
+  auto key_at = [&](std::size_t i) { return keys[i]; };
+  runner.run(keys.size(), key_at, fold);
+  auto bytes_of = [&](std::size_t n_keys) {
     testing_support::AllocationBudget budget(std::size_t{1} << 20);
-    runner.run(block, fold);
+    runner.run(n_keys, key_at, fold);
     return budget.used();
   };
-  const std::size_t few = bytes_of(std::span<const SessionKey>(keys).first(12));
-  EXPECT_EQ(bytes_of(keys), few);
+  const std::size_t few = bytes_of(12);
+  EXPECT_EQ(bytes_of(keys.size()), few);
   EXPECT_LT(few, 1024u);
   EXPECT_EQ(folded, (2 * keys.size() + 12) * groups.size());
 }

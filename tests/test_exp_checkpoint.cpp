@@ -24,6 +24,7 @@
 #include "obs/obs.hpp"
 #include "obs/setup.hpp"
 #include "obs/timeline.hpp"
+#include "seq/engine.hpp"
 #include "sim/metrics.hpp"
 #include "util/binio.hpp"
 
@@ -597,6 +598,67 @@ TEST(CheckpointedRun, ResumeValidatesRunIdentity) {
   EXPECT_FALSE(run_ab_test_checkpointed(tiny_groups(), lib, tiny_config(),
                                         missing, &result, &error));
   std::remove(path.c_str());
+}
+
+// A resume needs the section of every instrument the run configures: a
+// checkpoint saved without a timeline or a trace cannot seed one, and the
+// run refuses before it truncates the trace file. Both harnesses resume
+// through RunCheckpoints, with the same messages.
+TEST(CheckpointedRun, ResumeRejectsACheckpointWithoutAConfiguredSection) {
+  const media::VideoLibrary lib = media::VideoLibrary::standard(11);
+  const std::string path = testing::TempDir() + "/bba_ckpt_sections.ckpt";
+  const std::string trace = testing::TempDir() + "/bba_ckpt_sections.jsonl";
+  seq::SeqMetric metric;
+  ASSERT_TRUE(seq::seq_metric_by_name("rate", &metric));
+  // One run of either harness: fixed, or the sequential engine.
+  auto run = [&](bool sequential, const CheckpointOptions& opts,
+                 std::string* error) {
+    if (!sequential) {
+      AbTestResult result;
+      return run_ab_test_checkpointed(tiny_groups(), lib, tiny_config(),
+                                      opts, &result, error);
+    }
+    seq::SeqResult result;
+    return seq::run_sequential_checkpointed(tiny_groups(), lib, tiny_config(),
+                                            metric, seq::SeqConfig{}, opts,
+                                            &result, error);
+  };
+  for (const bool sequential : {false, true}) {
+    CheckpointOptions save;
+    save.out = path;
+    std::string error;
+    ASSERT_TRUE(run(sequential, save, &error)) << error;
+    std::ofstream(trace) << "kept";
+    CheckpointOptions resume;
+    resume.resume = path;
+    for (const std::string section : {"timeline", "trace"}) {
+      SCOPED_TRACE((sequential ? "sequential, " : "fixed, ") + section);
+      obs::Observability handle;
+      if (section == "timeline") {
+        handle.timeline = std::make_unique<obs::TimelineAggregator>();
+      } else {
+        obs::TraceConfig tc;
+        tc.path = trace;
+        tc.resume = true;
+        handle.trace = std::make_unique<obs::TraceCollector>(tc);
+      }
+      obs::install(&handle);
+      const bool ran = run(sequential, resume, &error);
+      obs::install(nullptr);
+      EXPECT_FALSE(ran);
+      EXPECT_NE(error.find("has no " + section +
+                           " section (was the original run started "
+                           "without --" +
+                           section + "-out?)"),
+                std::string::npos)
+          << error;
+    }
+    std::string kept;
+    ASSERT_TRUE(util::read_file(trace, &kept, &error)) << error;
+    EXPECT_EQ(kept, "kept");
+  }
+  std::remove(path.c_str());
+  std::remove(trace.c_str());
 }
 
 TEST(CheckpointedRun, RejectsAGridTooLargeToCheckpointBeforeSimulating) {

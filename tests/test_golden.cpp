@@ -152,10 +152,12 @@ std::uint64_t harness_digest(const std::vector<exp::Group>& groups,
   exp::SessionBlockRunner runner(groups, library, cfg);
   Digest d;
   std::size_t folded = 0;
-  runner.run(keys, [&](std::size_t, std::size_t, const sim::SessionMetrics& m) {
-    mix(d, m);
-    ++folded;
-  });
+  runner.run(
+      keys.size(), [&](std::size_t i) { return keys[i]; },
+      [&](std::size_t, std::size_t, const sim::SessionMetrics& m) {
+        mix(d, m);
+        ++folded;
+      });
   runner.finish();
   EXPECT_EQ(folded, keys.size() * groups.size());
   return d.h;

@@ -100,8 +100,8 @@ TEST(CapacityTrace, BitsBetweenAndAverage) {
   EXPECT_DOUBLE_EQ(t.bits_between(0.0, 10.0), 1000.0);
   EXPECT_DOUBLE_EQ(t.bits_between(5.0, 15.0), 500.0 + 1500.0);
   EXPECT_DOUBLE_EQ(t.bits_between(0.0, 40.0), 8000.0);  // two cycles
-  EXPECT_DOUBLE_EQ(t.average_bps(0.0, 20.0), 200.0);
-  EXPECT_DOUBLE_EQ(t.average_bps(5.0, 5.0), 0.0);
+  EXPECT_DOUBLE_EQ(t.bits_between(0.0, 20.0) / 20.0, 200.0);  // average
+  EXPECT_DOUBLE_EQ(t.bits_between(5.0, 5.0), 0.0);
 }
 
 TEST(CapacityTrace, MinMaxRates) {

@@ -2,10 +2,13 @@
 // bba.timeline.v1 artifact parser, the skipped-cell accounting in
 // normalized_samples (bba_obs diff used to silently thin sparse grids),
 // the strict numeric flag validators that replaced atoi/atof, and the
-// bba.alerts.v1 parser behind `bba_obs health`.
+// bba.alerts.v1 parser behind `bba_obs health` -- plus the harness tools'
+// exit status when an artifact cannot be written.
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -329,6 +332,68 @@ TEST(AlertsArtifact, RejectsMalformedInput) {
   wrong.replace(alerts_pos, 11, ",\"alerts\":9");
   EXPECT_FALSE(parse_alerts(wrong, "p", &a, &error));
   EXPECT_NE(error.find("count"), std::string::npos);
+}
+
+/// Runs `cmd` with its stdout discarded; returns the exit status and its
+/// stderr in *log.
+int run_tool(const std::string& cmd, std::string* log) {
+  std::FILE* p = popen((cmd + " 2>&1 >/dev/null").c_str(), "r");
+  if (p == nullptr) return -1;
+  char buf[4096];
+  std::size_t n;
+  while ((n = std::fread(buf, 1, sizeof buf, p)) > 0) log->append(buf, n);
+  const int rc = pclose(p);
+  return WIFEXITED(rc) ? WEXITSTATUS(rc) : -1;
+}
+
+/// Whether /dev/full exists and fails writes, as on Linux.
+bool dev_full_available() {
+  std::FILE* f = std::fopen("/dev/full", "w");
+  if (f == nullptr) return false;
+  std::fputc('x', f);
+  const bool fails = std::fclose(f) != 0;
+  return fails;
+}
+
+// Every artifact a harness tool writes is checked: an output that did not
+// land whole (a full disk, a missing directory) fails the run with exit 1,
+// where the tools used to report it and exit 0.
+TEST(ToolOutputs, FailedArtifactWritesExitOne) {
+  if (!dev_full_available()) GTEST_SKIP() << "no /dev/full";
+  const std::string abtest =
+      std::string(BBA_ABTEST_BIN) + " --days 1 --sessions 2 --threads 1";
+  const std::string missing_dir =
+      testing::TempDir() + "/bba_no_such_dir/m.json";
+  struct Case {
+    std::string cmd;
+    const char* says;
+  };
+  const std::vector<Case> cases = {
+      {abtest + " --metrics-out /dev/full --timeline-out /dev/full "
+                "--alerts-out /dev/full",
+       "could not write metrics /dev/full"},
+      {abtest + " --timeline-out /dev/full", "could not write timeline"},
+      {abtest + " --metrics-out " + missing_dir, "could not write metrics"},
+      {abtest + " --sequential --seq-log /dev/full",
+       "could not write /dev/full"},
+      {abtest + " --trace-out /dev/full --trace-sample 1", "INCOMPLETE"},
+      {std::string(BBA_PAPER_REPORT_BIN) +
+           " --sessions 1 --days 1 --threads 1 --out /dev/full",
+       "could not write /dev/full"},
+      {std::string(BBA_SESSION_BIN) + " --metrics-out /dev/full",
+       "could not write metrics /dev/full"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.cmd);
+    std::string log;
+    EXPECT_EQ(run_tool(c.cmd, &log), 1) << log;
+    EXPECT_NE(log.find(c.says), std::string::npos) << log;
+  }
+  // The same run with a writable path succeeds.
+  const std::string ok = testing::TempDir() + "/bba_tool_outputs_ok.json";
+  std::string log;
+  EXPECT_EQ(run_tool(abtest + " --metrics-out " + ok, &log), 0) << log;
+  std::remove(ok.c_str());
 }
 
 }  // namespace

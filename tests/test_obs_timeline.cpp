@@ -225,11 +225,11 @@ void run_shard(const std::vector<exp::Group>& groups,
   timeline.begin_run(cfg.seed, {"control", "bba2"}, cfg.days,
                      exp::kWindowsPerDay);
   exp::SessionBlockRunner runner(groups, library, cfg);
-  const std::span<const exp::SessionKey> span(keys.data() + lo, hi - lo);
-  runner.run(span, [&](std::size_t i, std::size_t g,
-                       const sim::SessionMetrics& m) {
-    timeline.record(keys[lo + i].day, keys[lo + i].window, g, m);
-  });
+  runner.run(
+      hi - lo, [&](std::size_t i) { return keys[lo + i]; },
+      [&](std::size_t i, std::size_t g, const sim::SessionMetrics& m) {
+        timeline.record(keys[lo + i].day, keys[lo + i].window, g, m);
+      });
   runner.finish();
 }
 

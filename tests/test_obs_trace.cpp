@@ -10,11 +10,13 @@
 #include <string>
 #include <vector>
 
+#include "abr/bola.hpp"
 #include "core/bba2.hpp"
 #include "exp/abtest.hpp"
 #include "media/video.hpp"
 #include "util/rng.hpp"
 #include "net/capacity_trace.hpp"
+#include "obs/metrics.hpp"
 #include "obs/obs.hpp"
 #include "obs/trace.hpp"
 #include "runtime/thread_pool.hpp"
@@ -211,12 +213,59 @@ exp::AbTestResult run_traced(std::size_t threads, const std::string& path,
   return result;
 }
 
+// At sample 1 every session of every group takes the traced path, which
+// plays the ABR through its virtual interface; the untraced path resolves
+// each paper group (and BOLA) to its exact type or decision table. Both
+// must fold the same cells and count the same registry counters.
 TEST(AbTestTracing, TracedRunIsBitIdenticalToUntraced) {
-  const media::VideoLibrary library = media::VideoLibrary::standard(3);
-  const exp::AbTestResult plain =
-      exp::run_ab_test(tiny_groups(), library, tiny_config(1));
-  const exp::AbTestResult traced = run_traced(1, temp_path("identity"), 2);
+  const std::vector<exp::Group> groups = {
+      {"control", exp::make_control_factory()},
+      {"rmin-always", exp::make_rmin_factory()},
+      {"bba0", exp::make_bba0_factory()},
+      {"bba1", exp::make_bba1_factory()},
+      {"bba2", exp::make_bba2_factory()},
+      {"bba-others", exp::make_bba_others_factory()},
+      {"bola", [] { return std::make_unique<abr::BolaAbr>(); }},
+  };
+  const std::string path = temp_path("identity");
+  auto run = [&](bool traced, obs::MetricsSnapshot* counters) {
+    obs::Observability handle;
+    handle.metrics = std::make_unique<obs::MetricsRegistry>(1);
+    if (traced) {
+      obs::TraceConfig tc;
+      tc.path = path;
+      tc.sample = 1;
+      handle.trace = std::make_unique<obs::TraceCollector>(tc);
+      EXPECT_TRUE(handle.trace->ok());
+    }
+    obs::install(&handle);
+    // A fresh library per run: both build every decision table from cold.
+    const media::VideoLibrary library = media::VideoLibrary::standard(3);
+    exp::AbTestResult result = exp::run_ab_test(groups, library, tiny_config(1));
+    obs::install(nullptr);
+    *counters = handle.metrics->snapshot();
+    return result;
+  };
+  obs::MetricsSnapshot plain_counters;
+  obs::MetricsSnapshot traced_counters;
+  const exp::AbTestResult plain = run(false, &plain_counters);
+  const exp::AbTestResult traced = run(true, &traced_counters);
   EXPECT_TRUE(results_bitwise_equal(plain, traced));
+  for (std::size_t i = 0; i < obs::kNumCounters; ++i) {
+    EXPECT_EQ(plain_counters.counters[i], traced_counters.counters[i])
+        << "counter " << i;
+  }
+  EXPECT_GT(plain_counters.counter(obs::Counter::kReservoirMemoHits), 0u);
+
+  // Every (key, group) session was traced.
+  std::istringstream in(read_file(path));
+  std::string line;
+  std::size_t headers = 0;
+  while (std::getline(in, line)) {
+    headers += line.find("\"ev\":\"session\"") != std::string::npos;
+  }
+  EXPECT_EQ(headers, groups.size() * exp::kWindowsPerDay *
+                         tiny_config(1).sessions_per_window);
 }
 
 TEST(AbTestTracing, TraceFileBytesIdenticalAcrossThreadCounts) {

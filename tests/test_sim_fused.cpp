@@ -273,15 +273,16 @@ std::vector<sim::SessionMetrics> run_blocks(
   const std::vector<exp::SessionKey> keys = harness_keys(cfg);
   exp::SessionBlockRunner runner(groups, library, cfg);
   std::vector<sim::SessionMetrics> out;
-  std::span<const exp::SessionKey> rest(keys);
+  std::size_t first = 0;
   for (std::size_t n : block_sizes) {
-    runner.run(rest.subspan(0, n),
-               [&](std::size_t, std::size_t, const sim::SessionMetrics& m) {
-                 out.push_back(m);
-               });
-    rest = rest.subspan(n);
+    runner.run(
+        n, [&](std::size_t i) { return keys[first + i]; },
+        [&](std::size_t, std::size_t, const sim::SessionMetrics& m) {
+          out.push_back(m);
+        });
+    first += n;
   }
-  EXPECT_TRUE(rest.empty());
+  EXPECT_EQ(first, keys.size());
   return out;
 }
 

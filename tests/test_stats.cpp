@@ -1,11 +1,10 @@
-// Tests for bba::stats: descriptive statistics, Welch t-test, histogram.
+// Tests for bba::stats: descriptive statistics and the Welch t-test.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <vector>
 
 #include "stats/descriptive.hpp"
-#include "stats/histogram.hpp"
 #include "stats/ttest.hpp"
 
 namespace bba::stats {
@@ -161,47 +160,6 @@ TEST(WelchTTest, DegenerateConstantSamples) {
   const std::vector<double> c{3.0, 3.0};
   const TTestResult diff = welch_t_test(a, c);
   EXPECT_DOUBLE_EQ(diff.p_value, 0.0);
-}
-
-TEST(Histogram, BinningAndEdges) {
-  Histogram h(0.0, 10.0, 5);
-  EXPECT_EQ(h.bin_count(), 5u);
-  EXPECT_DOUBLE_EQ(h.bin_lower(0), 0.0);
-  EXPECT_DOUBLE_EQ(h.bin_upper(0), 2.0);
-  EXPECT_DOUBLE_EQ(h.bin_lower(4), 8.0);
-  h.add(1.0);
-  h.add(1.5);
-  h.add(9.9);
-  EXPECT_EQ(h.count(0), 2);
-  EXPECT_EQ(h.count(4), 1);
-  EXPECT_EQ(h.total(), 3);
-}
-
-TEST(Histogram, SaturatesOutOfRange) {
-  Histogram h(0.0, 10.0, 2);
-  h.add(-100.0);
-  h.add(100.0);
-  EXPECT_EQ(h.count(0), 1);
-  EXPECT_EQ(h.count(1), 1);
-}
-
-TEST(Histogram, CumulativeFraction) {
-  Histogram h(0.0, 4.0, 4);
-  h.add(0.5);
-  h.add(1.5);
-  h.add(2.5);
-  h.add(3.5);
-  EXPECT_DOUBLE_EQ(h.cumulative_fraction(0), 0.25);
-  EXPECT_DOUBLE_EQ(h.cumulative_fraction(1), 0.5);
-  EXPECT_DOUBLE_EQ(h.cumulative_fraction(3), 1.0);
-}
-
-TEST(Histogram, AsciiRenderingContainsBars) {
-  Histogram h(0.0, 2.0, 2);
-  for (int i = 0; i < 10; ++i) h.add(0.5);
-  h.add(1.5);
-  const std::string s = h.to_string(10);
-  EXPECT_NE(s.find('#'), std::string::npos);
 }
 
 }  // namespace

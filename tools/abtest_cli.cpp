@@ -344,8 +344,11 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "could not open %s\n", seq_log_path.c_str());
         return 1;
       }
-      std::fputs(sr.decision_log.c_str(), f);
-      std::fclose(f);
+      const bool wrote = std::fputs(sr.decision_log.c_str(), f) >= 0;
+      if (std::fclose(f) != 0 || !wrote) {
+        std::fprintf(stderr, "could not write %s\n", seq_log_path.c_str());
+        return 1;
+      }
       // stderr, so stdout stays byte-comparable across runs that write
       // their logs to different paths (the seq-smoke CI job diffs it).
       std::fprintf(stderr, "wrote decision log to %s\n",
@@ -353,7 +356,7 @@ int main(int argc, char** argv) {
     } else {
       std::printf("\ndecision log:\n%s", sr.decision_log.c_str());
     }
-    return 0;
+    return obs_scope.finish() ? 0 : 1;
   }
 
   std::printf("running %zu groups x %zu sessions/window x %zu days "
@@ -399,5 +402,5 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-  return 0;
+  return obs_scope.finish() ? 0 : 1;
 }

@@ -548,5 +548,5 @@ int main(int argc, char** argv) {
     }
     std::printf("per-chunk log     %s\n", log_path.c_str());
   }
-  return 0;
+  return obs_scope.finish() ? 0 : 1;
 }

@@ -40,9 +40,8 @@ class Report {
   bool write(const std::string& path) const {
     std::FILE* f = std::fopen(path.c_str(), "w");
     if (f == nullptr) return false;
-    std::fputs(text_.c_str(), f);
-    std::fclose(f);
-    return true;
+    const bool wrote = std::fputs(text_.c_str(), f) >= 0;
+    return std::fclose(f) == 0 && wrote;
   }
 
  private:
@@ -192,7 +191,7 @@ int main(int argc, char** argv) {
                  "bba_merge and render via --resume (no report for a "
                  "partial)\n",
                  ckpt.shard_index, ckpt.shard_count, ckpt.out.c_str());
-    return 0;
+    return obs_scope.finish() ? 0 : 1;
   }
 
   Report report;
@@ -291,5 +290,5 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::fprintf(stderr, "report written to %s\n", out_path.c_str());
-  return all_ok ? 0 : 1;
+  return obs_scope.finish() && all_ok ? 0 : 1;
 }
