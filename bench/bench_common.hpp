@@ -16,26 +16,30 @@
 #include "exp/report.hpp"
 #include "media/video.hpp"
 #include "obs/setup.hpp"
+#include "util/csv.hpp"
 
 namespace bba::bench {
+
+/// The unsigned integer in environment variable `name`, or `fallback` when
+/// it is unset or empty. A malformed value is a usage error (exit 2), not
+/// a silent 0.
+inline std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
+  const char* env = std::getenv(name);
+  if (env == nullptr || *env == '\0') return fallback;
+  return util::parse_u64_or_exit(name, env);
+}
 
 /// Session-simulation threads for the benches: BBA_THREADS if set, else 0
 /// (= all hardware threads). Results are bit-identical for every value.
 inline std::size_t bench_threads() {
-  const char* env = std::getenv("BBA_THREADS");
-  if (env == nullptr || *env == '\0') return 0;
-  return static_cast<std::size_t>(std::atoi(env));
+  return static_cast<std::size_t>(env_u64("BBA_THREADS", 0));
 }
 
 /// Experiment seed for the benches: BBA_SEED if set, else the reference
 /// realization. Like the paper's fixed A/B weekends, the figures are one
 /// concrete realization of the population; the shape checks hold for most
 /// seeds but can flip on unlucky draws of the noisier peak-window ratios.
-inline std::uint64_t bench_seed() {
-  const char* env = std::getenv("BBA_SEED");
-  if (env == nullptr || *env == '\0') return 2014;
-  return static_cast<std::uint64_t>(std::atoll(env));
-}
+inline std::uint64_t bench_seed() { return env_u64("BBA_SEED", 2014); }
 
 /// Standard experiment dimensions used by every figure bench.
 inline exp::AbTestConfig standard_config() {
@@ -77,30 +81,19 @@ inline void obs_from_env() {
   static obs::ObsScope scope(opts, bench_threads());
 }
 
-/// Runs the experiment with the requested subset of standard groups.
-/// Recognized names: control, rmin-always, bba0, bba1, bba2, bba-others.
+/// Runs the experiment with the requested groups (exp::abr_factory names).
 inline exp::AbTestResult run_standard_groups(
     const std::vector<std::string>& names) {
   obs_from_env();
   std::vector<exp::Group> groups;
   groups.reserve(names.size());
   for (const auto& name : names) {
-    if (name == "control") {
-      groups.push_back({name, exp::make_control_factory()});
-    } else if (name == "rmin-always") {
-      groups.push_back({name, exp::make_rmin_factory()});
-    } else if (name == "bba0") {
-      groups.push_back({name, exp::make_bba0_factory()});
-    } else if (name == "bba1") {
-      groups.push_back({name, exp::make_bba1_factory()});
-    } else if (name == "bba2") {
-      groups.push_back({name, exp::make_bba2_factory()});
-    } else if (name == "bba-others") {
-      groups.push_back({name, exp::make_bba_others_factory()});
-    } else {
+    exp::AbrFactory factory = exp::abr_factory(name);
+    if (!factory) {
       std::fprintf(stderr, "unknown group: %s\n", name.c_str());
       std::abort();
     }
+    groups.push_back({name, std::move(factory)});
   }
   exp::AbTestResult result;
   std::string error;

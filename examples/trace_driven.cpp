@@ -70,6 +70,10 @@ int main(int argc, char** argv) {
                                 util::to_kbps(c.throughput_bps),
                                 c.download_s});
   }
+  if (!log.close()) {
+    std::fprintf(stderr, "could not write %s\n", out_path.c_str());
+    return 1;
+  }
 
   const sim::SessionMetrics m = sim::compute_metrics(session);
   std::printf("played %.1f min at %.0f kb/s avg; %lld rebuffers (%.1f s)\n",

@@ -4,12 +4,15 @@
 #include <vector>
 
 #include "abr/baselines.hpp"
+#include "abr/bola.hpp"
 #include "abr/control.hpp"
+#include "abr/related_work.hpp"
 #include "core/bba0.hpp"
 #include "core/bba1.hpp"
 #include "core/bba2.hpp"
 #include "core/bba_others.hpp"
 #include "exp/checkpoint.hpp"
+#include "net/estimators.hpp"
 #include "sim/metrics.hpp"
 #include "util/assert.hpp"
 
@@ -105,7 +108,9 @@ AbTestResult run_ab_test(const std::vector<Group>& groups,
   // The checkpointed harness (exp/checkpoint.cpp) with default options IS
   // the plain run: one chunk, no files, the identical canonical fold. With
   // no checkpoint I/O configured the only failure modes are the programmer
-  // errors both paths already abort on.
+  // errors both paths already abort on, and a grid past obs::grid_fits
+  // while a timeline or monitor is installed (see
+  // RunCheckpoints::check_grid).
   AbTestResult result;
   std::string error;
   const bool ok = run_ab_test_checkpointed(groups, library, cfg,
@@ -113,6 +118,30 @@ AbTestResult run_ab_test(const std::vector<Group>& groups,
                                            &error);
   BBA_ASSERT(ok, "run_ab_test failed");
   return result;
+}
+
+AbrFactory abr_factory(const std::string& name) {
+  if (name == "control") return make_control_factory();
+  if (name == "rmin-always") return make_rmin_factory();
+  if (name == "bba0") return make_bba0_factory();
+  if (name == "bba1") return make_bba1_factory();
+  if (name == "bba2") return make_bba2_factory();
+  if (name == "bba-others") return make_bba_others_factory();
+  if (name == "rmax-always") {
+    return [] { return std::make_unique<abr::RMaxAlways>(); };
+  }
+  if (name == "throughput") {
+    return [] {
+      return std::make_unique<abr::ThroughputAbr>(
+          std::make_unique<net::EwmaEstimator>(0.3));
+    };
+  }
+  if (name == "pid") return [] { return std::make_unique<abr::PidAbr>(); };
+  if (name == "elastic") {
+    return [] { return std::make_unique<abr::ElasticAbr>(); };
+  }
+  if (name == "bola") return [] { return std::make_unique<abr::BolaAbr>(); };
+  return nullptr;
 }
 
 AbrFactory make_control_factory() {

@@ -118,6 +118,11 @@ AbTestResult run_ab_test(const std::vector<Group>& groups,
 /// fold both run_ab_test and the sequential engine (src/seq) apply.
 void accumulate_session(WindowMetrics& cell, const sim::SessionMetrics& m);
 
+/// The factory for an ABR by the name every tool spells it: control,
+/// rmin-always, rmax-always, bba0, bba1, bba2, bba-others, throughput
+/// (EWMA 0.3 estimator), pid, elastic, bola. Null for an unknown name.
+AbrFactory abr_factory(const std::string& name);
+
 /// Convenience factories for the standard groups.
 AbrFactory make_control_factory();
 AbrFactory make_rmin_factory();

@@ -1,7 +1,6 @@
 #include "exp/checkpoint.hpp"
 
 #include <algorithm>
-#include <cerrno>
 #include <concepts>
 #include <cstdio>
 #include <cstdlib>
@@ -13,6 +12,7 @@
 #include "obs/profile.hpp"
 #include "util/assert.hpp"
 #include "util/binio.hpp"
+#include "util/csv.hpp"
 
 namespace bba::exp {
 
@@ -82,24 +82,14 @@ void put_groups(std::string& p, const std::vector<std::string>& groups) {
   for (const std::string& g : groups) util::put_string(p, g);
 }
 
-/// Whether a groups x days x windows grid passes the caps every section
-/// is read under. Each factor is capped before the product is formed, so
-/// it cannot wrap.
-bool grid_fits(std::uint64_t groups, std::uint64_t days,
-               std::uint64_t windows) {
-  return groups != 0 && groups <= 4096 && days != 0 && days <= (1u << 20) &&
-         windows != 0 && windows <= (1u << 16) &&
-         groups * days * windows <= kMaxCheckpointGridCells;
-}
-
 /// Reads a put_groups list. Its length, the grid dimensions its section
-/// read before it, and the grid's cell count must pass grid_fits, so
+/// read before it, and the grid's cell count must pass obs::grid_fits, so
 /// that a corrupt varint cannot turn into a giant allocation: every
 /// section that calls this allocates the whole grid next.
 bool parse_groups(Cursor& c, std::uint64_t days, std::uint64_t windows,
                   std::vector<std::string>* groups) {
   const std::uint64_t n = c.varint();
-  if (c.fail || !grid_fits(n, days, windows)) return false;
+  if (c.fail || !obs::grid_fits(n, days, windows)) return false;
   groups->resize(static_cast<std::size_t>(n));
   for (std::string& g : *groups) {
     if (!c.str(&g)) return false;
@@ -245,10 +235,9 @@ void put_timeline_section(std::string& p, const obs::TimelineAggregator& t) {
     }
   }
   for (std::size_t g = 0; g < t.num_groups(); ++g) {
-    const obs::GroupSketches& s = t.sketches(g);
-    put_sketch(p, s.rate_bps);
-    put_sketch(p, s.join_s);
-    put_sketch(p, s.buffer_s);
+    for (std::size_t m = 0; m < obs::kNumTimelineSketches; ++m) {
+      put_sketch(p, t.sketches(g).at(m));
+    }
   }
 }
 
@@ -273,9 +262,8 @@ bool parse_timeline_section(Cursor& c, obs::TimelineAggregator* t) {
   }
   for (std::uint64_t g = 0; g < n_groups && !c.fail; ++g) {
     obs::GroupSketches& s = t->mutable_sketches(static_cast<std::size_t>(g));
-    if (!parse_sketch(c, &s.rate_bps) || !parse_sketch(c, &s.join_s) ||
-        !parse_sketch(c, &s.buffer_s)) {
-      return false;
+    for (std::size_t m = 0; m < obs::kNumTimelineSketches; ++m) {
+      if (!parse_sketch(c, &s.at(m))) return false;
     }
   }
   return !c.fail;
@@ -373,30 +361,19 @@ bool parse_alerts_section(Cursor& c, std::string* spec_json,
   return monitor_detectors(io, *st);
 }
 
-/// Strict base-10 u64 parse for --shard and the env knobs (no atoll:
-/// garbage must be rejected, not read as 0).
-bool parse_number(const char* s, std::uint64_t* out) {
-  if (s == nullptr || *s == '\0') return false;
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(s, &end, 10);
-  if (errno != 0 || end == s || *end != '\0') return false;
-  *out = v;
-  return true;
-}
-
 }  // namespace
 
 // --- Container assembly -----------------------------------------------------
 
 bool check_checkpoint_grid(std::uint64_t groups, std::uint64_t days,
                            std::string* error) {
-  if (grid_fits(groups, days, kWindowsPerDay)) return true;
+  if (obs::grid_fits(groups, days, kWindowsPerDay)) return true;
   *error = "a run of " + std::to_string(groups) + " groups x " +
            std::to_string(days) + " days x " +
            std::to_string(kWindowsPerDay) +
-           " windows is too large to checkpoint (at most " +
-           std::to_string(kMaxCheckpointGridCells) + " cells)";
+           " windows is too large to checkpoint or to write as a timeline "
+           "or alerts artifact (at most " +
+           std::to_string(obs::kMaxGridCells) + " cells)";
   return false;
 }
 
@@ -743,8 +720,8 @@ bool CheckpointOptions::parse_shard(const std::string& spec) {
   const std::size_t slash = spec.find('/');
   if (slash == std::string::npos) return false;
   std::uint64_t k = 0, m = 0;
-  if (!parse_number(spec.substr(0, slash).c_str(), &k) ||
-      !parse_number(spec.substr(slash + 1).c_str(), &m)) {
+  if (!util::parse_u64(std::string_view(spec).substr(0, slash), &k) ||
+      !util::parse_u64(std::string_view(spec).substr(slash + 1), &m)) {
     return false;
   }
   if (k < 1 || m < 1 || k > m) return false;
@@ -763,10 +740,10 @@ CheckpointOptions CheckpointOptions::from_env() {
   if (const char* v = env("BBA_CHECKPOINT_RESUME")) opts.resume = v;
   std::uint64_t n = 0;
   if (const char* v = env("BBA_CHECKPOINT_EVERY")) {
-    if (parse_number(v, &n)) opts.every = static_cast<std::size_t>(n);
+    if (util::parse_u64(v, &n)) opts.every = static_cast<std::size_t>(n);
   }
   if (const char* v = env("BBA_CHECKPOINT_KILL")) {
-    if (parse_number(v, &n)) opts.kill_after = static_cast<std::size_t>(n);
+    if (util::parse_u64(v, &n)) opts.kill_after = static_cast<std::size_t>(n);
   }
   if (const char* v = env("BBA_CHECKPOINT_SHARD")) opts.parse_shard(v);
   return opts;
@@ -782,6 +759,12 @@ CheckpointInstruments CheckpointInstruments::installed(bool monitor) {
     if (monitor) in.monitor = o->monitor.get();
   }
   return in;
+}
+
+bool RunCheckpoints::check_grid(std::string* error) const {
+  const bool persisted = opts.any() || instruments.timeline != nullptr ||
+                         instruments.monitor != nullptr;
+  return !persisted || check_checkpoint_grid(groups.size(), cfg.days, error);
 }
 
 void RunCheckpoints::begin_run() const {
@@ -937,17 +920,20 @@ bool run_ab_test_checkpointed(const std::vector<Group>& groups,
              "--shard index must lie in 1..count");
   std::string scratch_error;
   if (error == nullptr) error = &scratch_error;
-  if (opts.any() && !check_checkpoint_grid(groups.size(), cfg.days, error)) {
-    return false;
-  }
+  std::vector<std::string> names;
+  names.reserve(groups.size());
+  for (const auto& g : groups) names.push_back(g.name);
+  RunCheckpoints checkpoints{
+      0, cfg, opts, std::move(names),
+      CheckpointInstruments::installed(/*monitor=*/true)};
+  if (!checkpoints.check_grid(error)) return false;
 
   obs::Observability* o = obs::global();
   obs::ScopedTimer run_span(o != nullptr ? o->profiler.get() : nullptr, 0,
                             "run_ab_test");
 
   *result = AbTestResult{};
-  result->group_names.reserve(groups.size());
-  for (const auto& g : groups) result->group_names.push_back(g.name);
+  result->group_names = checkpoints.groups;
   result->cells.assign(
       groups.size(),
       std::vector<std::vector<WindowMetrics>>(
@@ -960,9 +946,6 @@ bool run_ab_test_checkpointed(const std::vector<Group>& groups,
   // (shard_key) as the runner simulates them; no key list is built.
   const std::uint64_t total = shard_key_count(cfg, opts);
 
-  RunCheckpoints checkpoints{
-      0, cfg, opts, result->group_names,
-      CheckpointInstruments::installed(/*monitor=*/true)};
   obs::TimelineAggregator* timeline = checkpoints.instruments.timeline;
   obs::HealthMonitor* monitor = checkpoints.instruments.monitor;
   checkpoints.begin_run();

@@ -124,17 +124,11 @@ struct Checkpoint {
   bool complete() const { return cursor == total_keys; }
 };
 
-/// The most (group, day, window) cells a checkpoint's grid may hold: 2^22,
-/// about 49,900 days of 7 groups. Readers reject a RUN0, TLIN or ALRT
-/// section declaring more before allocating its grid (along with more
-/// than 4096 groups, 2^20 days or 2^16 windows).
-inline constexpr std::uint64_t kMaxCheckpointGridCells = std::uint64_t{1}
-                                                         << 22;
-
-/// Whether a run of `groups` x `days` x kWindowsPerDay cells fits those
-/// caps; false with *error if not. Checkpointed runs call it before
-/// simulating anything, so no run saves a checkpoint its own resume would
-/// reject.
+/// Whether a run of `groups` x `days` x kWindowsPerDay cells passes
+/// obs::grid_fits, the caps every RUN0, TLIN and ALRT section is read
+/// under (at most obs::kMaxGridCells cells); false with *error if not.
+/// Runs call it through RunCheckpoints::check_grid before simulating
+/// anything, so no run saves a checkpoint its own resume would reject.
 bool check_checkpoint_grid(std::uint64_t groups, std::uint64_t days,
                            std::string* error);
 
@@ -210,6 +204,12 @@ struct RunCheckpoints {
   std::vector<std::string> groups;
   CheckpointInstruments instruments;
   std::size_t saves = 0;
+
+  /// check_checkpoint_grid, for a run that saves or resumes checkpoints
+  /// or feeds a timeline or monitor: the bba.timeline.v1 and bba.alerts.v1
+  /// readers apply the same caps, so no run writes an artifact its own
+  /// reader refuses. Harnesses call it before allocating their grid.
+  bool check_grid(std::string* error) const;
 
   /// Begins the timeline and the monitor on the run's grid; a sharded
   /// run's monitor defers its detectors to the merged resume.

@@ -21,7 +21,7 @@ bool dump_metric_csv(const std::string& path, const AbTestResult& result,
     }
     out.row(row);
   }
-  return true;
+  return out.close();
 }
 
 bool dump_metric_per_day_csv(const std::string& path,
@@ -44,7 +44,7 @@ bool dump_metric_per_day_csv(const std::string& path,
       out.row(row);
     }
   }
-  return true;
+  return out.close();
 }
 
 }  // namespace bba::exp

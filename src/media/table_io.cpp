@@ -26,7 +26,7 @@ bool write_chunk_table_csv(const std::string& path, const Video& video) {
     }
     out.row(row);
   }
-  return true;
+  return out.close();
 }
 
 std::optional<Video> read_chunk_table_csv(const std::string& path,

@@ -12,7 +12,7 @@ bool write_trace_csv(const std::string& path, const CapacityTrace& trace) {
   for (const auto& seg : trace.segments()) {
     out.row(std::vector<double>{seg.duration_s, seg.rate_bps});
   }
-  return true;
+  return out.close();
 }
 
 std::optional<CapacityTrace> read_trace_csv(const std::string& path,

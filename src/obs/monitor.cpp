@@ -1,11 +1,10 @@
 #include "obs/monitor.hpp"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 
 #include "obs/trace_jsonl.hpp"
 #include "util/assert.hpp"
+#include "util/csv.hpp"
 
 namespace bba::obs {
 
@@ -27,22 +26,6 @@ double offender_score(std::size_t metric, const sim::SessionMetrics& m) {
     case 2: return -m.avg_rate_bps;
     default: return static_cast<double>(m.fault_stall_count);
   }
-}
-
-bool parse_u64_field(const char* s, std::uint64_t* out) {
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s, &end, 10);
-  if (end == s || *end != '\0') return false;
-  *out = static_cast<std::uint64_t>(v);
-  return true;
-}
-
-bool parse_f64_field(const char* s, double* out) {
-  char* end = nullptr;
-  const double v = std::strtod(s, &end);
-  if (end == s || *end != '\0') return false;
-  *out = v;
-  return true;
 }
 
 }  // namespace
@@ -93,30 +76,30 @@ bool MonitorSpec::parse(const std::string& spec, MonitorSpec* out,
     const std::string val = item.substr(eq + 1);
     bool ok = true;
     if (key == "warmup") {
-      ok = parse_u64_field(val.c_str(), &s.warmup);
+      ok = util::parse_u64(val, &s.warmup);
     } else if (key == "ewma_alpha") {
-      ok = parse_f64_field(val.c_str(), &s.ewma_alpha);
+      ok = util::parse_num(val, &s.ewma_alpha);
     } else if (key == "ewma_k") {
-      ok = parse_f64_field(val.c_str(), &s.ewma_k);
+      ok = util::parse_num(val, &s.ewma_k);
     } else if (key == "cusum_k") {
-      ok = parse_f64_field(val.c_str(), &s.cusum_k);
+      ok = util::parse_num(val, &s.cusum_k);
     } else if (key == "cusum_h") {
-      ok = parse_f64_field(val.c_str(), &s.cusum_h);
+      ok = util::parse_num(val, &s.cusum_h);
     } else if (key == "sd_floor") {
-      ok = parse_f64_field(val.c_str(), &s.sd_floor);
+      ok = util::parse_num(val, &s.sd_floor);
     } else if (key == "slo_rebuffer_ratio") {
-      ok = parse_f64_field(val.c_str(), &s.slo_rebuffer_ratio);
+      ok = util::parse_num(val, &s.slo_rebuffer_ratio);
     } else if (key == "slo_rebuffer_windows") {
-      ok = parse_u64_field(val.c_str(), &s.slo_rebuffer_windows);
+      ok = util::parse_u64(val, &s.slo_rebuffer_windows);
     } else if (key == "slo_join_s") {
-      ok = parse_f64_field(val.c_str(), &s.slo_join_s);
+      ok = util::parse_num(val, &s.slo_join_s);
     } else if (key == "slo_join_windows") {
-      ok = parse_u64_field(val.c_str(), &s.slo_join_windows);
+      ok = util::parse_u64(val, &s.slo_join_windows);
     } else if (key == "top_k") {
-      ok = parse_u64_field(val.c_str(), &s.top_k);
+      ok = util::parse_u64(val, &s.top_k);
     } else if (key == "capture") {
       std::uint64_t v = 0;
-      ok = parse_u64_field(val.c_str(), &v) && v <= 1;
+      ok = util::parse_u64(val, &v) && v <= 1;
       s.capture = v != 0;
     } else {
       if (error != nullptr) *error = "unknown alert-spec key: " + key;
@@ -135,6 +118,12 @@ bool MonitorSpec::parse(const std::string& spec, MonitorSpec* out,
   }
   if (s.slo_rebuffer_windows < 1 || s.slo_join_windows < 1) {
     if (error != nullptr) *error = "alert-spec slo windows must be >= 1";
+    return false;
+  }
+  if (s.top_k > kMaxTopK) {
+    if (error != nullptr) {
+      *error = "alert-spec top_k must be <= " + std::to_string(kMaxTopK);
+    }
     return false;
   }
   *out = s;

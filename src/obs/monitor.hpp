@@ -67,6 +67,12 @@ inline constexpr std::size_t kNumMonitorSlos = 2;
 /// function of the cell.
 double monitor_metric_value(const TimelineCell& cell, std::size_t metric);
 
+/// The largest top_k a spec may ask for. Each (group, metric) reserves
+/// top_k candidate slots up front and every alert replays up to top_k
+/// sessions, so an unbounded value turns into a giant allocation before
+/// the first session; capture is evidence, not a census of the window.
+inline constexpr std::uint64_t kMaxTopK = 1024;
+
 /// Detector and SLO parameters (--alert-spec / $BBA_ALERT_SPEC).
 struct MonitorSpec {
   std::uint64_t warmup = 8;     ///< baseline cells before detectors arm
@@ -83,7 +89,9 @@ struct MonitorSpec {
   bool capture = true;          ///< alert-triggered trace capture on/off
 
   /// Parses "key=value,key=value" (keys above, e.g. "warmup=2,cusum_h=1").
-  /// Returns false with a one-line diagnostic in *error.
+  /// Values follow the one number rule (util/csv.hpp): reals must be
+  /// finite and counts unsigned. Returns false with a one-line diagnostic
+  /// in *error.
   static bool parse(const std::string& spec, MonitorSpec* out,
                     std::string* error);
 

@@ -1,11 +1,12 @@
 #include "obs/setup.hpp"
 
 #include <cstdio>
-
-#include "obs/btrace.hpp"
 #include <cstdlib>
 #include <cstring>
 #include <thread>
+
+#include "obs/btrace.hpp"
+#include "util/csv.hpp"
 
 namespace bba::obs {
 
@@ -14,6 +15,17 @@ namespace {
 const char* env_or_null(const char* name) {
   const char* v = std::getenv(name);
   return (v != nullptr && *v != '\0') ? v : nullptr;
+}
+
+/// A malformed --alert-spec value, or the same in BBA_ALERT_SPEC, is a
+/// usage error: one line naming the source, exit 2.
+void check_alert_spec_or_exit(const char* source, const char* v) {
+  MonitorSpec spec;
+  std::string err;
+  if (!MonitorSpec::parse(v, &spec, &err)) {
+    std::fprintf(stderr, "%s: %s\n", source, err.c_str());
+    std::exit(2);
+  }
 }
 
 std::size_t default_slots(std::size_t threads_hint) {
@@ -53,13 +65,16 @@ ObsOptions ObsOptions::from_env() {
   if (const char* v = env_or_null("BBA_TRACE")) opts.trace_out = v;
   if (const char* v = env_or_null("BBA_TRACE_FORMAT")) opts.trace_format = v;
   if (const char* v = env_or_null("BBA_TRACE_SAMPLE")) {
-    opts.trace_sample = static_cast<std::uint64_t>(std::atoll(v));
+    opts.trace_sample = util::parse_u64_or_exit("BBA_TRACE_SAMPLE", v);
   }
   if (const char* v = env_or_null("BBA_METRICS")) opts.metrics_out = v;
   if (const char* v = env_or_null("BBA_PROFILE")) opts.profile_out = v;
   if (const char* v = env_or_null("BBA_TIMELINE")) opts.timeline_out = v;
   if (const char* v = env_or_null("BBA_ALERTS")) opts.alerts_out = v;
-  if (const char* v = env_or_null("BBA_ALERT_SPEC")) opts.alert_spec = v;
+  if (const char* v = env_or_null("BBA_ALERT_SPEC")) {
+    check_alert_spec_or_exit("BBA_ALERT_SPEC", v);
+    opts.alert_spec = v;
+  }
   return opts;
 }
 
@@ -87,8 +102,8 @@ bool ObsOptions::consume_arg(int argc, char** argv, int& i) {
     return true;
   }
   if (std::strcmp(arg, "--trace-sample") == 0) {
-    trace_sample = static_cast<std::uint64_t>(
-        std::atoll(value("--trace-sample")));
+    trace_sample = util::parse_u64_or_exit("--trace-sample",
+                                           value("--trace-sample"));
     return true;
   }
   if (std::strcmp(arg, "--metrics-out") == 0) {
@@ -109,6 +124,7 @@ bool ObsOptions::consume_arg(int argc, char** argv, int& i) {
   }
   if (std::strcmp(arg, "--alert-spec") == 0) {
     alert_spec = value("--alert-spec");
+    check_alert_spec_or_exit("--alert-spec", alert_spec.c_str());
     return true;
   }
   return false;
@@ -154,6 +170,9 @@ ObsScope::ObsScope(const ObsOptions& opts, std::size_t threads_hint)
     handle_->timeline = std::make_unique<TimelineAggregator>();
   }
   if (!opts.alerts_out.empty()) {
+    // The tools' flags and BBA_ALERT_SPEC were already checked when they
+    // were read (check_alert_spec_or_exit, exit 2); this parse serves
+    // options set in code, and both apply the one MonitorSpec::parse.
     MonitorSpec spec;
     std::string err;
     if (!MonitorSpec::parse(opts.alert_spec, &spec, &err)) {

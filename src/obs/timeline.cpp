@@ -2,6 +2,8 @@
 
 #include "obs/trace_jsonl.hpp"
 #include "util/assert.hpp"
+#include "util/binio.hpp"
+#include "util/text_scanner.hpp"
 
 namespace bba::obs {
 
@@ -75,9 +77,9 @@ bool TimelineAggregator::merge(const TimelineAggregator& other) {
     }
   }
   for (std::size_t g = 0; g < groups_.size(); ++g) {
-    sketches_[g].rate_bps.merge(other.sketches_[g].rate_bps);
-    sketches_[g].join_s.merge(other.sketches_[g].join_s);
-    sketches_[g].buffer_s.merge(other.sketches_[g].buffer_s);
+    for (std::size_t m = 0; m < kNumTimelineSketches; ++m) {
+      sketches_[g].at(m).merge(other.sketches_[g].at(m));
+    }
   }
   return true;
 }
@@ -171,27 +173,136 @@ std::string TimelineAggregator::to_json() const {
     }
   }
   out += "],\"sketches\":[";
-  static constexpr const char* kMetricNames[] = {"rate_bps", "join_s",
-                                                 "buffer_s"};
   first = true;
   for (std::size_t g = 0; g < groups_.size(); ++g) {
-    const stats::QuantileSketch* ms[] = {&sketches_[g].rate_bps,
-                                         &sketches_[g].join_s,
-                                         &sketches_[g].buffer_s};
-    for (std::size_t m = 0; m < 3; ++m) {
+    for (std::size_t m = 0; m < kNumTimelineSketches; ++m) {
       if (!first) out += ',';
       first = false;
       out += "{\"group\":";
       append_u64(out, g);
       out += ",\"metric\":\"";
-      out += kMetricNames[m];
+      out += kTimelineSketchNames[m];
       out += "\",";
-      ms[m]->append_json(out);
+      sketches_[g].at(m).append_json(out);
       out += '}';
     }
   }
   out += "]}";
   return out;
+}
+
+bool grid_fits(std::uint64_t groups, std::uint64_t days,
+               std::uint64_t windows) {
+  return groups != 0 && groups <= 4096 && days != 0 && days <= (1u << 20) &&
+         windows != 0 && windows <= (1u << 16) &&
+         groups * days * windows <= kMaxGridCells;
+}
+
+bool parse_timeline(std::string_view text, const std::string& name,
+                    TimelineAggregator* out, std::string* error) {
+  BBA_ASSERT(!out->configured(), "parse_timeline into a configured grid");
+  auto fail = [&](const std::string& why) {
+    *error = name + ": " + why;
+    return false;
+  };
+  const std::string_view body =
+      !text.empty() && text.back() == '\n' ? text.substr(0, text.size() - 1)
+                                            : text;
+  util::TextScanner s(body);
+  std::uint64_t seed = 0, days = 0, windows = 0;
+  std::vector<std::string> groups;
+  bool ok = s.lit("{\"schema\":\"bba.timeline.v1\",\"seed\":") &&
+            s.u64(&seed) && s.lit(",\"days\":") && s.u64(&days) &&
+            s.lit(",\"windows_per_day\":") && s.u64(&windows) &&
+            s.lit(",\"groups\":[");
+  while (ok && !s.peek(']')) {
+    ok = (groups.empty() || s.lit(",")) && s.quoted(&groups.emplace_back());
+  }
+  ok = ok && s.lit("],\"cells\":[");
+  if (ok && !grid_fits(groups.size(), days, windows)) {
+    return fail("grid of " + std::to_string(groups.size()) + " groups x " +
+                std::to_string(days) + " days x " + std::to_string(windows) +
+                " windows is empty or too large");
+  }
+  if (ok) {
+    out->begin_run(seed, groups, static_cast<std::size_t>(days),
+                   static_cast<std::size_t>(windows));
+  }
+  bool first = true;
+  while (ok && !s.peek(']')) {
+    std::uint64_t day = 0, window = 0, group = 0;
+    ok = (first || s.lit(",")) && s.lit("{\"day\":") && s.u64(&day) &&
+         s.lit(",\"window\":") && s.u64(&window) &&
+         s.lit(",\"group\":") && s.u64(&group);
+    first = false;
+    if (ok && (day >= days || window >= windows || group >= groups.size())) {
+      return fail("cell indices out of range");
+    }
+    if (!ok) break;
+    TimelineCell& c = out->mutable_cell(static_cast<std::size_t>(day),
+                                        static_cast<std::size_t>(window),
+                                        static_cast<std::size_t>(group));
+    ok = s.lit(",\"sessions\":") && s.u64(&c.sessions) &&
+         s.lit(",\"abandoned\":") && s.u64(&c.abandoned) &&
+         s.lit(",\"rebuffers\":") && s.u64(&c.rebuffers) &&
+         s.lit(",\"fault_stalls\":") && s.u64(&c.fault_stalls) &&
+         s.lit(",\"switches\":") && s.u64(&c.switches) &&
+         s.lit(",\"play_micro\":") && s.u64(&c.play_micro) &&
+         s.lit(",\"rebuffer_micro\":") && s.u64(&c.rebuffer_micro) &&
+         s.lit(",\"join_micro\":") && s.u64(&c.join_micro) &&
+         s.lit(",\"rate_play_kbit\":") && s.u64(&c.rate_play_kbit) &&
+         s.lit("}");
+  }
+  ok = ok && s.lit("],\"sketches\":[");
+  first = true;
+  while (ok && !s.peek(']')) {
+    std::uint64_t group = 0, zero = 0, count = 0;
+    std::string metric;
+    ok = (first || s.lit(",")) && s.lit("{\"group\":") && s.u64(&group) &&
+         s.lit(",\"metric\":") && s.quoted(&metric) &&
+         s.lit(",\"zero\":") && s.u64(&zero) && s.lit(",\"count\":") &&
+         s.u64(&count) && s.lit(",\"buckets\":[");
+    first = false;
+    std::size_t m = 0;
+    while (m < kNumTimelineSketches && metric != kTimelineSketchNames[m]) ++m;
+    if (ok && (group >= groups.size() || m == kNumTimelineSketches)) {
+      return fail("unknown sketch group/metric");
+    }
+    if (!ok) break;
+    stats::QuantileSketch& sk =
+        out->mutable_sketches(static_cast<std::size_t>(group)).at(m);
+    sk.add_zero(zero);
+    bool first_bucket = true;
+    while (ok && !s.peek(']')) {
+      std::uint64_t bucket = 0, n = 0;
+      ok = (first_bucket || s.lit(",")) && s.lit("[") && s.u64(&bucket) &&
+           s.lit(",") && s.u64(&n) && s.lit("]");
+      first_bucket = false;
+      if (ok && bucket >= stats::QuantileSketch::kBuckets) {
+        return fail("sketch bucket out of range");
+      }
+      if (ok) sk.add_bucket(static_cast<int>(bucket), n);
+    }
+    ok = ok && s.lit("]}");
+  }
+  ok = ok && s.lit("]}");
+  if (ok && !s.at_end()) return fail("trailing data after the document");
+  if (!ok) return fail(s.error());
+  // The writer's bytes are a pure function of the state, so anything the
+  // scan accepted that the writer would not emit shows up here.
+  if (out->to_json() != body) {
+    return fail("not the writer's canonical form (a duplicate, out-of-order "
+                "or empty cell, or a sketch count its buckets do not sum "
+                "to)");
+  }
+  return true;
+}
+
+bool load_timeline(const std::string& path, TimelineAggregator* out,
+                   std::string* error) {
+  std::string text;
+  return util::read_file(path, &text, error) &&
+         parse_timeline(text, path, out, error);
 }
 
 }  // namespace bba::obs

@@ -33,6 +33,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sim/metrics.hpp"
@@ -94,12 +95,39 @@ struct TimelineCell {
   }
 };
 
+/// The per-group sketches in artifact order, by their "metric" name: the
+/// one table to_json() writes and parse_timeline() reads.
+inline constexpr std::size_t kNumTimelineSketches = 3;
+inline constexpr const char* kTimelineSketchNames[kNumTimelineSketches] = {
+    "rate_bps", "join_s", "buffer_s"};
+
 /// Per-group distribution sketches (one value per session each).
 struct GroupSketches {
   stats::QuantileSketch rate_bps;   ///< delivered video rate
   stats::QuantileSketch join_s;     ///< startup delay
   stats::QuantileSketch buffer_s;   ///< session mean buffer level
+
+  /// The sketch named kTimelineSketchNames[m].
+  stats::QuantileSketch& at(std::size_t m) {
+    return m == 0 ? rate_bps : m == 1 ? join_s : buffer_s;
+  }
+  const stats::QuantileSketch& at(std::size_t m) const {
+    return m == 0 ? rate_bps : m == 1 ? join_s : buffer_s;
+  }
 };
+
+/// The most (group, day, window) cells a grid read from a file may hold:
+/// 2^22, about 49,900 days of 7 groups.
+inline constexpr std::uint64_t kMaxGridCells = std::uint64_t{1} << 22;
+
+/// Whether a groups x days x windows grid read from a file passes the caps
+/// (at most 4096 groups, 2^20 days, 2^16 windows and kMaxGridCells cells,
+/// none zero). Each factor is capped before the product is formed, so it
+/// cannot wrap. The one rule of every reader that allocates a grid it was
+/// told the size of: the bbackpt RUN0/TLIN/ALRT sections and
+/// parse_timeline.
+bool grid_fits(std::uint64_t groups, std::uint64_t days,
+               std::uint64_t windows);
 
 class TimelineAggregator {
  public:
@@ -166,5 +194,19 @@ class TimelineAggregator {
   std::vector<TimelineCell> cells_;       ///< [(day*W + window)*G + group]
   std::vector<GroupSketches> sketches_;   ///< [group]
 };
+
+/// Reads a bba.timeline.v1 document into `out`, which must not be
+/// configured yet. Accepts exactly what to_json() emits, plus one trailing
+/// newline: the dimensions pass grid_fits and every index its dimension
+/// before anything is allocated, and to_json() of the result must equal
+/// the input, so a duplicate, out-of-order or empty cell, or a sketch count
+/// that its buckets do not sum to, is rejected too. False with a
+/// diagnostic prefixed by `name` in *error; *out is then unspecified.
+bool parse_timeline(std::string_view text, const std::string& name,
+                    TimelineAggregator* out, std::string* error);
+
+/// parse_timeline over the file at `path`.
+bool load_timeline(const std::string& path, TimelineAggregator* out,
+                   std::string* error);
 
 }  // namespace bba::obs

@@ -126,10 +126,15 @@ bool run_sequential_checkpointed(const std::vector<exp::Group>& groups,
              "shard");
   std::string scratch_error;
   if (error == nullptr) error = &scratch_error;
-  if (opts.any() &&
-      !exp::check_checkpoint_grid(groups.size(), cfg.days, error)) {
-    return false;
-  }
+  std::vector<std::string> names;
+  names.reserve(groups.size());
+  for (const auto& g : groups) names.push_back(g.name);
+  // Round checkpoints (kind 1) carry no health monitor: the engine folds
+  // keys in its own adaptive order.
+  exp::RunCheckpoints checkpoints{
+      1, cfg, opts, std::move(names),
+      exp::CheckpointInstruments::installed(/*monitor=*/false)};
+  if (!checkpoints.check_grid(error)) return false;
   SeqResult& result = *out_result;
   result = SeqResult{};
 
@@ -144,18 +149,12 @@ bool run_sequential_checkpointed(const std::vector<exp::Group>& groups,
       seq.budget_sessions != 0
           ? seq.budget_sessions
           : n_arms * cfg.sessions_per_window * cfg.days * exp::kWindowsPerDay;
-  result.cells.group_names.reserve(n_arms);
-  for (const auto& g : groups) result.cells.group_names.push_back(g.name);
+  result.cells.group_names = checkpoints.groups;
   result.cells.cells.assign(
       n_arms, std::vector<std::vector<exp::WindowMetrics>>(
                   cfg.days, std::vector<exp::WindowMetrics>(
                                 exp::kWindowsPerDay)));
 
-  // Round checkpoints (kind 1) carry no health monitor: the engine folds
-  // keys in its own adaptive order.
-  exp::RunCheckpoints checkpoints{
-      1, cfg, opts, result.cells.group_names,
-      exp::CheckpointInstruments::installed(/*monitor=*/false)};
   obs::TimelineAggregator* timeline = checkpoints.instruments.timeline;
   checkpoints.begin_run();
 

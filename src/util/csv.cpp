@@ -1,14 +1,30 @@
 #include "util/csv.hpp"
 
+#include <cctype>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 
 namespace bba::util {
 
 bool parse_num(std::string_view text, double* out) {
+  // strtod alone would also take leading whitespace, a '+', hex and the
+  // inf/nan spellings; the character set keeps the token to what the
+  // library's writers print.
   if (text.empty()) return false;
+  if (!std::isdigit(static_cast<unsigned char>(text[0])) && text[0] != '-' &&
+      text[0] != '.') {
+    return false;
+  }
+  for (const char c : text) {
+    if (!std::isdigit(static_cast<unsigned char>(c)) &&
+        std::strchr("+-.eE", c) == nullptr) {
+      return false;
+    }
+  }
   const std::string buf(text);
   char* end = nullptr;
   const double v = std::strtod(buf.c_str(), &end);
@@ -16,6 +32,29 @@ bool parse_num(std::string_view text, double* out) {
   if (!std::isfinite(v)) return false;
   *out = v;
   return true;
+}
+
+bool parse_u64(std::string_view text, std::uint64_t* out) {
+  if (text.empty()) return false;
+  std::uint64_t v = 0;
+  for (const char c : text) {
+    if (c < '0' || c > '9') return false;
+    const std::uint64_t digit = static_cast<std::uint64_t>(c - '0');
+    if (v > (UINT64_MAX - digit) / 10) return false;
+    v = v * 10 + digit;
+  }
+  *out = v;
+  return true;
+}
+
+std::uint64_t parse_u64_or_exit(const char* source, const char* text) {
+  std::uint64_t v = 0;
+  if (!parse_u64(text, &v)) {
+    std::fprintf(stderr, "%s: expects an unsigned integer, got '%s'\n",
+                 source, text);
+    std::exit(2);
+  }
+  return v;
 }
 
 namespace {
@@ -68,29 +107,35 @@ bool read_csv(const std::string& path, std::vector<CsvRow>& rows,
 CsvWriter::CsvWriter(const std::string& path)
     : file_(std::fopen(path.c_str(), "w")) {}
 
-CsvWriter::~CsvWriter() {
-  if (file_ != nullptr) std::fclose(file_);
-}
+CsvWriter::~CsvWriter() { close(); }
 
 void CsvWriter::comment(const std::string& text) {
   if (file_ == nullptr) return;
-  std::fprintf(file_, "# %s\n", text.c_str());
+  failed_ |= std::fprintf(file_, "# %s\n", text.c_str()) < 0;
 }
 
 void CsvWriter::row(const std::vector<std::string>& fields) {
   if (file_ == nullptr) return;
   for (std::size_t i = 0; i < fields.size(); ++i) {
-    std::fprintf(file_, "%s%s", i > 0 ? "," : "", fields[i].c_str());
+    failed_ |=
+        std::fprintf(file_, "%s%s", i > 0 ? "," : "", fields[i].c_str()) < 0;
   }
-  std::fprintf(file_, "\n");
+  failed_ |= std::fputc('\n', file_) == EOF;
 }
 
 void CsvWriter::row(const std::vector<double>& fields) {
   if (file_ == nullptr) return;
   for (std::size_t i = 0; i < fields.size(); ++i) {
-    std::fprintf(file_, "%s%.10g", i > 0 ? "," : "", fields[i]);
+    failed_ |= std::fprintf(file_, "%s%.10g", i > 0 ? "," : "", fields[i]) < 0;
   }
-  std::fprintf(file_, "\n");
+  failed_ |= std::fputc('\n', file_) == EOF;
+}
+
+bool CsvWriter::close() {
+  if (file_ == nullptr) return false;
+  failed_ |= std::fclose(file_) != 0;
+  file_ = nullptr;
+  return !failed_;
 }
 
 }  // namespace bba::util

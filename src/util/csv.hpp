@@ -6,6 +6,8 @@
 // exact.
 #pragma once
 
+#include <cstdint>
+#include <cstdio>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -15,12 +17,27 @@ namespace bba::util {
 /// One parsed CSV row: raw string fields.
 using CsvRow = std::vector<std::string>;
 
-/// Parses one whole token as a finite number: the entire text must be a
-/// strtod number ("5junk", "", "nan", "inf" and out-of-range values such as
-/// "1e999" are rejected). Writes *out only on success. The one number rule
-/// of every text reader in the library (trace CSV, chunk-table CSV, fault
-/// specs).
+// The one number rule: every numeric token the library reads from outside
+// the program (trace CSV, chunk-table CSV, fault and alert specs, CLI flags
+// and environment knobs, the bba.timeline.v1 / bba.alerts.v1 / JSONL
+// readers) goes through parse_num or parse_u64. Both take the whole token
+// or nothing: no whitespace, no trailing garbage, and *out is written only
+// on success.
+
+/// Parses one whole token as a finite decimal number: an optional '-',
+/// then digits, '.', and an exponent. "5junk", "", " 5", "+5", hex, "nan",
+/// "inf" and out-of-range values such as "1e999" are rejected.
 bool parse_num(std::string_view text, double* out);
+
+/// Parses one whole token as an unsigned 64-bit integer: decimal digits
+/// only (no sign, no whitespace), and a value above 2^64 - 1 is rejected
+/// rather than clamped.
+bool parse_u64(std::string_view text, std::uint64_t* out);
+
+/// parse_u64 for a value the user set: a flag or an environment variable,
+/// named by `source`. A malformed value is a usage error: one line on
+/// stderr, then exit 2.
+std::uint64_t parse_u64_or_exit(const char* source, const char* text);
 
 /// Parses a single CSV line into fields. No quoting; leading/trailing
 /// whitespace of each field is trimmed.
@@ -33,7 +50,8 @@ CsvRow parse_csv_line(const std::string& line);
 bool read_csv(const std::string& path, std::vector<CsvRow>& rows,
               bool expect_header = false, CsvRow* header = nullptr);
 
-/// Incremental CSV writer.
+/// Incremental CSV writer. A failed write is recorded, not reported per
+/// call: close() says whether every byte landed.
 class CsvWriter {
  public:
   /// Opens `path` for writing (truncates). Check `ok()` before use.
@@ -43,7 +61,8 @@ class CsvWriter {
   CsvWriter(const CsvWriter&) = delete;
   CsvWriter& operator=(const CsvWriter&) = delete;
 
-  bool ok() const { return file_ != nullptr; }
+  /// False when the file did not open or a write has failed.
+  bool ok() const { return file_ != nullptr && !failed_; }
 
   /// Writes a '#'-prefixed comment line.
   void comment(const std::string& text);
@@ -54,8 +73,13 @@ class CsvWriter {
   /// Writes a row of numeric fields with '%.10g' formatting.
   void row(const std::vector<double>& fields);
 
+  /// Closes the file. False when it never opened, a write failed, or the
+  /// close itself failed (a full disk often shows only here).
+  bool close();
+
  private:
   std::FILE* file_;
+  bool failed_ = false;
 };
 
 }  // namespace bba::util

@@ -73,7 +73,9 @@ TEST(CheckpointOptions, ParseShard) {
   EXPECT_TRUE(o.sharded());
 
   for (const char* bad :
-       {"", "0/4", "5/4", "a/b", "2", "2/", "/3", "1/0", "1/2/3", "-1/2"}) {
+       {"", "0/4", "5/4", "a/b", "2", "2/", "/3", "1/0", "1/2/3", "-1/2",
+        " 1/2", "+1/2", "1/ 2", "1/18446744073709551616",
+        "18446744073709551617/18446744073709551618"}) {
     CheckpointOptions fresh;
     EXPECT_FALSE(fresh.parse_shard(bad)) << bad;
   }
@@ -666,7 +668,7 @@ TEST(CheckpointedRun, RejectsAGridTooLargeToCheckpointBeforeSimulating) {
   // run must refuse before it allocates the grid or simulates a session,
   // rather than save checkpoints its own resume would reject.
   const std::uint64_t max_days =
-      kMaxCheckpointGridCells / (2 * kWindowsPerDay);
+      obs::kMaxGridCells / (2 * kWindowsPerDay);
   std::string error;
   EXPECT_TRUE(check_checkpoint_grid(2, max_days, &error)) << error;
 
@@ -695,6 +697,48 @@ TEST(CheckpointedRun, RejectsAGridTooLargeToCheckpointBeforeSimulating) {
   EXPECT_NE(error.find("too large to checkpoint"), std::string::npos)
       << error;
   EXPECT_FALSE(std::ifstream(path).good());
+
+  // A run that feeds a timeline or a monitor is held to the same caps with
+  // no checkpoint configured: the bba.timeline.v1 and bba.alerts.v1
+  // readers apply them, so the run must not write what they refuse.
+  seq::SeqMetric metric;
+  ASSERT_TRUE(seq::seq_metric_by_name("rate", &metric));
+  for (const char* instrument : {"timeline", "monitor", "seq timeline"}) {
+    SCOPED_TRACE(instrument);
+    obs::Observability handle;
+    if (std::string(instrument) == "monitor") {
+      handle.monitor = std::make_unique<obs::HealthMonitor>(obs::MonitorSpec{});
+    } else {
+      handle.timeline = std::make_unique<obs::TimelineAggregator>();
+    }
+    obs::install(&handle);
+    error.clear();
+    ran = true;
+    over_budget = false;
+    {
+      AllocationBudget budget(std::size_t{64} << 20);
+      try {
+        if (std::string(instrument) == "seq timeline") {
+          seq::SeqResult seq_result;
+          ran = seq::run_sequential_checkpointed(
+              tiny_groups(), lib, cfg, metric, seq::SeqConfig{},
+              CheckpointOptions{}, &seq_result, &error);
+        } else {
+          ran = run_ab_test_checkpointed(tiny_groups(), lib, cfg,
+                                         CheckpointOptions{}, &result,
+                                         &error);
+        }
+      } catch (const std::bad_alloc&) {
+        over_budget = true;
+      }
+    }
+    obs::install(nullptr);
+    EXPECT_FALSE(over_budget) << "the run attempted its grid allocation";
+    EXPECT_FALSE(ran);
+    EXPECT_NE(error.find("timeline or alerts artifact"), std::string::npos)
+        << error;
+    EXPECT_FALSE(handle.timeline != nullptr && handle.timeline->configured());
+  }
 }
 
 TEST(CheckpointedRun, ShardsMergeToTheSingleRunCheckpoint) {

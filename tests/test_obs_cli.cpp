@@ -1,9 +1,10 @@
-// Tests for the bba_obs CLI's shared pieces (tools/): the strict
-// bba.timeline.v1 artifact parser, the skipped-cell accounting in
-// normalized_samples (bba_obs diff used to silently thin sparse grids),
-// the strict numeric flag validators that replaced atoi/atof, and the
-// bba.alerts.v1 parser behind `bba_obs health` -- plus the harness tools'
-// exit status when an artifact cannot be written.
+// Tests for the bba_obs CLI's shared pieces: the strict bba.timeline.v1
+// reader (obs::parse_timeline, which rebuilds the writer's own
+// TimelineAggregator), the skipped-cell accounting in normalized_samples
+// (bba_obs diff used to silently thin sparse grids), the one number rule
+// behind every numeric flag (util::parse_u64 plus the tools/cli_parse.hpp
+// bounds), and the bba.alerts.v1 parser behind `bba_obs health` -- plus
+// the harness tools' exit status when an artifact cannot be written.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 
@@ -18,17 +19,25 @@
 #include "obs/monitor.hpp"
 #include "obs/timeline.hpp"
 #include "sim/metrics.hpp"
+#include "util/csv.hpp"
 
 namespace bba::tools {
 namespace {
 
 TEST(CliParse, U64AndCounts) {
   std::uint64_t u = 0;
-  EXPECT_TRUE(parse_u64("42", &u));
+  EXPECT_TRUE(util::parse_u64("42", &u));
   EXPECT_EQ(u, 42u);
-  EXPECT_TRUE(parse_u64("0", &u));
-  for (const char* bad : {"", "-5", "+5", "4x", "x4", " 4", "4 "}) {
-    EXPECT_FALSE(parse_u64(bad, &u)) << bad;
+  EXPECT_TRUE(util::parse_u64("0", &u));
+  EXPECT_TRUE(util::parse_u64("18446744073709551615", &u));
+  EXPECT_EQ(u, UINT64_MAX);
+  // strtoull would clamp 2^64 and above to ULLONG_MAX, skip the leading
+  // whitespace, and wrap "-5".
+  for (const char* bad : {"", "-5", "+5", "4x", "x4", " 4", "4 ", "\t4",
+                          "18446744073709551616", "99999999999999999999"}) {
+    u = 7;
+    EXPECT_FALSE(util::parse_u64(bad, &u)) << bad;
+    EXPECT_EQ(u, 7u) << "a rejected token must not write: " << bad;
   }
 
   std::size_t n = 0;
@@ -53,7 +62,8 @@ TEST(CliParse, UnitOpenRejectsGarbageAndBounds) {
 }
 
 /// The real writer/reader contract: an artifact rendered by
-/// obs::TimelineAggregator::to_json() parses back field-for-field.
+/// obs::TimelineAggregator::to_json() parses back into the same state,
+/// byte for byte.
 TEST(ObsArtifact, ParsesAggregatorOutput) {
   obs::TimelineAggregator agg;
   agg.begin_run(77, {"control", "bba2"}, 2, 12);
@@ -71,117 +81,139 @@ TEST(ObsArtifact, ParsesAggregatorOutput) {
   m.rebuffer_count = 0;
   agg.record(1, 11, 1, m);
 
-  Artifact a;
+  const std::string text = agg.to_json();
+  obs::TimelineAggregator a;
   std::string error;
-  ASSERT_TRUE(parse_artifact(agg.to_json(), "mem", &a, &error)) << error;
-  EXPECT_EQ(a.seed, 77u);
-  EXPECT_EQ(a.days, 2u);
-  EXPECT_EQ(a.windows, 12u);
-  ASSERT_EQ(a.groups.size(), 2u);
-  EXPECT_EQ(a.groups[0], "control");
-  EXPECT_EQ(a.groups[1], "bba2");
-  ASSERT_EQ(a.cells.size(), 3u);
-  EXPECT_EQ(a.cells[0].day, 0u);
-  EXPECT_EQ(a.cells[0].window, 5u);
-  EXPECT_EQ(a.cells[0].sessions, 1u);
-  EXPECT_EQ(a.cells[0].rebuffers, 3u);
-  EXPECT_EQ(a.cells[0].play_micro, 600000000u);
-  ASSERT_EQ(a.sketches.size(), 2 * kNumSketchMetrics);
+  ASSERT_TRUE(obs::parse_timeline(text, "mem", &a, &error)) << error;
+  EXPECT_EQ(a.to_json(), text);
+  EXPECT_EQ(a.seed(), 77u);
+  EXPECT_EQ(a.days(), 2u);
+  EXPECT_EQ(a.windows_per_day(), 12u);
+  ASSERT_EQ(a.num_groups(), 2u);
+  EXPECT_EQ(a.group_names()[0], "control");
+  EXPECT_EQ(a.group_names()[1], "bba2");
+  EXPECT_EQ(a.cell(0, 5, 0).sessions, 1u);
+  EXPECT_EQ(a.cell(0, 5, 0).rebuffers, 3u);
+  EXPECT_EQ(a.cell(0, 5, 0).play_micro, 600000000u);
+  EXPECT_TRUE(a.cell(0, 4, 0).empty());
   // Group 1 recorded two sessions; its rate sketch holds both.
-  EXPECT_EQ(a.sketches[1 * kNumSketchMetrics + 0].count(), 2u);
+  EXPECT_EQ(a.sketches(1).rate_bps.count(), 2u);
 
-  const std::vector<CellData> totals = a.group_totals();
-  EXPECT_EQ(totals[0].sessions, 1u);
-  EXPECT_EQ(totals[1].sessions, 2u);
-  EXPECT_EQ(totals[1].abandoned, 1u);
-  const std::vector<CellData> by_window = a.merged_by_window();
+  EXPECT_EQ(a.group_total(0).sessions, 1u);
+  EXPECT_EQ(a.group_total(1).sessions, 2u);
+  EXPECT_EQ(a.group_total(1).abandoned, 1u);
+  const std::vector<obs::TimelineCell> by_window = merged_by_window(a);
   ASSERT_EQ(by_window.size(), 12u * 2u);
   EXPECT_EQ(by_window[5 * 2 + 0].sessions, 1u);
   EXPECT_EQ(by_window[11 * 2 + 1].sessions, 1u);
+
+  // A file carries the newline the writer appends.
+  obs::TimelineAggregator from_file;
+  ASSERT_TRUE(obs::parse_timeline(text + "\n", "mem", &from_file, &error))
+      << error;
+  EXPECT_EQ(from_file.to_json(), text);
 }
 
 TEST(ObsArtifact, RejectsMalformedInput) {
   obs::TimelineAggregator agg;
   agg.begin_run(1, {"a"}, 1, 12);
   const std::string good = agg.to_json();
-
-  Artifact a;
-  std::string error;
+  auto rejects = [](const std::string& text, const char* says) {
+    obs::TimelineAggregator a;
+    std::string error;
+    EXPECT_FALSE(obs::parse_timeline(text, "p", &a, &error)) << text;
+    EXPECT_NE(error.find("p: "), std::string::npos) << error;
+    EXPECT_NE(error.find(says), std::string::npos) << error;
+  };
   // Wrong schema tag.
   std::string wrong = good;
   wrong.replace(wrong.find("v1"), 2, "v9");
-  EXPECT_FALSE(parse_artifact(wrong, "p", &a, &error));
-  EXPECT_NE(error.find("p: "), std::string::npos);
+  rejects(wrong, "expected");
 
   // Truncation anywhere fails loudly.
-  a = Artifact{};
-  EXPECT_FALSE(
-      parse_artifact(good.substr(0, good.size() / 2), "p", &a, &error));
+  rejects(good.substr(0, good.size() / 2), "expected");
 
-  // Cell with out-of-range indices.
-  a = Artifact{};
-  const std::string bad_cell =
+  const std::string head =
       "{\"schema\":\"bba.timeline.v1\",\"seed\":1,\"days\":1,"
-      "\"windows_per_day\":12,\"groups\":[\"a\"],\"cells\":["
-      "{\"day\":0,\"window\":12,\"group\":0,\"sessions\":1,\"abandoned\":0,"
-      "\"rebuffers\":0,\"fault_stalls\":0,\"switches\":0,\"play_micro\":1,"
-      "\"rebuffer_micro\":0,\"join_micro\":0,\"rate_play_kbit\":0}],"
-      "\"sketches\":[]}";
-  EXPECT_FALSE(parse_artifact(bad_cell, "p", &a, &error));
-  EXPECT_NE(error.find("out of range"), std::string::npos);
+      "\"windows_per_day\":12,\"groups\":[\"a\"],\"cells\":[";
+  auto cell = [](int window, const char* sessions) {
+    return "{\"day\":0,\"window\":" + std::to_string(window) +
+           ",\"group\":0,\"sessions\":" + sessions +
+           ",\"abandoned\":0,\"rebuffers\":0,\"fault_stalls\":0,"
+           "\"switches\":0,\"play_micro\":1,\"rebuffer_micro\":0,"
+           "\"join_micro\":0,\"rate_play_kbit\":0}";
+  };
+  const std::string sketches =
+      "],\"sketches\":[{\"group\":0,\"metric\":\"rate_bps\",\"zero\":0,"
+      "\"count\":0,\"buckets\":[]},{\"group\":0,\"metric\":\"join_s\","
+      "\"zero\":0,\"count\":0,\"buckets\":[]},{\"group\":0,\"metric\":"
+      "\"buffer_s\",\"zero\":0,\"count\":0,\"buckets\":[]}]}";
+  // The hand-built document is the writer's own form...
+  {
+    obs::TimelineAggregator a;
+    std::string error;
+    EXPECT_TRUE(obs::parse_timeline(head + cell(3, "1") + sketches, "p", &a,
+                                    &error))
+        << error;
+  }
+  // ...and each of these is not.
+  rejects(head + cell(12, "1") + sketches, "out of range");
+  // 2^64 + 4 sessions used to wrap to 4.
+  rejects(head + cell(3, "18446744073709551620") + sketches,
+          "unsigned integer");
+  rejects(head + cell(3, "1") + "," + cell(3, "1") + sketches, "canonical");
+  rejects(head + cell(4, "1") + "," + cell(3, "1") + sketches, "canonical");
+  rejects(head + cell(3, "0") + sketches, "canonical");
+
+  // A declared grid past the caps is refused before it is allocated.
+  wrong = good;
+  wrong.replace(wrong.find("\"days\":1"), 8, "\"days\":10000000000000000");
+  rejects(wrong, "too large");
 
   // Sketch whose buckets do not sum to its declared count.
-  a = Artifact{};
-  const std::string bad_sketch =
-      "{\"schema\":\"bba.timeline.v1\",\"seed\":1,\"days\":1,"
-      "\"windows_per_day\":12,\"groups\":[\"a\"],\"cells\":[],"
-      "\"sketches\":[{\"group\":0,\"metric\":\"rate_bps\",\"zero\":0,"
-      "\"count\":5,\"buckets\":[[100,2]]}]}";
-  EXPECT_FALSE(parse_artifact(bad_sketch, "p", &a, &error));
-  EXPECT_NE(error.find("sum"), std::string::npos);
+  rejects(head + cell(3, "1") +
+              "],\"sketches\":[{\"group\":0,\"metric\":\"rate_bps\","
+              "\"zero\":0,\"count\":5,\"buckets\":[[100,2]]},{\"group\":0,"
+              "\"metric\":\"join_s\",\"zero\":0,\"count\":0,\"buckets\":[]},"
+              "{\"group\":0,\"metric\":\"buffer_s\",\"zero\":0,\"count\":0,"
+              "\"buckets\":[]}]}",
+          "canonical");
 }
 
 /// bba_obs diff's skip accounting: cells with no sample on either side
 /// are counted, not silently dropped.
 TEST(ObsArtifact, NormalizedSamplesCountSkippedCells) {
-  Artifact a;
-  a.days = 1;
-  a.windows = 4;
-  a.groups = {"base", "treat"};
+  obs::TimelineAggregator a;
+  a.begin_run(1, {"base", "treat"}, 1, 4);
 
-  auto cell = [](std::size_t w, std::size_t g, unsigned long long sessions,
-                 unsigned long long rebuffers,
-                 unsigned long long play_micro) {
-    CellData c;
-    c.window = w;
-    c.group = g;
+  auto cell = [&](std::size_t w, std::size_t g, std::uint64_t sessions,
+                  std::uint64_t rebuffers, std::uint64_t play_micro) {
+    obs::TimelineCell& c = a.mutable_cell(0, w, g);
     c.sessions = sessions;
     c.rebuffers = rebuffers;
     c.play_micro = play_micro;
-    return c;
   };
-  const unsigned long long hour = 3600ull * 1000000ull;
+  const std::uint64_t hour = 3600ull * 1000000ull;
   // Window 0: defined on both sides -> one sample (ratio 2.0).
-  a.cells.push_back(cell(0, 0, 10, 4, hour));
-  a.cells.push_back(cell(0, 1, 10, 8, hour));
+  cell(0, 0, 10, 4, hour);
+  cell(0, 1, 10, 8, hour);
   // Window 1: baseline side has zero sessions -> skipped.
-  a.cells.push_back(cell(1, 1, 10, 1, hour));
+  cell(1, 1, 10, 1, hour);
   // Window 2: baseline defined but rebuffer rate is 0 -> skipped
   // (undefined ratio).
-  a.cells.push_back(cell(2, 0, 10, 0, hour));
-  a.cells.push_back(cell(2, 1, 10, 1, hour));
+  cell(2, 0, 10, 0, hour);
+  cell(2, 1, 10, 1, hour);
   // Window 3: absent on both sides -> skipped.
 
   std::size_t skipped = 0;
-  const std::vector<double> samples = normalized_samples(
-      a, 1, 0, &CellData::rebuf_per_hour, &skipped);
+  const std::vector<double> samples =
+      normalized_samples(a, 1, 0, &rebuf_per_hour, &skipped);
   ASSERT_EQ(samples.size(), 1u);
   EXPECT_DOUBLE_EQ(samples[0], 2.0);
   EXPECT_EQ(skipped, 3u);
 
   // The out-param is optional, as the summary path uses it.
-  EXPECT_EQ(normalized_samples(a, 1, 0, &CellData::rebuf_per_hour).size(),
-            1u);
+  EXPECT_EQ(normalized_samples(a, 1, 0, &rebuf_per_hour).size(), 1u);
 }
 
 /// bba_obs timeline/summary print a one-line notice (and exit 0) instead
@@ -190,18 +222,16 @@ TEST(ObsArtifact, NormalizedSamplesCountSkippedCells) {
 TEST(ObsArtifact, EmptyAggregatorRunYieldsZeroSessionTotals) {
   obs::TimelineAggregator agg;
   agg.begin_run(5, {"control", "bba2"}, 1, 12);
-  Artifact a;
+  obs::TimelineAggregator a;
   std::string error;
-  ASSERT_TRUE(parse_artifact(agg.to_json(), "mem", &a, &error)) << error;
-  EXPECT_TRUE(a.cells.empty());
-  for (const CellData& total : a.group_totals()) {
-    EXPECT_EQ(total.sessions, 0u);
-  }
-  // The per-group sketches exist but are empty: the summary path must
-  // omit quantiles rather than print garbage.
-  ASSERT_EQ(a.sketches.size(), 2 * kNumSketchMetrics);
-  for (std::size_t i = 0; i < a.sketches.size(); ++i) {
-    EXPECT_EQ(a.sketches[i].count(), 0u) << i;
+  ASSERT_TRUE(obs::parse_timeline(agg.to_json(), "mem", &a, &error)) << error;
+  for (std::size_t g = 0; g < a.num_groups(); ++g) {
+    EXPECT_EQ(a.group_total(g).sessions, 0u);
+    // The per-group sketches exist but are empty: the summary path must
+    // omit quantiles rather than print garbage.
+    for (std::size_t m = 0; m < obs::kNumTimelineSketches; ++m) {
+      EXPECT_EQ(a.sketches(g).at(m).count(), 0u) << g << " " << m;
+    }
   }
 }
 
@@ -233,10 +263,11 @@ TEST(AlertsArtifact, ParsesMonitorOutput) {
   EXPECT_EQ(a.windows, 4u);
   ASSERT_EQ(a.groups.size(), 2u);
   EXPECT_EQ(a.groups[1], "bba2");
-  EXPECT_EQ(a.warmup, 2u);
-  EXPECT_DOUBLE_EQ(a.ewma_k, 1.5);
-  EXPECT_DOUBLE_EQ(a.cusum_h, 1.0);
-  EXPECT_TRUE(a.capture);
+  EXPECT_EQ(a.spec.to_json(), spec.to_json());
+  EXPECT_EQ(a.spec.warmup, 2u);
+  EXPECT_DOUBLE_EQ(a.spec.ewma_k, 1.5);
+  EXPECT_DOUBLE_EQ(a.spec.cusum_h, 1.0);
+  EXPECT_TRUE(a.spec.capture);
   ASSERT_FALSE(a.alerts.empty());
   EXPECT_EQ(a.summary_alerts, a.alerts.size());
   EXPECT_EQ(a.summary_cells, 8u);
@@ -332,6 +363,16 @@ TEST(AlertsArtifact, RejectsMalformedInput) {
   wrong.replace(alerts_pos, 11, ",\"alerts\":9");
   EXPECT_FALSE(parse_alerts(wrong, "p", &a, &error));
   EXPECT_NE(error.find("count"), std::string::npos);
+
+  // A spec value is a finite number: the spec parser refuses nan, so no
+  // artifact the monitor writes carries one.
+  a = AlertsArtifact{};
+  wrong = good;
+  const std::string alpha = "\"ewma_alpha\":0.2";
+  ASSERT_NE(wrong.find(alpha), std::string::npos);
+  wrong.replace(wrong.find(alpha), alpha.size(), "\"ewma_alpha\":nan");
+  EXPECT_FALSE(parse_alerts(wrong, "p", &a, &error));
+  EXPECT_NE(error.find("number"), std::string::npos) << error;
 }
 
 /// Runs `cmd` with its stdout discarded; returns the exit status and its
@@ -382,6 +423,8 @@ TEST(ToolOutputs, FailedArtifactWritesExitOne) {
        "could not write /dev/full"},
       {std::string(BBA_SESSION_BIN) + " --metrics-out /dev/full",
        "could not write metrics /dev/full"},
+      {std::string(BBA_SESSION_BIN) + " --abr bba2 --log /dev/full",
+       "could not write /dev/full"},
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.cmd);

@@ -153,9 +153,19 @@ TEST(MonitorSpec, ParsesKeyValueListAndRejectsGarbage) {
   EXPECT_FALSE(spec.capture);
   EXPECT_EQ(spec.top_k, 5u);
 
+  // The cap admits every top_k a run uses.
+  ASSERT_TRUE(obs::MonitorSpec::parse("top_k=1024", &spec, &error)) << error;
+  EXPECT_EQ(spec.top_k, obs::kMaxTopK);
+
   for (const char* bad : {"warmup=1",          // needs >= 2 baseline cells
                           "slo_join_windows=0", "bogus=3", "warmup",
-                          "warmup=pony", "=2"}) {
+                          "warmup=pony", "=2",
+                          // reals are finite, counts unsigned and whole
+                          "ewma_alpha=nan", "cusum_h=inf", "sd_floor=-inf",
+                          "top_k=-1", "warmup=-1", "warmup= 3",
+                          "warmup=18446744073709551616",
+                          // top_k reserves slots up front: capped
+                          "top_k=1025", "top_k=100000000000"}) {
     obs::MonitorSpec fresh;
     error.clear();
     EXPECT_FALSE(obs::MonitorSpec::parse(bad, &fresh, &error)) << bad;

@@ -213,7 +213,7 @@ TEST(SeqEngine, RejectsAGridTooLargeToCheckpointBeforeRunning) {
   std::remove(path.c_str());
   exp::AbTestConfig cfg = small_config();
   cfg.days = static_cast<std::size_t>(
-      exp::kMaxCheckpointGridCells / (2 * exp::kWindowsPerDay) + 1);
+      obs::kMaxGridCells / (2 * exp::kWindowsPerDay) + 1);
   exp::CheckpointOptions opts;
   opts.out = path;
   SeqResult result;

@@ -164,7 +164,7 @@ core::BbaTable table_policy(const core::Bba2& abr) {
 
 constexpr std::size_t kSweep = 180;  // 15 sessions in each of 12 windows
 
-TEST(SimBatch, MixedStreamAndTraceLanesMatchScalar) {
+TEST(SimFused, MixedStreamAndTraceLanesMatchScalar) {
   Fixture fx;
   const std::vector<Case> cases = fx.cases(kSweep);
   core::Bba2 abr;
@@ -183,7 +183,7 @@ TEST(SimBatch, MixedStreamAndTraceLanesMatchScalar) {
   EXPECT_LT(streamed, kSweep);
 }
 
-TEST(SimBatch, AllOutageLanesMatchScalar) {
+TEST(SimFused, AllOutageLanesMatchScalar) {
   exp::PopulationConfig pop;
   pop.outage_session_fraction = 1.0;  // every trace carries outage windows
   Fixture fx(pop);
@@ -200,7 +200,7 @@ TEST(SimBatch, AllOutageLanesMatchScalar) {
   }
 }
 
-TEST(SimBatch, ObsRegistryDeltasMatchScalar) {
+TEST(SimFused, ObsRegistryDeltasMatchScalar) {
   // Table builds (kReservoirMemoBuilds) happen once per title, so each side
   // gets its own identically-seeded library copy and a cold registry.
   Fixture fx_fused;
@@ -325,7 +325,7 @@ void expect_all_identical(const std::vector<sim::SessionMetrics>& a,
   for (std::size_t i = 0; i < a.size(); ++i) expect_identical(a[i], b[i], i);
 }
 
-TEST(SimBatch, BatchSplitInvariance) {
+TEST(SimFused, BatchSplitInvariance) {
   // Results must not depend on how keys are grouped into run() calls: one
   // block vs uneven blocks (a block of 1, a non-dividing remainder) through
   // one runner's reused scratch.
@@ -335,7 +335,7 @@ TEST(SimBatch, BatchSplitInvariance) {
                        run_blocks(harness_groups(), cfg, {1, 7, 16, 2, 46}));
 }
 
-TEST(SimBatch, SharedStreamKeyLanesMatchPrivateStreams) {
+TEST(SimFused, SharedStreamKeyLanesMatchPrivateStreams) {
   // Common random numbers: every group of a key reads one lazily generated
   // stream, each further than the last. Results must equal the same
   // sessions run on private streams.

@@ -246,7 +246,8 @@ TEST(Csv, ParseNumTakesWholeFiniteTokensOnly) {
   EXPECT_TRUE(parse_num("-2.5e3", &v));
   EXPECT_EQ(v, -2500.0);
   for (const char* bad : {"", "nan", "NaN", "inf", "-inf", "infinity",
-                          "1e999", "5junk", "5 ", "abc", "0x"}) {
+                          "1e999", "5junk", "5 ", "abc", "0x", " 5", "+5",
+                          "0x10", "-", "\t1"}) {
     v = 7.0;
     EXPECT_FALSE(parse_num(bad, &v)) << '"' << bad << '"';
     EXPECT_EQ(v, 7.0) << "a rejected token must not write: " << bad;

@@ -7,8 +7,8 @@
 //              [--sequential] [--batch-sessions N] [--confidence C]
 //              [--min-batches K] [--seq-log FILE]
 //
-// Groups: control, throughput, pid, elastic, rmin-always, bba0, bba1,
-// bba2, bba-others. Prints the per-window table, the normalized summary,
+// Groups: any exp::abr_factory name -- control, rmin-always, rmax-always,
+// bba0, bba1, bba2, bba-others, throughput, pid, elastic, bola. Prints the per-window table, the normalized summary,
 // and (with --csv) writes plot-ready data. With --sequential the fixed
 // population is replaced by the best-arm-identification engine
 // (docs/sequential.md): deterministic batches, successive elimination at
@@ -20,21 +20,12 @@
 #include <string>
 #include <vector>
 
-#include "abr/baselines.hpp"
-#include "abr/control.hpp"
-#include "abr/bola.hpp"
-#include "abr/related_work.hpp"
 #include "cli_parse.hpp"
-#include "core/bba0.hpp"
-#include "core/bba1.hpp"
-#include "core/bba2.hpp"
-#include "core/bba_others.hpp"
 #include "exp/abtest.hpp"
 #include "exp/checkpoint.hpp"
 #include "exp/dump.hpp"
 #include "exp/report.hpp"
 #include "media/video.hpp"
-#include "net/estimators.hpp"
 #include "net/fault_inject.hpp"
 #include "obs/setup.hpp"
 #include "seq/engine.hpp"
@@ -42,31 +33,6 @@
 namespace {
 
 using namespace bba;
-
-exp::AbrFactory factory_for(const std::string& name) {
-  if (name == "control") return exp::make_control_factory();
-  if (name == "rmin-always") return exp::make_rmin_factory();
-  if (name == "bba0") return exp::make_bba0_factory();
-  if (name == "bba1") return exp::make_bba1_factory();
-  if (name == "bba2") return exp::make_bba2_factory();
-  if (name == "bba-others") return exp::make_bba_others_factory();
-  if (name == "throughput") {
-    return [] {
-      return std::make_unique<abr::ThroughputAbr>(
-          std::make_unique<net::EwmaEstimator>(0.3));
-    };
-  }
-  if (name == "pid") {
-    return [] { return std::make_unique<abr::PidAbr>(); };
-  }
-  if (name == "elastic") {
-    return [] { return std::make_unique<abr::ElasticAbr>(); };
-  }
-  if (name == "bola") {
-    return [] { return std::make_unique<abr::BolaAbr>(); };
-  }
-  return nullptr;
-}
 
 std::vector<std::string> split_csv(const std::string& s) {
   std::vector<std::string> out;
@@ -116,8 +82,8 @@ void usage(const char* argv0) {
       "          (env: BBA_CHECKPOINT_OUT, BBA_CHECKPOINT_EVERY,\n"
       "           BBA_CHECKPOINT_RESUME, BBA_CHECKPOINT_SHARD)\n"
       "%s"
-      "groups: control throughput pid elastic bola rmin-always bba0 bba1 "
-      "bba2 bba-others\n",
+      "groups: control rmin-always rmax-always bba0 bba1 bba2 bba-others "
+      "throughput pid elastic bola\n",
       argv0, bba::obs::ObsOptions::usage());
 }
 
@@ -169,7 +135,7 @@ int main(int argc, char** argv) {
       }
     } else if (arg == "--seed") {
       const char* v = next("--seed");
-      if (!tools::parse_u64(v, &cfg.seed)) {
+      if (!util::parse_u64(v, &cfg.seed)) {
         bad_value("--seed", "an unsigned integer", v);
       }
     } else if (arg == "--threads") {
@@ -263,7 +229,7 @@ int main(int argc, char** argv) {
 
   std::vector<exp::Group> groups;
   for (const auto& name : group_names) {
-    exp::AbrFactory factory = factory_for(name);
+    exp::AbrFactory factory = exp::abr_factory(name);
     if (!factory) {
       std::fprintf(stderr, "unknown group: %s\n", name.c_str());
       return 2;

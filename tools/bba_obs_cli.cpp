@@ -24,12 +24,16 @@
 //       alerts fired, last alert). --once prints the current state and
 //       exits; without it the tail ends when the run completes.
 //
-// The artifact models and their strict parsers live in
-// tools/obs_artifact.hpp and tools/alerts_artifact.hpp (shared with
-// tests/test_obs_cli.cpp). Numeric flags go through the strict
-// tools/cli_parse.hpp validators -- "--confidence pony" is a usage error,
-// not a silent 0.0.
+// A timeline reads back into the writer's own obs::TimelineAggregator
+// (obs::load_timeline, obs/timeline.hpp); the dashboard arithmetic over its
+// cells is tools/obs_artifact.hpp. The alerts model and its parser are
+// tools/alerts_artifact.hpp, reading the header's spec into
+// obs::MonitorSpec. Both readers accept exactly what their writer emits:
+// a malformed artifact is a one-line diagnostic and exit 1. Numeric flags
+// go through the one number rule with the tools/cli_parse.hpp bounds --
+// "--confidence pony" is a usage error (exit 2), not a silent 0.0.
 #include <chrono>
+#include <cinttypes>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -40,22 +44,41 @@
 #include "alerts_artifact.hpp"
 #include "cli_parse.hpp"
 #include "exp/checkpoint.hpp"
+#include "obs/timeline.hpp"
 #include "obs_artifact.hpp"
 #include "stats/sketch.hpp"
 #include "stats/ttest.hpp"
 
 namespace {
 
+using bba::obs::TimelineAggregator;
+using bba::obs::TimelineCell;
 using bba::stats::QuantileSketch;
 using bba::tools::AlertData;
 using bba::tools::AlertsArtifact;
-using bba::tools::Artifact;
-using bba::tools::CellData;
-using bba::tools::kNumSketchMetrics;
-using bba::tools::kSketchMetrics;
 using bba::tools::load_alerts;
-using bba::tools::load_artifact;
+using bba::tools::merged_by_window;
 using bba::tools::normalized_samples;
+using bba::tools::play_h;
+using bba::tools::rate_kbps;
+using bba::tools::rebuf_per_hour;
+
+/// Reads a timeline artifact, or prints why not.
+bool load_timeline(const std::string& path, TimelineAggregator* out) {
+  std::string error;
+  if (bba::obs::load_timeline(path, out, &error)) return true;
+  std::fprintf(stderr, "bba_obs: %s\n", error.c_str());
+  return false;
+}
+
+/// Sessions over the whole grid.
+std::uint64_t fleet_sessions(const TimelineAggregator& a) {
+  std::uint64_t n = 0;
+  for (std::size_t g = 0; g < a.num_groups(); ++g) {
+    n += a.group_total(g).sessions;
+  }
+  return n;
+}
 
 // ---------------------------------------------------------------------------
 // timeline: hour-of-day view
@@ -72,70 +95,71 @@ void window_label(std::size_t window, std::size_t windows_per_day,
 }
 
 int cmd_timeline(const std::string& path, bool csv) {
-  Artifact a;
-  std::string error;
-  if (!load_artifact(path, &a, &error)) {
-    std::fprintf(stderr, "bba_obs: %s\n", error.c_str());
-    return 1;
-  }
+  TimelineAggregator a;
+  if (!load_timeline(path, &a)) return 1;
+  const std::size_t days = a.days(), windows = a.windows_per_day(),
+                    groups = a.num_groups();
+  const std::vector<std::string>& names = a.group_names();
 
   if (csv) {
     std::printf(
         "day,window,group,sessions,abandoned,rebuffers,fault_stalls,"
         "switches,play_hours,rebuffer_s,join_s,rebuf_per_hour,rate_kbps\n");
-    for (const CellData& c : a.cells) {
-      std::printf("%zu,%zu,%s,%llu,%llu,%llu,%llu,%llu,%.6f,%.6f,%.6f,"
-                  "%.6f,%.3f\n",
-                  c.day, c.window, a.groups[c.group].c_str(), c.sessions,
-                  c.abandoned, c.rebuffers, c.fault_stalls, c.switches,
-                  c.play_h(), static_cast<double>(c.rebuffer_micro) * 1e-6,
-                  static_cast<double>(c.join_micro) * 1e-6,
-                  c.rebuf_per_hour(), c.rate_kbps());
+    for (std::size_t d = 0; d < days; ++d) {
+      for (std::size_t w = 0; w < windows; ++w) {
+        for (std::size_t g = 0; g < groups; ++g) {
+          const TimelineCell& c = a.cell(d, w, g);
+          if (c.empty()) continue;
+          std::printf("%zu,%zu,%s,%" PRIu64 ",%" PRIu64 ",%" PRIu64
+                      ",%" PRIu64 ",%" PRIu64 ",%.6f,%.6f,%.6f,%.6f,%.3f\n",
+                      d, w, names[g].c_str(), c.sessions, c.abandoned,
+                      c.rebuffers, c.fault_stalls, c.switches, play_h(c),
+                      static_cast<double>(c.rebuffer_micro) * 1e-6,
+                      static_cast<double>(c.join_micro) * 1e-6,
+                      rebuf_per_hour(c), rate_kbps(c));
+        }
+      }
     }
     return 0;
   }
 
-  const std::vector<CellData> by_window = a.merged_by_window();
-  const std::vector<CellData> totals = a.group_totals();
-  unsigned long long fleet_sessions = 0;
-  for (const CellData& t : totals) fleet_sessions += t.sessions;
-  if (fleet_sessions == 0) {
+  if (fleet_sessions(a) == 0) {
     // A valid but empty artifact (zero cells): a table of zeros reads
     // like a measurement, so say what happened instead.
     std::printf("fleet timeline %s: no sessions recorded (empty artifact)\n",
                 path.c_str());
     return 0;
   }
+  const std::vector<TimelineCell> by_window = merged_by_window(a);
   double max_rebuf_ph = 0.0;
-  for (const CellData& c : by_window) {
-    if (c.rebuf_per_hour() > max_rebuf_ph) max_rebuf_ph = c.rebuf_per_hour();
+  for (const TimelineCell& c : by_window) {
+    if (rebuf_per_hour(c) > max_rebuf_ph) max_rebuf_ph = rebuf_per_hour(c);
   }
 
-  std::printf("fleet timeline %s: seed %llu, %zu day%s x %zu windows\n",
-              path.c_str(), a.seed, a.days, a.days == 1 ? "" : "s",
-              a.windows);
-  for (std::size_t g = 0; g < a.groups.size(); ++g) {
-    const CellData& t = totals[g];
-    std::printf("\ngroup %s: %llu sessions, %.1f play-hours, "
+  std::printf("fleet timeline %s: seed %" PRIu64 ", %zu day%s x %zu "
+              "windows\n",
+              path.c_str(), a.seed(), days, days == 1 ? "" : "s", windows);
+  for (std::size_t g = 0; g < groups; ++g) {
+    const TimelineCell t = a.group_total(g);
+    std::printf("\ngroup %s: %" PRIu64 " sessions, %.1f play-hours, "
                 "%.3f rebuf/ph, %.0f kb/s\n",
-                a.groups[g].c_str(), t.sessions, t.play_h(),
-                t.rebuf_per_hour(), t.rate_kbps());
+                names[g].c_str(), t.sessions, play_h(t), rebuf_per_hour(t),
+                rate_kbps(t));
     std::printf("  %-7s %8s %8s %9s %10s  %s\n", "window", "sessions",
                 "play_h", "rebuf/ph", "rate_kbps", "rebuf/ph bar");
-    for (std::size_t w = 0; w < a.windows; ++w) {
-      const CellData& c = by_window[w * a.groups.size() + g];
+    for (std::size_t w = 0; w < windows; ++w) {
+      const TimelineCell& c = by_window[w * groups + g];
       char label[16];
-      window_label(w, a.windows, label, sizeof label);
+      window_label(w, windows, label, sizeof label);
       constexpr int kBarWidth = 24;
       int bar = 0;
       if (max_rebuf_ph > 0.0) {
-        bar = static_cast<int>(c.rebuf_per_hour() / max_rebuf_ph *
-                                   kBarWidth +
+        bar = static_cast<int>(rebuf_per_hour(c) / max_rebuf_ph * kBarWidth +
                                0.5);
       }
-      std::printf("  %-7s %8llu %8.2f %9.3f %10.0f  %.*s\n", label,
-                  c.sessions, c.play_h(), c.rebuf_per_hour(), c.rate_kbps(),
-                  bar, "########################");
+      std::printf("  %-7s %8" PRIu64 " %8.2f %9.3f %10.0f  %.*s\n", label,
+                  c.sessions, play_h(c), rebuf_per_hour(c), rate_kbps(c), bar,
+                  "########################");
     }
   }
   return 0;
@@ -146,27 +170,21 @@ int cmd_timeline(const std::string& path, bool csv) {
 // ---------------------------------------------------------------------------
 
 int cmd_summary(const std::string& path) {
-  Artifact a;
-  std::string error;
-  if (!load_artifact(path, &a, &error)) {
-    std::fprintf(stderr, "bba_obs: %s\n", error.c_str());
-    return 1;
-  }
-  const std::vector<CellData> totals = a.group_totals();
-  unsigned long long fleet_sessions = 0;
-  for (const CellData& t : totals) fleet_sessions += t.sessions;
-  if (fleet_sessions == 0) {
+  TimelineAggregator a;
+  if (!load_timeline(path, &a)) return 1;
+  if (fleet_sessions(a) == 0) {
     std::printf("fleet summary %s: no sessions recorded (empty artifact)\n",
                 path.c_str());
     return 0;
   }
-  std::printf("fleet summary %s: seed %llu (sketch quantiles, <=1.6%% "
-              "relative error)\n",
-              path.c_str(), a.seed);
-  for (std::size_t g = 0; g < a.groups.size(); ++g) {
-    std::printf("\ngroup %s: %llu sessions\n", a.groups[g].c_str(),
-                totals[g].sessions);
-    if (totals[g].sessions == 0) {
+  std::printf("fleet summary %s: seed %" PRIu64 " (sketch quantiles, "
+              "<=1.6%% relative error)\n",
+              path.c_str(), a.seed());
+  for (std::size_t g = 0; g < a.num_groups(); ++g) {
+    const std::uint64_t sessions = a.group_total(g).sessions;
+    std::printf("\ngroup %s: %" PRIu64 " sessions\n",
+                a.group_names()[g].c_str(), sessions);
+    if (sessions == 0) {
       // Empty sketches would render as p10..p99 = 0 -- a fabricated
       // measurement, not an observation.
       std::printf("  (no sessions; quantiles omitted)\n");
@@ -174,11 +192,11 @@ int cmd_summary(const std::string& path) {
     }
     std::printf("  %-10s %12s %12s %12s %12s\n", "metric", "p10", "p50",
                 "p90", "p99");
-    for (std::size_t m = 0; m < kNumSketchMetrics; ++m) {
-      const QuantileSketch& sk = a.sketches[g * kNumSketchMetrics + m];
-      std::printf("  %-10s %12.6g %12.6g %12.6g %12.6g\n", kSketchMetrics[m],
-                  sk.quantile(0.10), sk.quantile(0.50), sk.quantile(0.90),
-                  sk.quantile(0.99));
+    for (std::size_t m = 0; m < bba::obs::kNumTimelineSketches; ++m) {
+      const QuantileSketch& sk = a.sketches(g).at(m);
+      std::printf("  %-10s %12.6g %12.6g %12.6g %12.6g\n",
+                  bba::obs::kTimelineSketchNames[m], sk.quantile(0.10),
+                  sk.quantile(0.50), sk.quantile(0.90), sk.quantile(0.99));
     }
   }
   return 0;
@@ -190,25 +208,21 @@ int cmd_summary(const std::string& path) {
 
 int cmd_diff(const std::string& path_a, const std::string& path_b,
              const std::string& baseline_name, double confidence) {
-  Artifact a, b;
-  std::string error;
-  if (!load_artifact(path_a, &a, &error) ||
-      !load_artifact(path_b, &b, &error)) {
-    std::fprintf(stderr, "bba_obs: %s\n", error.c_str());
-    return 1;
-  }
-  if (a.groups != b.groups) {
+  TimelineAggregator a, b;
+  if (!load_timeline(path_a, &a) || !load_timeline(path_b, &b)) return 1;
+  const std::vector<std::string>& groups = a.group_names();
+  if (groups != b.group_names()) {
     std::fprintf(stderr, "bba_obs: group sets differ between %s and %s\n",
                  path_a.c_str(), path_b.c_str());
     return 1;
   }
   std::size_t baseline = 0;
   if (!baseline_name.empty()) {
-    baseline = a.groups.size();
-    for (std::size_t g = 0; g < a.groups.size(); ++g) {
-      if (a.groups[g] == baseline_name) baseline = g;
+    baseline = groups.size();
+    for (std::size_t g = 0; g < groups.size(); ++g) {
+      if (groups[g] == baseline_name) baseline = g;
     }
-    if (baseline == a.groups.size()) {
+    if (baseline == groups.size()) {
       std::fprintf(stderr, "bba_obs: unknown baseline group %s\n",
                    baseline_name.c_str());
       return 1;
@@ -217,23 +231,24 @@ int cmd_diff(const std::string& path_a, const std::string& path_b,
 
   struct Metric {
     const char* name;
-    double (CellData::*get)() const;
+    double (*get)(const TimelineCell&);
   };
-  const Metric metrics[] = {{"rebuf/ph", &CellData::rebuf_per_hour},
-                            {"rate_kbps", &CellData::rate_kbps}};
+  const Metric metrics[] = {{"rebuf/ph", &rebuf_per_hour},
+                            {"rate_kbps", &rate_kbps}};
 
-  std::printf("fleet diff: A=%s (seed %llu)  B=%s (seed %llu)\n",
-              path_a.c_str(), a.seed, path_b.c_str(), b.seed);
+  std::printf("fleet diff: A=%s (seed %" PRIu64 ")  B=%s (seed %" PRIu64
+              ")\n",
+              path_a.c_str(), a.seed(), path_b.c_str(), b.seed());
   std::printf("baseline group: %s; samples are per-(day,window) ratios vs "
               "baseline; Welch t-test at %.0f%% confidence\n",
-              a.groups[baseline].c_str(), confidence * 100.0);
+              groups[baseline].c_str(), confidence * 100.0);
   std::printf("skipA/skipB count grid cells with no sample on that side "
               "(no sessions, or an undefined baseline value)\n");
   std::printf("%-12s %-10s %6s %6s %6s %6s %10s %10s %10s %22s %8s\n",
               "group", "metric", "nA", "skipA", "nB", "skipB", "A/base",
               "B/base", "delta", "CI", "p");
   std::size_t total_skipped = 0;
-  for (std::size_t g = 0; g < a.groups.size(); ++g) {
+  for (std::size_t g = 0; g < groups.size(); ++g) {
     if (g == baseline) continue;
     for (const Metric& m : metrics) {
       std::size_t skip_a = 0, skip_b = 0;
@@ -245,8 +260,8 @@ int cmd_diff(const std::string& path_a, const std::string& path_b,
       if (sa.size() < 2 || sb.size() < 2) {
         std::printf("%-12s %-10s %6zu %6zu %6zu %6zu  (too few defined "
                     "cells for a test)\n",
-                    a.groups[g].c_str(), m.name, sa.size(), skip_a,
-                    sb.size(), skip_b);
+                    groups[g].c_str(), m.name, sa.size(), skip_a, sb.size(),
+                    skip_b);
         continue;
       }
       const bba::stats::TTestResult t =
@@ -255,7 +270,7 @@ int cmd_diff(const std::string& path_a, const std::string& path_b,
       std::snprintf(ci, sizeof ci, "[%+.4f, %+.4f]", t.ci_lo, t.ci_hi);
       std::printf("%-12s %-10s %6zu %6zu %6zu %6zu %10.4f %10.4f %+10.4f "
                   "%22s %8.3g\n",
-                  a.groups[g].c_str(), m.name, sa.size(), skip_a, sb.size(),
+                  groups[g].c_str(), m.name, sa.size(), skip_a, sb.size(),
                   skip_b, bba::stats::mean(sa), bba::stats::mean(sb),
                   t.mean_diff, ci, t.p_value);
     }
@@ -275,18 +290,19 @@ int cmd_health(const std::string& path) {
     std::fprintf(stderr, "bba_obs: %s\n", error.c_str());
     return 1;
   }
-  std::printf("fleet health %s: seed %llu, %zu day%s x %zu windows, "
+  const bba::obs::MonitorSpec& sp = a.spec;
+  std::printf("fleet health %s: seed %" PRIu64 ", %zu day%s x %zu windows, "
               "%zu groups\n",
               path.c_str(), a.seed, a.days, a.days == 1 ? "" : "s",
               a.windows, a.groups.size());
   std::printf("detectors: ewma (alpha %g, +/-%gsd), cusum (k %g, h %g), "
-              "slo burn (rebuffer_ratio>%g x%llu, join_s>%g x%llu), "
-              "warmup %llu cells\n",
-              a.ewma_alpha, a.ewma_k, a.cusum_k, a.cusum_h,
-              a.slo_rebuffer_ratio, a.slo_rebuffer_windows, a.slo_join_s,
-              a.slo_join_windows, a.warmup);
+              "slo burn (rebuffer_ratio>%g x%" PRIu64 ", join_s>%g x%" PRIu64
+              "), warmup %" PRIu64 " cells\n",
+              sp.ewma_alpha, sp.ewma_k, sp.cusum_k, sp.cusum_h,
+              sp.slo_rebuffer_ratio, sp.slo_rebuffer_windows, sp.slo_join_s,
+              sp.slo_join_windows, sp.warmup);
   if (a.alerts.empty()) {
-    std::printf("healthy: no alerts fired over %llu non-empty cells\n",
+    std::printf("healthy: no alerts fired over %" PRIu64 " non-empty cells\n",
                 a.summary_cells);
     return 0;
   }
@@ -348,8 +364,8 @@ int cmd_health(const std::string& path) {
     std::printf("  timeline:\n");
     for (const AlertData& al : a.alerts) {
       if (al.group != g) continue;
-      std::printf("    seq %-4llu d%zu w%-2zu %-5s %-14s", al.seq, al.day,
-                  al.window, al.kind.c_str(), al.metric.c_str());
+      std::printf("    seq %-4" PRIu64 " d%zu w%-2zu %-5s %-14s", al.seq,
+                  al.day, al.window, al.kind.c_str(), al.metric.c_str());
       if (al.kind == "ewma") {
         std::printf(" %-4s value %.6g vs %.6g +/- %.6g\n", al.dir.c_str(),
                     al.value, al.center, al.band);
@@ -357,7 +373,7 @@ int cmd_health(const std::string& path) {
         std::printf(" %-4s value %.6g sum %.6g > h %.6g\n", al.dir.c_str(),
                     al.value, al.sum, al.threshold);
       } else {
-        std::printf(" up   value %.6g > slo %.6g for %llu windows\n",
+        std::printf(" up   value %.6g > slo %.6g for %" PRIu64 " windows\n",
                     al.value, al.threshold, al.streak);
       }
     }

@@ -29,16 +29,10 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 
-#include "abr/baselines.hpp"
-#include "abr/control.hpp"
-#include "abr/bola.hpp"
-#include "abr/related_work.hpp"
 #include "cli_parse.hpp"
-#include "core/bba0.hpp"
-#include "core/bba1.hpp"
-#include "core/bba2.hpp"
-#include "core/bba_others.hpp"
+#include "exp/abtest.hpp"
 #include "exp/population.hpp"
 #include "exp/session_key.hpp"
 #include "exp/workload.hpp"
@@ -56,54 +50,31 @@
 #include "sim/session_sink.hpp"
 #include "util/csv.hpp"
 #include "util/table.hpp"
+#include "util/text_scanner.hpp"
 #include "util/units.hpp"
 
 namespace {
 
 using namespace bba;
 
-std::unique_ptr<abr::RateAdaptation> make_abr(const std::string& name) {
-  if (name == "control") return std::make_unique<abr::ControlAbr>();
-  if (name == "rmin-always") return std::make_unique<abr::RMinAlways>();
-  if (name == "rmax-always") return std::make_unique<abr::RMaxAlways>();
-  if (name == "pid") return std::make_unique<abr::PidAbr>();
-  if (name == "elastic") return std::make_unique<abr::ElasticAbr>();
-  if (name == "bola") return std::make_unique<abr::BolaAbr>();
-  if (name == "bba0") return std::make_unique<core::Bba0>();
-  if (name == "bba1") return std::make_unique<core::Bba1>();
-  if (name == "bba2") return std::make_unique<core::Bba2>();
-  if (name == "bba-others") return std::make_unique<core::BbaOthers>();
-  return nullptr;
-}
-
 /// One "ev":"session" header line from a --trace-out JSONL file.
 struct TraceSessionRef {
-  unsigned long long seed = 0, day = 0, window = 0, session = 0;
+  std::uint64_t seed = 0, day = 0, window = 0, session = 0;
   std::string group;
   bool anomaly = false;
 };
 
-bool json_u64(const std::string& line, const char* key,
-              unsigned long long* out) {
-  const std::string needle = std::string("\"") + key + "\":";
-  const auto pos = line.find(needle);
-  if (pos == std::string::npos) return false;
-  return std::sscanf(line.c_str() + pos + needle.size(), "%llu", out) == 1;
-}
-
-bool json_str(const std::string& line, const char* key, std::string* out) {
-  const std::string needle = std::string("\"") + key + "\":\"";
-  const auto pos = line.find(needle);
-  if (pos == std::string::npos) return false;
-  const auto start = pos + needle.size();
-  const auto end = line.find('"', start);
-  if (end == std::string::npos) return false;
-  *out = line.substr(start, end - start);
-  return true;
-}
-
-bool json_true(const std::string& line, const char* key) {
-  return line.find(std::string("\"") + key + "\":true") != std::string::npos;
+/// The header prefix obs::jsonl::append_session_line writes, up to the
+/// anomaly flag, read in its key order.
+bool parse_session_header(std::string_view line, TraceSessionRef* ref) {
+  util::TextScanner s(line);
+  bool sampled = false;
+  return s.lit("{\"ev\":\"session\",\"seed\":") && s.u64(&ref->seed) &&
+         s.lit(",\"day\":") && s.u64(&ref->day) && s.lit(",\"window\":") &&
+         s.u64(&ref->window) && s.lit(",\"session\":") &&
+         s.u64(&ref->session) && s.lit(",\"group\":") &&
+         s.quoted(&ref->group) && s.lit(",\"sampled\":") &&
+         s.flag(&sampled) && s.lit(",\"anomaly\":") && s.flag(&ref->anomaly);
 }
 
 /// Selects a session from a btrace file via the footer index: no block is
@@ -162,17 +133,12 @@ bool select_trace_session(const std::string& path, long pick,
   long anomalies = 0;
   bool found = false;
   while (std::getline(in, line)) {
-    if (line.find("\"ev\":\"session\"") == std::string::npos) continue;
+    if (line.rfind("{\"ev\":\"session\",", 0) != 0) continue;
     TraceSessionRef ref;
-    if (!json_u64(line, "seed", &ref.seed) ||
-        !json_u64(line, "day", &ref.day) ||
-        !json_u64(line, "window", &ref.window) ||
-        !json_u64(line, "session", &ref.session) ||
-        !json_str(line, "group", &ref.group)) {
+    if (!parse_session_header(line, &ref)) {
       std::fprintf(stderr, "malformed session header in %s\n", path.c_str());
       return false;
     }
-    ref.anomaly = json_true(line, "anomaly");
     if (ref.anomaly) ++anomalies;
     const bool hit = pick >= 0 ? seen == pick : (ref.anomaly && !found);
     if (hit && !found) {
@@ -264,45 +230,55 @@ int main(int argc, char** argv) {
       video_path = next("--video");
     } else if (arg == "--watch") {
       const char* v = next("--watch");
-      watch_min = std::atof(v);
-      if (!(watch_min > 0.0)) {
+      if (!util::parse_num(v, &watch_min) || !(watch_min > 0.0)) {
         std::fprintf(stderr, "--watch: expects positive minutes, got '%s'\n",
                      v);
         return 2;
       }
     } else if (arg == "--median-kbps") {
       const char* v = next("--median-kbps");
-      median_kbps = std::atof(v);
-      if (!(median_kbps > 0.0)) {
+      if (!util::parse_num(v, &median_kbps) || !(median_kbps > 0.0)) {
         std::fprintf(stderr, "--median-kbps: expects a positive rate, "
                              "got '%s'\n", v);
         return 2;
       }
     } else if (arg == "--sigma") {
       const char* v = next("--sigma");
-      sigma = std::atof(v);
-      if (!(sigma >= 0.0)) {
+      if (!util::parse_num(v, &sigma) || !(sigma >= 0.0)) {
         std::fprintf(stderr, "--sigma: expects sigma >= 0, got '%s'\n", v);
         return 2;
       }
     } else if (arg == "--seed") {
       const char* v = next("--seed");
-      if (!tools::parse_u64(v, &seed)) {
+      if (!util::parse_u64(v, &seed)) {
         std::fprintf(stderr, "--seed: expects an unsigned integer, "
                              "got '%s'\n", v);
         return 2;
       }
     } else if (arg == "--repro") {
-      if (std::sscanf(next("--repro"), "%llu,%llu,%llu", &repro_day,
-                      &repro_window, &repro_session) != 3) {
-        std::fprintf(stderr, "--repro needs DAY,WINDOW,SESSION\n");
+      const char* v = next("--repro");
+      std::uint64_t coords[3];
+      if (!tools::parse_coords(v, coords)) {
+        std::fprintf(stderr, "--repro needs DAY,WINDOW,SESSION, got '%s'\n",
+                     v);
         return 2;
       }
+      repro_day = coords[0];
+      repro_window = coords[1];
+      repro_session = coords[2];
       repro = true;
     } else if (arg == "--repro-trace") {
       repro_trace_path = next("--repro-trace");
     } else if (arg == "--repro-pick") {
-      repro_pick = std::atol(next("--repro-pick"));
+      const char* v = next("--repro-pick");
+      std::uint64_t n = 0;
+      if (!util::parse_u64(v, &n) ||
+          n > static_cast<std::uint64_t>(std::numeric_limits<long>::max())) {
+        std::fprintf(stderr, "--repro-pick: expects a session index, "
+                             "got '%s'\n", v);
+        return 2;
+      }
+      repro_pick = static_cast<long>(n);
     } else if (arg == "--timeline") {
       timeline = true;
     } else if (arg == "--log") {
@@ -367,11 +343,12 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  auto abr = make_abr(abr_name);
-  if (!abr) {
+  const exp::AbrFactory factory = exp::abr_factory(abr_name);
+  if (!factory) {
     std::fprintf(stderr, "unknown --abr: %s\n", abr_name.c_str());
     return 2;
   }
+  const std::unique_ptr<abr::RateAdaptation> abr = factory();
 
   util::Rng rng(seed);
   std::optional<net::CapacityTrace> trace;
@@ -545,6 +522,10 @@ int main(int argc, char** argv) {
                                   c.buffer_after_s,
                                   util::to_kbps(c.throughput_bps),
                                   c.download_s});
+    }
+    if (!log.close()) {
+      std::fprintf(stderr, "could not write %s\n", log_path.c_str());
+      return 1;
     }
     std::printf("per-chunk log     %s\n", log_path.c_str());
   }

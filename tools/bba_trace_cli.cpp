@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "cli_parse.hpp"
 #include "obs/btrace.hpp"
 
 namespace {
@@ -143,15 +144,22 @@ int cmd_index(const std::string& path, bool scan) {
 }
 
 int cmd_pick(const std::string& path, int argc, char** argv) {
-  long nth = -1;
-  unsigned long long day = 0, window = 0, session = 0;
-  char group[128] = "";
+  std::uint64_t nth = 0;
+  bool by_nth = false;
+  std::uint64_t coords[3] = {0, 0, 0};
+  std::string group;
   bool by_coords = false;
   for (int i = 0; i < argc; ++i) {
     if (std::strcmp(argv[i], "--nth") == 0 && i + 1 < argc) {
-      nth = std::atol(argv[++i]);
-    } else if (std::sscanf(argv[i], "%llu,%llu,%llu,%127s", &day, &window,
-                           &session, group) >= 3) {
+      by_nth = bba::util::parse_u64(argv[++i], &nth);
+      if (!by_nth) {
+        std::fprintf(stderr,
+                     "bba_trace pick: --nth expects a session index, got "
+                     "'%s'\n",
+                     argv[i]);
+        return 2;
+      }
+    } else if (bba::tools::parse_coords(argv[i], coords, &group)) {
       by_coords = true;
     } else {
       std::fprintf(stderr,
@@ -161,7 +169,7 @@ int cmd_pick(const std::string& path, int argc, char** argv) {
       return 2;
     }
   }
-  if (nth < 0 && !by_coords) {
+  if (!by_nth && !by_coords) {
     std::fprintf(stderr,
                  "bba_trace pick: pass DAY,WINDOW,SESSION[,GROUP] or "
                  "--nth N\n");
@@ -170,10 +178,10 @@ int cmd_pick(const std::string& path, int argc, char** argv) {
   BtraceReader reader;
   if (!open_reader(reader, path, /*scan=*/false)) return 1;
   std::string buf;
-  if (nth >= 0) {
-    if (static_cast<std::size_t>(nth) >= reader.session_count()) {
-      std::fprintf(stderr, "bba_trace pick: --nth %ld out of range (%zu "
-                   "sessions)\n",
+  if (by_nth) {
+    if (nth >= reader.session_count()) {
+      std::fprintf(stderr, "bba_trace pick: --nth %" PRIu64 " out of range "
+                   "(%zu sessions)\n",
                    nth, reader.session_count());
       return 1;
     }
@@ -182,16 +190,20 @@ int cmd_pick(const std::string& path, int argc, char** argv) {
   std::size_t matches = 0;
   for (std::size_t i = 0; i < reader.session_count(); ++i) {
     const BtraceEntry& e = reader.entry(i);
-    if (e.day != day || e.window != window || e.session != session) continue;
-    if (group[0] != '\0' && reader.group_name(e.group_id) != group) continue;
+    if (e.day != coords[0] || e.window != coords[1] ||
+        e.session != coords[2]) {
+      continue;
+    }
+    if (!group.empty() && reader.group_name(e.group_id) != group) continue;
     if (!emit_session(reader, i, buf)) return 1;
     ++matches;
   }
   if (matches == 0) {
     std::fprintf(stderr,
-                 "bba_trace pick: no session %llu,%llu,%llu%s%s in %s\n",
-                 day, window, session, group[0] != '\0' ? "," : "", group,
-                 path.c_str());
+                 "bba_trace pick: no session %" PRIu64 ",%" PRIu64
+                 ",%" PRIu64 "%s%s in %s\n",
+                 coords[0], coords[1], coords[2], group.empty() ? "" : ",",
+                 group.c_str(), path.c_str());
     return 1;
   }
   return 0;

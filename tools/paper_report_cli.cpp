@@ -103,7 +103,7 @@ int main(int argc, char** argv) {
              "a positive day count");
     } else if (arg == "--seed") {
       const char* v = next("--seed");
-      parsed("--seed", tools::parse_u64(v, &cfg.seed), v,
+      parsed("--seed", util::parse_u64(v, &cfg.seed), v,
              "an unsigned integer");
     } else if (arg == "--threads") {
       const char* v = next("--threads");
@@ -163,14 +163,11 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  const std::vector<exp::Group> groups = {
-      {"control", exp::make_control_factory()},
-      {"rmin-always", exp::make_rmin_factory()},
-      {"bba0", exp::make_bba0_factory()},
-      {"bba1", exp::make_bba1_factory()},
-      {"bba2", exp::make_bba2_factory()},
-      {"bba-others", exp::make_bba_others_factory()},
-  };
+  std::vector<exp::Group> groups;
+  for (const char* name :
+       {"control", "rmin-always", "bba0", "bba1", "bba2", "bba-others"}) {
+    groups.push_back({name, exp::abr_factory(name)});
+  }
   std::fprintf(stderr,
                "running 6 groups x %zu sessions/window x %zu days...\n",
                cfg.sessions_per_window, cfg.days);
