@@ -30,7 +30,8 @@ exp::AbrFactory bba1_variant(double min_reservoir_s, bool outage,
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  const exp::AbTestConfig cfg = bench::standard_config(argc, argv);
   bench::banner("Ablation: BBA-1 design choices",
                 "Contribution of the dynamic reservoir clamp and outage "
                 "protection to the rebuffer/rate trade-off.");
@@ -45,7 +46,7 @@ int main() {
       {"rmin-always", exp::make_rmin_factory()},
   };
   const exp::AbTestResult result = exp::run_ab_test(
-      groups, bench::standard_library(), bench::standard_config());
+      groups, bench::standard_library(), cfg);
 
   util::Table table({"variant", "rebuf/hr", "avg kb/s", "steady kb/s",
                      "switch/hr"});

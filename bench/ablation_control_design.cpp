@@ -29,7 +29,8 @@ exp::AbrFactory control_variant(double f_empty, std::size_t window) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  const exp::AbTestConfig cfg = bench::standard_config(argc, argv);
   bench::banner("Ablation: Control's adjustment function and estimator",
                 "Sweeping F(0) and the estimator window traces the "
                 "aggressive/conservative frontier of Fig. 3 designs "
@@ -45,7 +46,7 @@ int main() {
       {"bba2", exp::make_bba2_factory()},
   };
   const exp::AbTestResult result = exp::run_ab_test(
-      groups, bench::standard_library(), bench::standard_config());
+      groups, bench::standard_library(), cfg);
 
   util::Table table({"variant", "rebuf/hr", "avg kb/s"});
   std::vector<double> rebufs, rates;

@@ -5,49 +5,49 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <string>
+#include <string_view>
 #include <vector>
 
-#include <filesystem>
-
+#include "cli_parse.hpp"
 #include "exp/abtest.hpp"
-#include "exp/checkpoint.hpp"
 #include "exp/dump.hpp"
 #include "exp/report.hpp"
 #include "media/video.hpp"
-#include "obs/setup.hpp"
-#include "util/csv.hpp"
 
 namespace bba::bench {
 
-/// The unsigned integer in environment variable `name`, or `fallback` when
-/// it is unset or empty. A malformed value is a usage error (exit 2), not
-/// a silent 0.
-inline std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
-  const char* env = std::getenv(name);
-  if (env == nullptr || *env == '\0') return fallback;
-  return util::parse_u64_or_exit(name, env);
+/// Reads a bench's flags: the experiment flags `accept` names into `cfg`
+/// (tools/cli_parse.hpp), and the bench's own through `own(i)`, which
+/// returns whether it took argv[i]. Anything else prints the usage, with
+/// `own_usage` for the bench's own flags, and exits 2 (0 for --help).
+template <typename Own>
+void read_flags(int argc, char** argv, exp::AbTestConfig* cfg,
+                unsigned accept, const char* own_usage, Own own) {
+  for (int i = 1; i < argc; ++i) {
+    if (tools::consume_experiment_arg(argc, argv, i, cfg, accept) || own(i)) {
+      continue;
+    }
+    const std::string_view arg = argv[i];
+    std::fprintf(stderr, "usage: %s\n%s%s", argv[0],
+                 tools::experiment_usage(accept).c_str(), own_usage);
+    std::exit(arg == "--help" || arg == "-h" ? 0 : 2);
+  }
 }
 
-/// Session-simulation threads for the benches: BBA_THREADS if set, else 0
-/// (= all hardware threads). Results are bit-identical for every value.
-inline std::size_t bench_threads() {
-  return static_cast<std::size_t>(env_u64("BBA_THREADS", 0));
-}
-
-/// Experiment seed for the benches: BBA_SEED if set, else the reference
-/// realization. Like the paper's fixed A/B weekends, the figures are one
-/// concrete realization of the population; the shape checks hold for most
-/// seeds but can flip on unlucky draws of the noisier peak-window ratios.
-inline std::uint64_t bench_seed() { return env_u64("BBA_SEED", 2014); }
-
-/// Standard experiment dimensions used by every figure bench.
-inline exp::AbTestConfig standard_config() {
+/// The standard experiment every figure bench runs, at --seed (default
+/// 2014, the reference realization) and --threads (default 0 = all
+/// hardware threads; results are bit-identical for every value). Like the
+/// paper's fixed A/B weekends, the figures are one concrete realization of
+/// the population; the shape checks hold for most seeds but can flip on
+/// unlucky draws of the noisier peak-window ratios.
+inline exp::AbTestConfig standard_config(int argc, char** argv) {
   exp::AbTestConfig cfg;
   cfg.sessions_per_window = 120;
   cfg.days = 3;
-  cfg.seed = bench_seed();
-  cfg.threads = bench_threads();
+  read_flags(argc, argv, &cfg, tools::kSeedFlag | tools::kThreadsFlag, "",
+             [](int) { return false; });
   return cfg;
 }
 
@@ -57,34 +57,9 @@ inline const media::VideoLibrary& standard_library() {
   return library;
 }
 
-/// Checkpoint knobs for the benches, driven purely by the
-/// BBA_CHECKPOINT_OUT / BBA_CHECKPOINT_EVERY / BBA_CHECKPOINT_RESUME /
-/// BBA_CHECKPOINT_SHARD / BBA_CHECKPOINT_KILL environment (benches take no
-/// flags). With nothing set this is the default options, and
-/// run_standard_groups is exactly run_ab_test.
-inline const exp::CheckpointOptions& checkpoint_from_env() {
-  static const exp::CheckpointOptions opts = exp::CheckpointOptions::from_env();
-  return opts;
-}
-
-/// Observability for the benches, driven purely by the BBA_TRACE /
-/// BBA_TRACE_SAMPLE / BBA_METRICS / BBA_PROFILE environment (benches take
-/// no flags). Installed for the process lifetime on first use; with no
-/// variable set this is inert. Tracing a figure bench never changes its
-/// numbers -- same contract as the harness.
-inline void obs_from_env() {
-  static const obs::ObsOptions opts = [] {
-    obs::ObsOptions o = obs::ObsOptions::from_env();
-    o.trace_resume = checkpoint_from_env().resuming();
-    return o;
-  }();
-  static obs::ObsScope scope(opts, bench_threads());
-}
-
 /// Runs the experiment with the requested groups (exp::abr_factory names).
 inline exp::AbTestResult run_standard_groups(
-    const std::vector<std::string>& names) {
-  obs_from_env();
+    const exp::AbTestConfig& cfg, const std::vector<std::string>& names) {
   std::vector<exp::Group> groups;
   groups.reserve(names.size());
   for (const auto& name : names) {
@@ -95,16 +70,7 @@ inline exp::AbTestResult run_standard_groups(
     }
     groups.push_back({name, std::move(factory)});
   }
-  exp::AbTestResult result;
-  std::string error;
-  if (!exp::run_ab_test_checkpointed(groups, standard_library(),
-                                     standard_config(),
-                                     checkpoint_from_env(), &result,
-                                     &error)) {
-    std::fprintf(stderr, "checkpoint: %s\n", error.c_str());
-    std::abort();
-  }
-  return result;
+  return exp::run_ab_test(groups, standard_library(), cfg);
 }
 
 /// Prints the bench banner.

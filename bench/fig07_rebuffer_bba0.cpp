@@ -8,15 +8,16 @@
 // peak.
 #include "bench_common.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace bba;
+  const exp::AbTestConfig cfg = bench::standard_config(argc, argv);
   bench::banner("Fig. 7: rebuffers/playhour, Control vs Rmin-Always vs "
                 "BBA-0",
                 "BBA-0 cuts rebuffers 10-30% below Control; Rmin-Always is "
                 "the floor.");
 
   const exp::AbTestResult result =
-      bench::run_standard_groups({"control", "rmin-always", "bba0"});
+      bench::run_standard_groups(cfg, {"control", "rmin-always", "bba0"});
   const auto metric = exp::rebuffers_per_hour_metric();
 
   std::printf("--- Fig. 7(a) ---\n");

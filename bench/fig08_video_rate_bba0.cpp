@@ -6,14 +6,15 @@
 // startup.
 #include "bench_common.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace bba;
+  const exp::AbTestConfig cfg = bench::standard_config(argc, argv);
   bench::banner("Fig. 8: video-rate delta, Control - BBA-0",
                 "BBA-0 delivers ~100 kb/s less at peak, ~175 kb/s less "
                 "off-peak.");
 
   const exp::AbTestResult result =
-      bench::run_standard_groups({"control", "bba0"});
+      bench::run_standard_groups(cfg, {"control", "bba0"});
   const auto metric = exp::avg_rate_kbps_metric();
 
   exp::print_absolute_by_window(result, metric);

@@ -5,13 +5,14 @@
 // ~60% at peak and ~50% off-peak.
 #include "bench_common.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace bba;
+  const exp::AbTestConfig cfg = bench::standard_config(argc, argv);
   bench::banner("Fig. 9: switching rate, BBA-0 vs Control (normalized)",
                 "BBA-0 switches ~40-60% as often as Control.");
 
   const exp::AbTestResult result =
-      bench::run_standard_groups({"control", "bba0"});
+      bench::run_standard_groups(cfg, {"control", "bba0"});
   const auto metric = exp::switches_per_hour_metric();
 
   exp::print_absolute_by_window(result, metric);

@@ -9,14 +9,15 @@
 #include "bench_common.hpp"
 #include "stats/ttest.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace bba;
+  const exp::AbTestConfig cfg = bench::standard_config(argc, argv);
   bench::banner("Fig. 14: rebuffers/playhour with BBA-1",
                 "BBA-1 nears the Rmin-Always floor; 20-28% below Control "
                 "at peak.");
 
   const exp::AbTestResult result = bench::run_standard_groups(
-      {"control", "rmin-always", "bba0", "bba1"});
+      cfg, {"control", "rmin-always", "bba0", "bba1"});
   const auto metric = exp::rebuffers_per_hour_metric();
 
   std::printf("--- Fig. 14(a) ---\n");

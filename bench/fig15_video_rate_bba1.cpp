@@ -5,14 +5,15 @@
 // is the conservative startup, fixed by BBA-2.
 #include "bench_common.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace bba;
+  const exp::AbTestConfig cfg = bench::standard_config(argc, argv);
   bench::banner("Fig. 15: video rate, BBA-1 vs BBA-0 vs Control",
                 "BBA-1 recovers 40-70 kb/s over BBA-0, still 50-120 kb/s "
                 "below Control (startup gap).");
 
   const exp::AbTestResult result =
-      bench::run_standard_groups({"control", "bba0", "bba1"});
+      bench::run_standard_groups(cfg, {"control", "bba0", "bba1"});
   const auto metric = exp::avg_rate_kbps_metric();
 
   exp::print_absolute_by_window(result, metric);

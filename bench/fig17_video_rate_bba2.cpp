@@ -7,13 +7,14 @@
 
 #include "bench_common.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace bba;
+  const exp::AbTestConfig cfg = bench::standard_config(argc, argv);
   bench::banner("Fig. 17: video rate, BBA-2 vs BBA-1 vs Control",
                 "BBA-2's average video rate matches Control's.");
 
   const exp::AbTestResult result =
-      bench::run_standard_groups({"control", "bba1", "bba2"});
+      bench::run_standard_groups(cfg, {"control", "bba1", "bba2"});
   const auto metric = exp::avg_rate_kbps_metric();
 
   exp::print_absolute_by_window(result, metric);

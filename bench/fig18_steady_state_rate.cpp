@@ -6,15 +6,16 @@
 // buffer carries information (Sec. 3's average-rate-maximization result).
 #include "bench_common.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace bba;
+  const exp::AbTestConfig cfg = bench::standard_config(argc, argv);
   bench::banner("Fig. 18: steady-state video rate (after 2 min), BBA-2 vs "
                 "Control",
                 "BBA-2's steady-state rate is mostly higher than "
                 "Control's.");
 
   const exp::AbTestResult result =
-      bench::run_standard_groups({"control", "bba2"});
+      bench::run_standard_groups(cfg, {"control", "bba2"});
   const auto metric = exp::steady_rate_kbps_metric();
 
   exp::print_absolute_by_window(result, metric);

@@ -4,14 +4,15 @@
 // BBA-1, but it still maintains a 10-20% improvement over Control at peak.
 #include "bench_common.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace bba;
+  const exp::AbTestConfig cfg = bench::standard_config(argc, argv);
   bench::banner("Fig. 19: rebuffers/playhour with BBA-2",
                 "Slightly above BBA-1; still 10-20% below Control at "
                 "peak.");
 
   const exp::AbTestResult result = bench::run_standard_groups(
-      {"control", "rmin-always", "bba1", "bba2"});
+      cfg, {"control", "rmin-always", "bba1", "bba2"});
   const auto metric = exp::rebuffers_per_hour_metric();
 
   std::printf("--- Fig. 19(a) ---\n");

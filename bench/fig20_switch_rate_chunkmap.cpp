@@ -5,14 +5,15 @@
 // shifting reservoir) -- motivating BBA-Others.
 #include "bench_common.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace bba;
+  const exp::AbTestConfig cfg = bench::standard_config(argc, argv);
   bench::banner("Fig. 20: switching rate, BBA-1/BBA-2 vs Control",
                 "The chunk map makes BBA-1/BBA-2 switch more often than "
                 "Control.");
 
   const exp::AbTestResult result =
-      bench::run_standard_groups({"control", "bba1", "bba2"});
+      bench::run_standard_groups(cfg, {"control", "bba1", "bba2"});
   const auto metric = exp::switches_per_hour_metric();
 
   exp::print_absolute_by_window(result, metric);

@@ -5,13 +5,14 @@
 // Control's -- sometimes higher, sometimes lower.
 #include "bench_common.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace bba;
+  const exp::AbTestConfig cfg = bench::standard_config(argc, argv);
   bench::banner("Fig. 22: switching rate, BBA-Others vs Control",
                 "BBA-Others matches Control's switching rate.");
 
   const exp::AbTestResult result =
-      bench::run_standard_groups({"control", "bba2", "bba-others"});
+      bench::run_standard_groups(cfg, {"control", "bba2", "bba-others"});
   const auto metric = exp::switches_per_hour_metric();
 
   exp::print_absolute_by_window(result, metric);

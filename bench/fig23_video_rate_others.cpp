@@ -7,14 +7,15 @@
 
 #include "bench_common.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace bba;
+  const exp::AbTestConfig cfg = bench::standard_config(argc, argv);
   bench::banner("Fig. 23: video rate, BBA-Others vs Control",
                 "BBA-Others delivers ~Control's rate, trading ~20-30 kb/s "
                 "vs BBA-2.");
 
   const exp::AbTestResult result =
-      bench::run_standard_groups({"control", "bba2", "bba-others"});
+      bench::run_standard_groups(cfg, {"control", "bba2", "bba-others"});
   const auto metric = exp::avg_rate_kbps_metric();
 
   exp::print_absolute_by_window(result, metric);

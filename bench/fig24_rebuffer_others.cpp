@@ -4,13 +4,14 @@
 // BBA-Others keeps the full rebuffer improvement -- 20-30% below Control.
 #include "bench_common.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace bba;
+  const exp::AbTestConfig cfg = bench::standard_config(argc, argv);
   bench::banner("Fig. 24: rebuffers/playhour with BBA-Others",
                 "BBA-Others rebuffers 20-30% less than Control.");
 
-  const exp::AbTestResult result = bench::run_standard_groups(
-      {"control", "rmin-always", "bba-others"});
+  const exp::AbTestResult result =
+      bench::run_standard_groups(cfg, {"control", "rmin-always", "bba-others"});
   const auto metric = exp::rebuffers_per_hour_metric();
 
   std::printf("--- Fig. 24(a) ---\n");

@@ -9,11 +9,10 @@
 // records it so the trajectory is comparable across hosts.
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <string>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "exp/abtest.hpp"
 #include "media/video.hpp"
 #include "runtime/thread_pool.hpp"
@@ -58,14 +57,8 @@ int main(int argc, char** argv) {
   cfg.sessions_per_window = 30;
   cfg.days = 1;
   cfg.seed = 2014;
-  for (int i = 1; i + 1 < argc; i += 2) {
-    if (std::string(argv[i]) == "--sessions") {
-      cfg.sessions_per_window =
-          static_cast<std::size_t>(std::atoi(argv[i + 1]));
-    } else if (std::string(argv[i]) == "--days") {
-      cfg.days = static_cast<std::size_t>(std::atoi(argv[i + 1]));
-    }
-  }
+  bench::read_flags(argc, argv, &cfg, tools::kSessionsFlag | tools::kDaysFlag,
+                    "", [](int) { return false; });
 
   const std::vector<exp::Group> groups = {
       {"control", exp::make_control_factory()},

@@ -40,8 +40,10 @@
 #include <cstring>
 #include <new>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "core/bba2.hpp"
 #include "core/reservoir.hpp"
 #include "exp/abtest.hpp"
@@ -247,10 +249,8 @@ void run_streaming_obs(const BenchSetup& setup, std::size_t task, Scratch& s,
   if (!need_tee) {
     sim::simulate_session(video, s.trace, s.abr, player, s.sink);
     const sim::SessionMetrics& m = s.sink.metrics();
-    const obs::TraceConfig& tc = collector.config();
-    need_tee = tc.anomalies_enabled() &&
-               (m.rebuffer_s >= tc.anomaly_rebuffer_s ||
-                (tc.capture_abandoned && m.abandoned));
+    need_tee = m.rebuffer_s >= collector.config().anomaly_rebuffer_s ||
+               m.abandoned;
   }
   if (need_tee) {
     trace_sink.begin(collector.config(), key.seed, key.day, key.window,
@@ -303,20 +303,34 @@ struct Row {
 }  // namespace
 
 int main(int argc, char** argv) {
-  BenchSetup setup;
-  setup.sessions_per_window = 40;
+  exp::AbTestConfig dims;
+  dims.sessions_per_window = 40;
   std::size_t passes = 3;
   std::string out_path = "BENCH_session_hot_path.json";
-  for (int i = 1; i + 1 < argc; i += 2) {
-    if (std::string(argv[i]) == "--sessions") {
-      setup.sessions_per_window =
-          static_cast<std::size_t>(std::atoi(argv[i + 1]));
-    } else if (std::string(argv[i]) == "--passes") {
-      passes = static_cast<std::size_t>(std::atoi(argv[i + 1]));
-    } else if (std::string(argv[i]) == "--out") {
-      out_path = argv[i + 1];
-    }
-  }
+  bench::read_flags(
+      argc, argv, &dims, tools::kSessionsFlag,
+      "          [--passes N]  timed passes per mode (default 3)\n"
+      "          [--out PATH]  (default BENCH_session_hot_path.json)\n",
+      [&](int& i) {
+        const std::string_view arg = argv[i];
+        if (arg == "--passes") {
+          const char* v = util::flag_value_or_exit(argc, argv, i);
+          if (!tools::parse_count(v, &passes)) {
+            std::fprintf(stderr,
+                         "--passes: expects a positive pass count, got "
+                         "'%s'\n",
+                         v);
+            std::exit(2);
+          }
+        } else if (arg == "--out") {
+          out_path = util::flag_value_or_exit(argc, argv, i);
+        } else {
+          return false;
+        }
+        return true;
+      });
+  BenchSetup setup;
+  setup.sessions_per_window = dims.sessions_per_window;
   const media::VideoLibrary library = media::VideoLibrary::standard(11);
   setup.library = &library;
   setup.sessions = exp::kWindowsPerDay * setup.sessions_per_window;

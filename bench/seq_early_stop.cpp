@@ -4,7 +4,8 @@
 // FAIL shape checks: the sequential run must stop early, save >= 30% of
 // the budget, and pick the same winner the fixed-budget run reports.
 //
-//   seq_early_stop [--sessions N] [--days N] [--out PATH]
+//   seq_early_stop [--sessions N] [--days N] [--seed S] [--threads N]
+//                  [--out PATH]
 //
 // The pair is Control vs R_min-Always on the rate metric -- the floor
 // algorithm streams thousands of kb/s below Control, so elimination
@@ -40,20 +41,16 @@ int main(int argc, char** argv) {
   exp::AbTestConfig cfg;
   cfg.sessions_per_window = 30;
   cfg.days = 1;
-  cfg.seed = bench::bench_seed();
-  cfg.threads = bench::bench_threads();
   std::string out_path = "BENCH_sequential.json";
-  for (int i = 1; i + 1 < argc; i += 2) {
-    const std::string arg = argv[i];
-    if (arg == "--sessions") {
-      cfg.sessions_per_window =
-          static_cast<std::size_t>(std::atoi(argv[i + 1]));
-    } else if (arg == "--days") {
-      cfg.days = static_cast<std::size_t>(std::atoi(argv[i + 1]));
-    } else if (arg == "--out") {
-      out_path = argv[i + 1];
-    }
-  }
+  bench::read_flags(argc, argv, &cfg,
+                    tools::kSessionsFlag | tools::kDaysFlag |
+                        tools::kSeedFlag | tools::kThreadsFlag,
+                    "          [--out PATH]  (default BENCH_sequential.json)\n",
+                    [&](int& i) {
+                      if (std::string_view(argv[i]) != "--out") return false;
+                      out_path = util::flag_value_or_exit(argc, argv, i);
+                      return true;
+                    });
 
   const std::vector<exp::Group> groups = {
       {"control", exp::make_control_factory()},

@@ -249,11 +249,9 @@ void SessionBlockRunner::Impl::run(std::size_t n_keys, const KeyAt& key_at,
             // function of its inputs -- it resets the ABR on entry -- so
             // the replay reproduces the counted session. Tracing therefore
             // costs the unsampled, healthy majority nothing per event.
-            const obs::TraceConfig& tc = tracer->config();
             const bool anomalous =
-                tc.anomalies_enabled() &&
-                (m.rebuffer_s >= tc.anomaly_rebuffer_s ||
-                 (tc.capture_abandoned && m.abandoned));
+                m.rebuffer_s >= tracer->config().anomaly_rebuffer_s ||
+                m.abandoned;
             if (!anomalous) continue;
             obs::SlotBinding mute(nullptr, slot);
             emitted = play_traced(s, key, g, /*sampled=*/false, video, player,

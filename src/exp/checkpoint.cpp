@@ -4,6 +4,7 @@
 #include <concepts>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <string_view>
 
 #include "exp/block.hpp"
@@ -730,23 +731,49 @@ bool CheckpointOptions::parse_shard(const std::string& spec) {
   return true;
 }
 
-CheckpointOptions CheckpointOptions::from_env() {
-  CheckpointOptions opts;
-  auto env = [](const char* name) -> const char* {
-    const char* v = std::getenv(name);
-    return (v != nullptr && *v != '\0') ? v : nullptr;
+bool CheckpointOptions::consume_arg(int argc, char** argv, int& i) {
+  const char* arg = argv[i];
+  auto count = [&](const char* detail) {
+    const char* v = util::flag_value_or_exit(argc, argv, i);
+    std::uint64_t n = 0;
+    if (!util::parse_u64(v, &n) || n == 0) {
+      std::fprintf(stderr, "%s: expects %s, got '%s'\n", arg, detail, v);
+      std::exit(2);
+    }
+    return static_cast<std::size_t>(n);
   };
-  if (const char* v = env("BBA_CHECKPOINT_OUT")) opts.out = v;
-  if (const char* v = env("BBA_CHECKPOINT_RESUME")) opts.resume = v;
-  std::uint64_t n = 0;
-  if (const char* v = env("BBA_CHECKPOINT_EVERY")) {
-    if (util::parse_u64(v, &n)) opts.every = static_cast<std::size_t>(n);
+  if (std::strcmp(arg, "--checkpoint-out") == 0) {
+    out = util::flag_value_or_exit(argc, argv, i);
+  } else if (std::strcmp(arg, "--checkpoint-every") == 0) {
+    every = count("a positive key count");
+  } else if (std::strcmp(arg, "--resume") == 0) {
+    resume = util::flag_value_or_exit(argc, argv, i);
+  } else if (std::strcmp(arg, "--shard") == 0) {
+    const char* v = util::flag_value_or_exit(argc, argv, i);
+    if (!parse_shard(v)) {
+      std::fprintf(stderr, "--shard: expects K/M with 1 <= K <= M, got '%s'\n",
+                   v);
+      std::exit(2);
+    }
+  } else if (std::strcmp(arg, "--checkpoint-kill") == 0) {
+    kill_after = count("a positive save count");
+  } else {
+    return false;
   }
-  if (const char* v = env("BBA_CHECKPOINT_KILL")) {
-    if (util::parse_u64(v, &n)) opts.kill_after = static_cast<std::size_t>(n);
-  }
-  if (const char* v = env("BBA_CHECKPOINT_SHARD")) opts.parse_shard(v);
-  return opts;
+  return true;
+}
+
+const char* CheckpointOptions::usage() {
+  return
+      "          [--checkpoint-out FILE] [--checkpoint-every N]  write a\n"
+      "            resumable bbackpt checkpoint every N keys (every round\n"
+      "            when --sequential) and at the end; docs/checkpoint.md\n"
+      "          [--resume FILE]  continue a checkpointed run; the output\n"
+      "            is byte-identical to the uninterrupted run's\n"
+      "          [--shard K/M]  run shard K of M of the (day, window) grid\n"
+      "            into a partial checkpoint; merge with bba_merge\n"
+      "          [--checkpoint-kill N]  test hook: exit 3 right after the\n"
+      "            Nth checkpoint save\n";
 }
 
 // --- The shared save and resume protocol ----------------------------------

@@ -156,16 +156,16 @@ bool load_checkpoint(const std::string& path, Checkpoint* out,
 bool merge_checkpoints(const std::vector<Checkpoint>& parts, Checkpoint* out,
                        std::string* error);
 
-/// CLI/env knobs shared by bba_abtest, bba_paper_report, and the benches.
+/// The checkpoint flags bba_abtest and bba_paper_report share.
 struct CheckpointOptions {
   std::string out;        ///< --checkpoint-out FILE ("" = no checkpoints)
   std::size_t every = 0;  ///< --checkpoint-every N keys (0 = only at end)
   std::string resume;     ///< --resume FILE ("" = fresh run)
   std::size_t shard_index = 1;  ///< --shard K/M, 1-based
   std::size_t shard_count = 1;
-  /// Test hook (--checkpoint-kill N / $BBA_CHECKPOINT_KILL): exit(3) right
-  /// after the Nth checkpoint save, simulating a mid-run kill at an exact,
-  /// reproducible point. 0 = never.
+  /// Test hook (--checkpoint-kill N): exit(3) right after the Nth
+  /// checkpoint save, simulating a mid-run kill at an exact, reproducible
+  /// point. 0 = never.
   std::size_t kill_after = 0;
 
   bool any() const {
@@ -177,10 +177,14 @@ struct CheckpointOptions {
   /// Parses "K/M" (1 <= K <= M). Returns false on malformed input.
   bool parse_shard(const std::string& spec);
 
-  /// Environment defaults: BBA_CHECKPOINT_OUT, BBA_CHECKPOINT_EVERY,
-  /// BBA_CHECKPOINT_RESUME, BBA_CHECKPOINT_SHARD ("K/M"),
-  /// BBA_CHECKPOINT_KILL. Unset variables leave the defaults above.
-  static CheckpointOptions from_env();
+  /// CLI hook, as obs::ObsOptions::consume_arg: if argv[i] is one of the
+  /// five flags above, consumes it (advancing `i` over its value) and
+  /// returns true; a missing or malformed value prints one line and
+  /// exits 2.
+  bool consume_arg(int argc, char** argv, int& i);
+
+  /// The usage lines for those flags, for CLI help text.
+  static const char* usage();
 };
 
 /// The instruments a checkpointed run carries, each saved in its own

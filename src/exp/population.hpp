@@ -98,9 +98,9 @@ struct PopulationConfig {
   double outage_session_fraction = 0.15;
 
   /// Additional fault passes applied to EVERY session's trace on top of
-  /// the baseline outage process above (--faults / BBA_FAULTS). Driven by
-  /// a dedicated StreamClass::kFaults substream, so an empty plan (the
-  /// default) leaves every trace -- and every experiment output --
+  /// the baseline outage process above (--faults). Driven by a dedicated
+  /// StreamClass::kFaults substream, so an empty plan (the default)
+  /// leaves every trace -- and every experiment output --
   /// byte-identical to a build without fault injection.
   net::FaultPlan faults;
 

@@ -73,7 +73,7 @@ double monitor_metric_value(const TimelineCell& cell, std::size_t metric);
 /// the first session; capture is evidence, not a census of the window.
 inline constexpr std::uint64_t kMaxTopK = 1024;
 
-/// Detector and SLO parameters (--alert-spec / $BBA_ALERT_SPEC).
+/// Detector and SLO parameters (--alert-spec).
 struct MonitorSpec {
   std::uint64_t warmup = 8;     ///< baseline cells before detectors arm
   double ewma_alpha = 0.2;

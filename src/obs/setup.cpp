@@ -12,22 +12,6 @@ namespace bba::obs {
 
 namespace {
 
-const char* env_or_null(const char* name) {
-  const char* v = std::getenv(name);
-  return (v != nullptr && *v != '\0') ? v : nullptr;
-}
-
-/// A malformed --alert-spec value, or the same in BBA_ALERT_SPEC, is a
-/// usage error: one line naming the source, exit 2.
-void check_alert_spec_or_exit(const char* source, const char* v) {
-  MonitorSpec spec;
-  std::string err;
-  if (!MonitorSpec::parse(v, &spec, &err)) {
-    std::fprintf(stderr, "%s: %s\n", source, err.c_str());
-    std::exit(2);
-  }
-}
-
 std::size_t default_slots(std::size_t threads_hint) {
   if (threads_hint != 0) return threads_hint;
   const unsigned hw = std::thread::hardware_concurrency();
@@ -60,39 +44,15 @@ bool write_json_output(const char* what, const std::string& path,
 
 }  // namespace
 
-ObsOptions ObsOptions::from_env() {
-  ObsOptions opts;
-  if (const char* v = env_or_null("BBA_TRACE")) opts.trace_out = v;
-  if (const char* v = env_or_null("BBA_TRACE_FORMAT")) opts.trace_format = v;
-  if (const char* v = env_or_null("BBA_TRACE_SAMPLE")) {
-    opts.trace_sample = util::parse_u64_or_exit("BBA_TRACE_SAMPLE", v);
-  }
-  if (const char* v = env_or_null("BBA_METRICS")) opts.metrics_out = v;
-  if (const char* v = env_or_null("BBA_PROFILE")) opts.profile_out = v;
-  if (const char* v = env_or_null("BBA_TIMELINE")) opts.timeline_out = v;
-  if (const char* v = env_or_null("BBA_ALERTS")) opts.alerts_out = v;
-  if (const char* v = env_or_null("BBA_ALERT_SPEC")) {
-    check_alert_spec_or_exit("BBA_ALERT_SPEC", v);
-    opts.alert_spec = v;
-  }
-  return opts;
-}
-
 bool ObsOptions::consume_arg(int argc, char** argv, int& i) {
-  auto value = [&](const char* flag) -> const char* {
-    if (i + 1 >= argc) {
-      std::fprintf(stderr, "%s needs a value\n", flag);
-      std::exit(2);
-    }
-    return argv[++i];
-  };
+  auto value = [&] { return util::flag_value_or_exit(argc, argv, i); };
   const char* arg = argv[i];
   if (std::strcmp(arg, "--trace-out") == 0) {
-    trace_out = value("--trace-out");
+    trace_out = value();
     return true;
   }
   if (std::strcmp(arg, "--trace-format") == 0) {
-    trace_format = value("--trace-format");
+    trace_format = value();
     if (trace_format != "jsonl" && trace_format != "btrace") {
       std::fprintf(stderr,
                    "--trace-format must be jsonl or btrace, got '%s'\n",
@@ -103,28 +63,33 @@ bool ObsOptions::consume_arg(int argc, char** argv, int& i) {
   }
   if (std::strcmp(arg, "--trace-sample") == 0) {
     trace_sample = util::parse_u64_or_exit("--trace-sample",
-                                           value("--trace-sample"));
+                                           value());
     return true;
   }
   if (std::strcmp(arg, "--metrics-out") == 0) {
-    metrics_out = value("--metrics-out");
+    metrics_out = value();
     return true;
   }
   if (std::strcmp(arg, "--profile-out") == 0) {
-    profile_out = value("--profile-out");
+    profile_out = value();
     return true;
   }
   if (std::strcmp(arg, "--timeline-out") == 0) {
-    timeline_out = value("--timeline-out");
+    timeline_out = value();
     return true;
   }
   if (std::strcmp(arg, "--alerts-out") == 0) {
-    alerts_out = value("--alerts-out");
+    alerts_out = value();
     return true;
   }
   if (std::strcmp(arg, "--alert-spec") == 0) {
-    alert_spec = value("--alert-spec");
-    check_alert_spec_or_exit("--alert-spec", alert_spec.c_str());
+    alert_spec = value();
+    MonitorSpec spec;
+    std::string err;
+    if (!MonitorSpec::parse(alert_spec, &spec, &err)) {
+      std::fprintf(stderr, "--alert-spec: %s\n", err.c_str());
+      std::exit(2);
+    }
     return true;
   }
   return false;
@@ -147,10 +112,7 @@ const char* ObsOptions::usage() {
       "          [--alert-spec k=v,...]  detector overrides (warmup,\n"
       "            ewma_alpha, ewma_k, cusum_k, cusum_h, sd_floor,\n"
       "            slo_rebuffer_ratio, slo_rebuffer_windows, slo_join_s,\n"
-      "            slo_join_windows, top_k, capture)\n"
-      "          (env: BBA_TRACE, BBA_TRACE_FORMAT, BBA_TRACE_SAMPLE,\n"
-      "           BBA_METRICS, BBA_PROFILE, BBA_TIMELINE, BBA_ALERTS,\n"
-      "           BBA_ALERT_SPEC)\n";
+      "            slo_join_windows, top_k, capture)\n";
 }
 
 ObsScope::ObsScope(const ObsOptions& opts, std::size_t threads_hint)
@@ -170,9 +132,9 @@ ObsScope::ObsScope(const ObsOptions& opts, std::size_t threads_hint)
     handle_->timeline = std::make_unique<TimelineAggregator>();
   }
   if (!opts.alerts_out.empty()) {
-    // The tools' flags and BBA_ALERT_SPEC were already checked when they
-    // were read (check_alert_spec_or_exit, exit 2); this parse serves
-    // options set in code, and both apply the one MonitorSpec::parse.
+    // --alert-spec was already checked when it was read (exit 2); this
+    // parse serves options set in code, and both apply the one
+    // MonitorSpec::parse.
     MonitorSpec spec;
     std::string err;
     if (!MonitorSpec::parse(opts.alert_spec, &spec, &err)) {
@@ -186,7 +148,6 @@ ObsScope::ObsScope(const ObsOptions& opts, std::size_t threads_hint)
     TraceConfig cfg;
     cfg.path = opts.trace_out;
     cfg.sample = opts.trace_sample;
-    cfg.anomaly_rebuffer_s = opts.anomaly_rebuffer_s;
     cfg.resume = opts.trace_resume;
     if (opts.trace_format == "btrace") {
       handle_->trace = std::make_unique<BinaryTraceCollector>(std::move(cfg));

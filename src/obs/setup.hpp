@@ -1,8 +1,8 @@
 // Observability wiring for CLIs and benches.
 //
-// Every binary that wants the shared flags (--trace-out, --trace-sample,
-// --metrics-out, --profile-out) or the BBA_TRACE / BBA_TRACE_SAMPLE /
-// BBA_METRICS / BBA_PROFILE environment variables goes through ObsOptions;
+// Every binary that takes the shared flags (--trace-out, --trace-format,
+// --trace-sample, --metrics-out, --profile-out, --timeline-out,
+// --alerts-out, --alert-spec) reads them through ObsOptions::consume_arg;
 // an ObsScope then turns the options into an installed obs::Observability
 // and writes the output files at finish() or destruction. With no option
 // set, ObsScope installs nothing and costs nothing.
@@ -21,7 +21,6 @@ struct ObsOptions {
   std::string trace_out;          ///< session trace output path
   std::string trace_format = "jsonl";  ///< "jsonl" or "btrace"
   std::uint64_t trace_sample = 64;  ///< 1-in-N sampling (0 = anomalies only)
-  double anomaly_rebuffer_s = 30.0;
   std::string metrics_out;   ///< metrics snapshot JSON path
   std::string profile_out;   ///< Chrome trace-event JSON path
   std::string timeline_out;  ///< fleet timeline artifact JSON path
@@ -44,14 +43,10 @@ struct ObsOptions {
            !alerts_out.empty();
   }
 
-  /// Environment defaults: BBA_TRACE, BBA_TRACE_SAMPLE, BBA_METRICS,
-  /// BBA_PROFILE, BBA_TIMELINE, BBA_ALERTS, BBA_ALERT_SPEC. Unset
-  /// variables leave the defaults above.
-  static ObsOptions from_env();
-
   /// CLI hook: if argv[i] is one of the shared observability flags,
-  /// consumes it (advancing `i` over its value) and returns true.
-  /// Call from an argument loop before the unknown-argument fallback.
+  /// consumes it (advancing `i` over its value) and returns true; a
+  /// missing or malformed value prints one line and exits 2. Call from an
+  /// argument loop before the unknown-argument fallback.
   bool consume_arg(int argc, char** argv, int& i);
 
   /// The usage lines for the shared flags, for CLI help text.

@@ -24,10 +24,9 @@
 //     front; record() is pure array arithmetic (the hot-path bench
 //     enforces this).
 //
-// The emitted artifact (`--timeline-out` / $BBA_TIMELINE, schema
-// "bba.timeline.v1") is rendered by tools/bba_obs_cli.cpp. See
-// docs/observability.md ("Fleet telemetry") for the cell schema and merge
-// semantics.
+// The emitted artifact (`--timeline-out`, schema "bba.timeline.v1") is
+// rendered by tools/bba_obs_cli.cpp. See docs/observability.md ("Fleet
+// telemetry") for the cell schema and merge semantics.
 #pragma once
 
 #include <cstddef>

@@ -156,7 +156,6 @@ void SessionTraceSink::begin(const TraceConfig& cfg, std::uint64_t seed,
   session_ = session;
   group_.assign(group.data(), group.size());
   sampled_ = sampled;
-  capture_ = sampled || cfg.anomalies_enabled();
   emit_ = false;
   anomalous_ = false;
   ended_ = false;
@@ -180,10 +179,9 @@ void SessionTraceSink::set_faults(
 }
 
 void SessionTraceSink::set_alert(std::string_view marker_line) {
+  // Evidence capture emits regardless of the sampling decision -- that is
+  // the whole point of the alert replay.
   alert_marker_.assign(marker_line.data(), marker_line.size());
-  // Evidence capture must buffer and emit regardless of the sampling
-  // decision -- that is the whole point of the alert replay.
-  capture_ = true;
 }
 
 void SessionTraceSink::on_session_start(double chunk_duration_s) {
@@ -192,14 +190,12 @@ void SessionTraceSink::on_session_start(double chunk_duration_s) {
 
 void SessionTraceSink::on_chunk(const sim::ChunkRecord& chunk,
                                 double played_s) {
-  if (!capture_) return;
   chunks_.push_back(chunk);
   played_at_chunk_.push_back(played_s);
 }
 
 void SessionTraceSink::on_rebuffer(const sim::RebufferEvent& event) {
   rebuffer_total_s_ += event.duration_s;
-  if (!capture_) return;
   rebuffers_.push_back(event);
 }
 
@@ -207,9 +203,9 @@ void SessionTraceSink::on_session_end(const sim::SessionSummary& summary) {
   summary_ = summary;
   ended_ = true;
   if (cfg_ == nullptr) return;
-  anomalous_ = rebuffer_total_s_ >= cfg_->anomaly_rebuffer_s ||
-               (cfg_->capture_abandoned && summary.abandoned);
-  emit_ = capture_ && (sampled_ || anomalous_ || !alert_marker_.empty());
+  anomalous_ =
+      rebuffer_total_s_ >= cfg_->anomaly_rebuffer_s || summary.abandoned;
+  emit_ = sampled_ || anomalous_ || !alert_marker_.empty();
 }
 
 namespace {

@@ -37,7 +37,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
-#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -79,22 +78,14 @@ struct TraceConfig {
   std::uint64_t sample = 64;
 
   /// Anomaly trigger: capture any session whose total stall time reaches
-  /// this many seconds (infinity disables).
+  /// this many seconds, and every abandoned / gave-up session.
   double anomaly_rebuffer_s = 30.0;
-
-  /// Anomaly trigger: capture abandoned / gave-up sessions.
-  bool capture_abandoned = true;
 
   /// Reopen `path` for appending instead of truncating it: a checkpoint
   /// resume continues an interrupted run's trace file. The collector is
   /// unusable until resume_from() restored the tallies and truncated the
   /// file back to the checkpointed offset.
   bool resume = false;
-
-  bool anomalies_enabled() const {
-    return capture_abandoned ||
-           anomaly_rebuffer_s < std::numeric_limits<double>::infinity();
-  }
 };
 
 /// Owns the trace output file and the sampling decision. The harness calls
@@ -247,7 +238,6 @@ class SessionTraceSink : public sim::SessionSink {
   std::uint64_t seed_ = 0, day_ = 0, window_ = 0, session_ = 0;
   std::string group_;
   bool sampled_ = false;
-  bool capture_ = false;  ///< buffer events at all
   bool emit_ = false;
   bool anomalous_ = false;
 

@@ -57,6 +57,14 @@ std::uint64_t parse_u64_or_exit(const char* source, const char* text) {
   return v;
 }
 
+const char* flag_value_or_exit(int argc, char** argv, int& i) {
+  if (i + 1 >= argc) {
+    std::fprintf(stderr, "%s needs a value\n", argv[i]);
+    std::exit(2);
+  }
+  return argv[++i];
+}
+
 namespace {
 
 std::string trim(const std::string& s) {

@@ -18,11 +18,10 @@ namespace bba::util {
 using CsvRow = std::vector<std::string>;
 
 // The one number rule: every numeric token the library reads from outside
-// the program (trace CSV, chunk-table CSV, fault and alert specs, CLI flags
-// and environment knobs, the bba.timeline.v1 / bba.alerts.v1 / JSONL
-// readers) goes through parse_num or parse_u64. Both take the whole token
-// or nothing: no whitespace, no trailing garbage, and *out is written only
-// on success.
+// the program (trace CSV, chunk-table CSV, fault and alert specs, CLI flags,
+// the bba.timeline.v1 / bba.alerts.v1 / JSONL readers) goes through
+// parse_num or parse_u64. Both take the whole token or nothing: no
+// whitespace, no trailing garbage, and *out is written only on success.
 
 /// Parses one whole token as a finite decimal number: an optional '-',
 /// then digits, '.', and an exponent. "5junk", "", " 5", "+5", hex, "nan",
@@ -34,10 +33,13 @@ bool parse_num(std::string_view text, double* out);
 /// rather than clamped.
 bool parse_u64(std::string_view text, std::uint64_t* out);
 
-/// parse_u64 for a value the user set: a flag or an environment variable,
-/// named by `source`. A malformed value is a usage error: one line on
-/// stderr, then exit 2.
+/// parse_u64 for a flag's value, the flag named by `source`. A malformed
+/// value is a usage error: one line on stderr, then exit 2.
 std::uint64_t parse_u64_or_exit(const char* source, const char* text);
+
+/// The value of the flag argv[i], with `i` advanced over it. A flag given
+/// last, with no value, is a usage error: one line on stderr, then exit 2.
+const char* flag_value_or_exit(int argc, char** argv, int& i);
 
 /// Parses a single CSV line into fields. No quoting; leading/trailing
 /// whitespace of each field is trimmed.

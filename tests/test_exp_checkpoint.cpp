@@ -79,6 +79,21 @@ TEST(CheckpointOptions, ParseShard) {
     CheckpointOptions fresh;
     EXPECT_FALSE(fresh.parse_shard(bad)) << bad;
   }
+
+  // The --shard flag reads through parse_shard; a malformed value is a
+  // usage error.
+  std::string tool = "tool", flag = "--shard", good = "2/3", pony = "pony";
+  char* argv[] = {tool.data(), flag.data(), good.data()};
+  int i = 1;
+  CheckpointOptions flagged;
+  EXPECT_TRUE(flagged.consume_arg(3, argv, i));
+  EXPECT_EQ(i, 2);
+  EXPECT_EQ(flagged.shard_index, 2u);
+  EXPECT_EQ(flagged.shard_count, 3u);
+  argv[2] = pony.data();
+  i = 1;
+  EXPECT_EXIT(flagged.consume_arg(3, argv, i), testing::ExitedWithCode(2),
+              "--shard: expects K/M with 1 <= K <= M, got 'pony'");
 }
 
 // The keys a run derives from their index must be the canonical

@@ -3,8 +3,9 @@
 // TimelineAggregator), the skipped-cell accounting in normalized_samples
 // (bba_obs diff used to silently thin sparse grids), the one number rule
 // behind every numeric flag (util::parse_u64 plus the tools/cli_parse.hpp
-// bounds), and the bba.alerts.v1 parser behind `bba_obs health` -- plus
-// the harness tools' exit status when an artifact cannot be written.
+// bounds and shared flag reader), and the bba.alerts.v1 parser behind
+// `bba_obs health` -- plus the harness tools' exit status when an artifact
+// cannot be written, and the benches' when a flag is malformed.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 
@@ -47,6 +48,54 @@ TEST(CliParse, U64AndCounts) {
   EXPECT_FALSE(parse_count("-1", &n));
   EXPECT_TRUE(parse_count0("0", &n));
   EXPECT_EQ(n, 0u);
+
+  // The shared flag reader applies the same rule, and a malformed value is
+  // a usage error: one line, exit 2.
+  auto consume = [](std::vector<std::string> args, exp::AbTestConfig* cfg,
+                    exp::CheckpointOptions* ckpt) {
+    args.insert(args.begin(), "tool");
+    std::vector<char*> argv;
+    for (std::string& a : args) argv.push_back(a.data());
+    const int argc = static_cast<int>(argv.size());
+    for (int i = 1; i < argc; ++i) {
+      if (!consume_experiment_arg(argc, argv.data(), i, cfg) &&
+          !ckpt->consume_arg(argc, argv.data(), i)) {
+        return false;
+      }
+    }
+    return true;
+  };
+  exp::AbTestConfig cfg;
+  exp::CheckpointOptions ckpt;
+  EXPECT_TRUE(consume({"--sessions", "7", "--days", "2", "--seed", "9",
+                       "--threads", "0", "--checkpoint-every", "5",
+                       "--faults", "outage:every=300"},
+                      &cfg, &ckpt));
+  EXPECT_EQ(cfg.sessions_per_window, 7u);
+  EXPECT_EQ(cfg.days, 2u);
+  EXPECT_EQ(cfg.seed, 9u);
+  EXPECT_EQ(cfg.threads, 0u);
+  EXPECT_EQ(ckpt.every, 5u);
+  EXPECT_FALSE(cfg.population.faults.empty());
+  EXPECT_FALSE(consume({"--bogus"}, &cfg, &ckpt));
+  // A subset reader leaves the other flags to the caller.
+  std::vector<std::string> seed_arg = {"tool", "--seed", "3"};
+  std::vector<char*> seed_argv = {seed_arg[0].data(), seed_arg[1].data(),
+                                  seed_arg[2].data()};
+  int at = 1;
+  EXPECT_FALSE(consume_experiment_arg(3, seed_argv.data(), at, &cfg,
+                                      kThreadsFlag));
+  EXPECT_EQ(at, 1);
+  EXPECT_EXIT(consume({"--checkpoint-every", "0"}, &cfg, &ckpt),
+              testing::ExitedWithCode(2),
+              "--checkpoint-every: expects a positive key count, got '0'");
+  EXPECT_EXIT(consume({"--faults", "junk"}, &cfg, &ckpt),
+              testing::ExitedWithCode(2), "--faults: unknown fault kind");
+  EXPECT_EXIT(consume({"--sessions", "pony"}, &cfg, &ckpt),
+              testing::ExitedWithCode(2),
+              "--sessions: expects a positive session count");
+  EXPECT_EXIT(consume({"--threads"}, &cfg, &ckpt), testing::ExitedWithCode(2),
+              "--threads needs a value");
 }
 
 TEST(CliParse, UnitOpenRejectsGarbageAndBounds) {
@@ -377,8 +426,9 @@ TEST(AlertsArtifact, RejectsMalformedInput) {
 
 /// Runs `cmd` with its stdout discarded; returns the exit status and its
 /// stderr in *log.
-int run_tool(const std::string& cmd, std::string* log) {
-  std::FILE* p = popen((cmd + " 2>&1 >/dev/null").c_str(), "r");
+int run_tool(const std::string& cmd, std::string* log,
+             const char* redirect = " 2>&1 >/dev/null") {
+  std::FILE* p = popen((cmd + redirect).c_str(), "r");
   if (p == nullptr) return -1;
   char buf[4096];
   std::size_t n;
@@ -437,6 +487,24 @@ TEST(ToolOutputs, FailedArtifactWritesExitOne) {
   std::string log;
   EXPECT_EQ(run_tool(abtest + " --metrics-out " + ok, &log), 0) << log;
   std::remove(ok.c_str());
+}
+
+// A malformed or unknown bench flag is a usage error (exit 2) before any
+// simulation: nothing reaches stdout. The benches used to atoi "pony" to 0
+// and abort on an assert, or skip an unknown flag.
+TEST(ToolOutputs, MalformedBenchFlagsExitTwo) {
+  for (const std::string& cmd : {
+           std::string(BBA_FIG09_BIN) + " --seed pony",
+           std::string(BBA_FIG09_BIN) + " --bogus",
+           std::string(BBA_SEQ_EARLY_STOP_BIN) + " --sessions pony",
+           std::string(BBA_PARALLEL_SCALING_BIN) + " --sessions pony",
+           std::string(BBA_HOT_PATH_BIN) + " --passes pony",
+       }) {
+    SCOPED_TRACE(cmd);
+    std::string out;
+    EXPECT_EQ(run_tool(cmd, &out, " 2>/dev/null"), 2);
+    EXPECT_EQ(out, "");
+  }
 }
 
 }  // namespace

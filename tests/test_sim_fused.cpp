@@ -366,7 +366,7 @@ TEST(SimFused, SharedStreamKeyLanesMatchPrivateStreams) {
   EXPECT_GT(shared_keys, 0u);
 }
 
-TEST(SimBatch, IneligibleLanesFallBackIdentically) {
+TEST(SimFused, IneligibleLanesFallBackIdentically) {
   // The player's session-level branches -- give-up timers, mid-title
   // starts, the TCP model, the wall-clock cap -- run in the same fused
   // loop and must equal the virtual path with the same config.
@@ -391,7 +391,7 @@ TEST(SimBatch, IneligibleLanesFallBackIdentically) {
   }
 }
 
-TEST(SimBatch, EligibilityRejectsUnsupportedConfigs) {
+TEST(SimFused, EligibilityRejectsUnsupportedConfigs) {
   // The table-driven policy answers exactly for Bba1/Bba2/BbaOthers;
   // everything else keeps the class's own choose_rate.
   EXPECT_TRUE(core::BbaTable::of(core::Bba1{}).has_value());
@@ -402,7 +402,7 @@ TEST(SimBatch, EligibilityRejectsUnsupportedConfigs) {
   EXPECT_FALSE(core::BbaTable::of(*exp::make_bba0_factory()()).has_value());
 }
 
-TEST(SimBatch, HarnessBatchOnOffBitIdentical) {
+TEST(SimFused, HarnessBatchOnOffBitIdentical) {
   // The harness (fused, lazy, shared streams) at 1 and 4 threads against a
   // one-session-at-a-time virtual replay.
   const std::vector<sim::SessionMetrics> want =
@@ -414,7 +414,7 @@ TEST(SimBatch, HarnessBatchOnOffBitIdentical) {
                        want);
 }
 
-TEST(SimBatch, HarnessBatchWithFaultsBitIdentical) {
+TEST(SimFused, HarnessBatchWithFaultsBitIdentical) {
   exp::AbTestConfig cfg = harness_config(2);
   std::string err;
   ASSERT_TRUE(net::parse_fault_plan("outage:every=400,dur=20..30",
@@ -425,7 +425,7 @@ TEST(SimBatch, HarnessBatchWithFaultsBitIdentical) {
                        replay_virtual(harness_groups(), cfg));
 }
 
-TEST(SimBatch, DerivedAbrRefusesProfile) {
+TEST(SimFused, DerivedAbrRefusesProfile) {
   // The exact-dynamic-type guard: a subclass that might override behaviour
   // must not be replaced by the base class's table-driven decisions, and
   // the harness runs it through its own virtual choose_rate.

@@ -1,11 +1,11 @@
 // bba_abtest: run a custom A/B experiment from the command line.
 //
-//   bba_abtest [--groups control,bba2,...] [--sessions N] [--days N]
-//              [--seed S] [--threads N]
+//   bba_abtest [--groups control,bba2,...]
 //              [--metric rebuffers|rate|steady|startup|switches]
 //              [--baseline GROUP] [--csv PREFIX]
 //              [--sequential] [--batch-sessions N] [--confidence C]
 //              [--min-batches K] [--seq-log FILE]
+//              [the harness flags: tools::HarnessFlags]
 //
 // Groups: any exp::abr_factory name -- control, rmin-always, rmax-always,
 // bba0, bba1, bba2, bba-others, throughput, pid, elastic, bola. Prints the per-window table, the normalized summary,
@@ -15,7 +15,6 @@
 // --confidence, early stop once one arm survives.
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -26,7 +25,6 @@
 #include "exp/dump.hpp"
 #include "exp/report.hpp"
 #include "media/video.hpp"
-#include "net/fault_inject.hpp"
 #include "obs/setup.hpp"
 #include "seq/engine.hpp"
 
@@ -52,15 +50,9 @@ std::vector<std::string> split_csv(const std::string& s) {
 void usage(const char* argv0) {
   std::fprintf(
       stderr,
-      "usage: %s [--groups g1,g2,...] [--sessions N] [--days N] [--seed S]\n"
-      "          [--threads N]  (0 = all hardware threads; the result is\n"
-      "                          bit-identical for every thread count)\n"
+      "usage: %s [--groups g1,g2,...]\n"
       "          [--metric rebuffers|rate|steady|startup|switches]\n"
       "          [--baseline GROUP] [--csv PREFIX]\n"
-      "          [--faults SPEC]  (fault plan for every session's trace,\n"
-      "                          e.g. 'outage:every=300,dur=20..35;spike:\n"
-      "                          every=240,depth=0.1..0.3'; docs/faults.md.\n"
-      "                          Default: $BBA_FAULTS, else off)\n"
       "          [--sequential]  (best-arm identification with early\n"
       "                          stopping, docs/sequential.md; the fixed\n"
       "                          budget is groups*sessions*days*12)\n"
@@ -69,22 +61,10 @@ void usage(const char* argv0) {
       "                          default 0.95)\n"
       "          [--min-batches K] (rounds before eliminating, default 2)\n"
       "          [--seq-log FILE] (decision log JSONL; default stdout)\n"
-      "          [--checkpoint-out FILE] [--checkpoint-every N]\n"
-      "                          (write a resumable bbackpt checkpoint\n"
-      "                          every N keys -- every round when\n"
-      "                          --sequential -- and at the end;\n"
-      "                          docs/checkpoint.md)\n"
-      "          [--resume FILE] (continue a checkpointed run; output is\n"
-      "                          byte-identical to the uninterrupted run)\n"
-      "          [--shard K/M]   (run shard K of M: the (day,window) grid\n"
-      "                          partitioned deterministically; merge the\n"
-      "                          partial checkpoints with bba_merge)\n"
-      "          (env: BBA_CHECKPOINT_OUT, BBA_CHECKPOINT_EVERY,\n"
-      "           BBA_CHECKPOINT_RESUME, BBA_CHECKPOINT_SHARD)\n"
       "%s"
       "groups: control rmin-always rmax-always bba0 bba1 bba2 bba-others "
       "throughput pid elastic bola\n",
-      argv0, bba::obs::ObsOptions::usage());
+      argv0, tools::HarnessFlags::usage().c_str());
 }
 
 /// Prints "--flag: expects DETAIL, got 'VALUE'" and exits 2.
@@ -98,104 +78,54 @@ void usage(const char* argv0) {
 
 int main(int argc, char** argv) {
   std::vector<std::string> group_names{"control", "rmin-always", "bba2"};
-  exp::AbTestConfig cfg;
-  cfg.sessions_per_window = 60;
+  tools::HarnessFlags flags;
+  const exp::AbTestConfig& cfg = flags.cfg;
+  const exp::CheckpointOptions& ckpt = flags.ckpt;
+  const obs::ObsOptions& obs_opts = flags.obs;
   std::string metric_name = "rebuffers";
   std::string baseline = "control";
   std::string csv_prefix;
-  std::string faults_spec;
   bool sequential = false;
   seq::SeqConfig seq_cfg;
   std::string seq_log_path;
-  if (const char* env = std::getenv("BBA_FAULTS")) faults_spec = env;
-  obs::ObsOptions obs_opts = obs::ObsOptions::from_env();
-  exp::CheckpointOptions ckpt = exp::CheckpointOptions::from_env();
 
   for (int i = 1; i < argc; ++i) {
-    if (obs_opts.consume_arg(argc, argv, i)) continue;
+    if (flags.consume_arg(argc, argv, i)) continue;
     const std::string arg = argv[i];
-    auto next = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s needs a value\n", flag);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
+    auto next = [&] { return util::flag_value_or_exit(argc, argv, i); };
     if (arg == "--groups") {
-      group_names = split_csv(next("--groups"));
-    } else if (arg == "--sessions") {
-      const char* v = next("--sessions");
-      if (!tools::parse_count(v, &cfg.sessions_per_window)) {
-        bad_value("--sessions", "a positive session count", v);
-      }
-    } else if (arg == "--days") {
-      const char* v = next("--days");
-      if (!tools::parse_count(v, &cfg.days)) {
-        bad_value("--days", "a positive day count", v);
-      }
-    } else if (arg == "--seed") {
-      const char* v = next("--seed");
-      if (!util::parse_u64(v, &cfg.seed)) {
-        bad_value("--seed", "an unsigned integer", v);
-      }
-    } else if (arg == "--threads") {
-      const char* v = next("--threads");
-      if (!tools::parse_count0(v, &cfg.threads)) {
-        bad_value("--threads", "a thread count >= 0 (0 = hardware)", v);
-      }
+      group_names = split_csv(next());
     } else if (arg == "--metric") {
-      metric_name = next("--metric");
+      metric_name = next();
     } else if (arg == "--baseline") {
-      baseline = next("--baseline");
+      baseline = next();
     } else if (arg == "--csv") {
-      csv_prefix = next("--csv");
-    } else if (arg == "--faults") {
-      faults_spec = next("--faults");
+      csv_prefix = next();
     } else if (arg == "--sequential") {
       sequential = true;
     } else if (arg == "--batch-sessions") {
-      const char* v = next("--batch-sessions");
+      const char* v = next();
       if (!tools::parse_count(v, &seq_cfg.batch_sessions)) {
         bad_value("--batch-sessions", "a positive key count", v);
       }
     } else if (arg == "--confidence") {
-      const char* v = next("--confidence");
+      const char* v = next();
       if (!tools::parse_unit_open(v, &seq_cfg.confidence)) {
         bad_value("--confidence", "a number in (0, 1)", v);
       }
     } else if (arg == "--min-batches") {
-      const char* v = next("--min-batches");
+      const char* v = next();
       if (!tools::parse_count(v, &seq_cfg.min_batches)) {
         bad_value("--min-batches", "a positive round count", v);
       }
     } else if (arg == "--seq-log") {
-      seq_log_path = next("--seq-log");
-    } else if (arg == "--checkpoint-out") {
-      ckpt.out = next("--checkpoint-out");
-    } else if (arg == "--checkpoint-every") {
-      const char* v = next("--checkpoint-every");
-      if (!tools::parse_count(v, &ckpt.every)) {
-        bad_value("--checkpoint-every", "a positive key count", v);
-      }
-    } else if (arg == "--resume") {
-      ckpt.resume = next("--resume");
-    } else if (arg == "--shard") {
-      const char* v = next("--shard");
-      if (!ckpt.parse_shard(v)) {
-        bad_value("--shard", "K/M with 1 <= K <= M", v);
-      }
-    } else if (arg == "--checkpoint-kill") {
-      // Test hook (the resume-smoke CI job): exit(3) right after the Nth
-      // checkpoint save, an exactly reproducible mid-run kill.
-      const char* v = next("--checkpoint-kill");
-      if (!tools::parse_count(v, &ckpt.kill_after)) {
-        bad_value("--checkpoint-kill", "a positive save count", v);
-      }
+      seq_log_path = next();
     } else {
       usage(argv[0]);
       return arg == "--help" || arg == "-h" ? 0 : 2;
     }
   }
+  flags.finish();
   if (group_names.empty() ||
       (group_names.size() == 1 && group_names[0].empty())) {
     usage(argv[0]);
@@ -209,21 +139,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "--shard partitions the fixed (day, window) grid; "
                  "sequential runs cannot shard\n");
-    return 2;
-  }
-  if (ckpt.sharded() && ckpt.out.empty() && !ckpt.resuming()) {
-    std::fprintf(stderr,
-                 "--shard needs --checkpoint-out (the shard's partial "
-                 "result IS its checkpoint)\n");
-    return 2;
-  }
-  // A resumed run reopens the interrupted run's trace file and truncates
-  // it back to the checkpoint instead of starting over.
-  obs_opts.trace_resume = ckpt.resuming();
-  std::string faults_error;
-  if (!net::parse_fault_plan(faults_spec, &cfg.population.faults,
-                             &faults_error)) {
-    std::fprintf(stderr, "--faults: %s\n", faults_error.c_str());
     return 2;
   }
 

@@ -1,6 +1,6 @@
-// bba_obs: render the fleet telemetry artifacts (--timeline-out /
-// $BBA_TIMELINE, schema "bba.timeline.v1"; --alerts-out / $BBA_ALERTS,
-// schema "bba.alerts.v1") as the paper-style dashboard.
+// bba_obs: render the fleet telemetry artifacts (--timeline-out, schema
+// "bba.timeline.v1"; --alerts-out, schema "bba.alerts.v1") as the
+// paper-style dashboard.
 //
 //   bba_obs timeline FILE [--csv]
 //       Hour-of-day rebuffer-rate / video-rate curves per group (days
@@ -466,8 +466,8 @@ int usage(const char* argv0) {
       "       %s health FILE\n"
       "       %s monitor --follow FILE [--once]\n"
       "Renders bba.timeline.v1 artifacts (bba_abtest/bba_paper_report/\n"
-      "bba_session --timeline-out FILE, or $BBA_TIMELINE) and\n"
-      "bba.alerts.v1 artifacts (--alerts-out FILE, or $BBA_ALERTS).\n"
+      "bba_session --timeline-out FILE) and bba.alerts.v1 artifacts\n"
+      "(--alerts-out FILE).\n"
       "  timeline  hour-of-day session/rebuffer/rate table per group\n"
       "            (--csv: raw per-cell rows)\n"
       "  summary   p10/p50/p90/p99 of rate_bps, join_s, buffer_s per group\n"

@@ -202,61 +202,54 @@ int main(int argc, char** argv) {
   double watch_min = 30.0;
   double median_kbps = 3000.0;
   double sigma = 0.8;
-  std::uint64_t seed = 1;
+  // The experiment flags this tool takes: --seed (default 1) and --faults.
+  exp::AbTestConfig run;
+  run.seed = 1;
+  std::uint64_t& seed = run.seed;
+  const net::FaultPlan& faults_plan = run.population.faults;
   bool repro = false;
   unsigned long long repro_day = 0, repro_window = 0, repro_session = 0;
   std::string repro_trace_path;
   long repro_pick = -1;
   bool timeline = false;
-  std::string faults_spec;
-  if (const char* env = std::getenv("BBA_FAULTS")) faults_spec = env;
-  obs::ObsOptions obs_opts = obs::ObsOptions::from_env();
+  obs::ObsOptions obs_opts;
 
   for (int i = 1; i < argc; ++i) {
-    if (obs_opts.consume_arg(argc, argv, i)) continue;
+    if (tools::consume_experiment_arg(argc, argv, i, &run,
+                                      tools::kSeedFlag | tools::kFaultsFlag) ||
+        obs_opts.consume_arg(argc, argv, i)) {
+      continue;
+    }
     const std::string arg = argv[i];
-    auto next = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s needs a value\n", flag);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
+    auto next = [&] { return util::flag_value_or_exit(argc, argv, i); };
     if (arg == "--abr") {
-      abr_name = next("--abr");
+      abr_name = next();
     } else if (arg == "--trace") {
-      trace_path = next("--trace");
+      trace_path = next();
     } else if (arg == "--video") {
-      video_path = next("--video");
+      video_path = next();
     } else if (arg == "--watch") {
-      const char* v = next("--watch");
+      const char* v = next();
       if (!util::parse_num(v, &watch_min) || !(watch_min > 0.0)) {
         std::fprintf(stderr, "--watch: expects positive minutes, got '%s'\n",
                      v);
         return 2;
       }
     } else if (arg == "--median-kbps") {
-      const char* v = next("--median-kbps");
+      const char* v = next();
       if (!util::parse_num(v, &median_kbps) || !(median_kbps > 0.0)) {
         std::fprintf(stderr, "--median-kbps: expects a positive rate, "
                              "got '%s'\n", v);
         return 2;
       }
     } else if (arg == "--sigma") {
-      const char* v = next("--sigma");
+      const char* v = next();
       if (!util::parse_num(v, &sigma) || !(sigma >= 0.0)) {
         std::fprintf(stderr, "--sigma: expects sigma >= 0, got '%s'\n", v);
         return 2;
       }
-    } else if (arg == "--seed") {
-      const char* v = next("--seed");
-      if (!util::parse_u64(v, &seed)) {
-        std::fprintf(stderr, "--seed: expects an unsigned integer, "
-                             "got '%s'\n", v);
-        return 2;
-      }
     } else if (arg == "--repro") {
-      const char* v = next("--repro");
+      const char* v = next();
       std::uint64_t coords[3];
       if (!tools::parse_coords(v, coords)) {
         std::fprintf(stderr, "--repro needs DAY,WINDOW,SESSION, got '%s'\n",
@@ -268,9 +261,9 @@ int main(int argc, char** argv) {
       repro_session = coords[2];
       repro = true;
     } else if (arg == "--repro-trace") {
-      repro_trace_path = next("--repro-trace");
+      repro_trace_path = next();
     } else if (arg == "--repro-pick") {
-      const char* v = next("--repro-pick");
+      const char* v = next();
       std::uint64_t n = 0;
       if (!util::parse_u64(v, &n) ||
           n > static_cast<std::uint64_t>(std::numeric_limits<long>::max())) {
@@ -282,41 +275,31 @@ int main(int argc, char** argv) {
     } else if (arg == "--timeline") {
       timeline = true;
     } else if (arg == "--log") {
-      log_path = next("--log");
-    } else if (arg == "--faults") {
-      faults_spec = next("--faults");
+      log_path = next();
     } else {
       std::fprintf(
           stderr,
           "usage: %s [--abr NAME] [--trace FILE] [--video FILE]\n"
           "          [--watch MIN] [--median-kbps K] [--sigma S]\n"
-          "          [--seed S] [--repro DAY,WINDOW,SESSION] [--log out.csv]\n"
+          "          [--repro DAY,WINDOW,SESSION] [--log out.csv]\n"
           "          [--repro-trace FILE.{jsonl,btrace}] [--repro-pick N]\n"
           "          [--timeline]\n"
-          "          [--faults SPEC]\n"
-          "%s"
+          "%s%s"
           "--repro replays the exact session the A/B harness runs at those\n"
           "grid coordinates for --seed (default population and library).\n"
           "--repro-trace replays the first anomalous session of a\n"
           "  bba_abtest --trace-out file (or the Nth header with\n"
           "  --repro-pick) and prints its Fig. 4-style chunk timeline.\n"
-          "--faults injects a fault plan into the session trace\n"
-          "  (docs/faults.md; default $BBA_FAULTS, else off). To replay a\n"
-          "  session from a fault-injected harness run, pass the run's\n"
-          "  --faults spec so the trace reconstructs bit-exact.\n",
-          argv[0], obs::ObsOptions::usage());
+          "--faults: to replay a session from a fault-injected harness\n"
+          "  run, pass the run's --faults spec so the trace reconstructs\n"
+          "  bit-exact.\n",
+          argv[0],
+          tools::experiment_usage(tools::kSeedFlag | tools::kFaultsFlag)
+              .c_str(),
+          obs::ObsOptions::usage());
       return arg == "--help" || arg == "-h" ? 0 : 2;
     }
   }
-  net::FaultPlan faults_plan;
-  {
-    std::string faults_error;
-    if (!net::parse_fault_plan(faults_spec, &faults_plan, &faults_error)) {
-      std::fprintf(stderr, "--faults: %s\n", faults_error.c_str());
-      return 2;
-    }
-  }
-
   if (!repro_trace_path.empty()) {
     if (repro) {
       std::fprintf(stderr, "--repro-trace is exclusive with --repro\n");

@@ -1,7 +1,7 @@
 // bba_paper_report: one-shot reproduction report.
 //
-//   bba_paper_report [--sessions N] [--days N] [--seed S] [--threads N]
-//                    [--out REPORT.md]
+//   bba_paper_report [--out REPORT.md]
+//                    [the harness flags: tools::HarnessFlags]
 //
 // Runs a single A/B experiment with all six groups (Control, R_min-Always,
 // BBA-0/1/2/Others) and renders every A/B-based figure of the paper from
@@ -10,7 +10,6 @@
 // confidence intervals.
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -20,7 +19,6 @@
 #include "exp/dump.hpp"
 #include "exp/report.hpp"
 #include "media/video.hpp"
-#include "net/fault_inject.hpp"
 #include "obs/setup.hpp"
 #include "util/table.hpp"
 
@@ -65,103 +63,28 @@ std::string ratio_row(const exp::AbTestResult& result,
 }  // namespace
 
 int main(int argc, char** argv) {
-  exp::AbTestConfig cfg;
-  cfg.sessions_per_window = 120;
-  cfg.days = 3;
-  cfg.seed = 2014;
+  tools::HarnessFlags flags;
+  flags.cfg.sessions_per_window = 120;
+  const exp::AbTestConfig& cfg = flags.cfg;
+  const exp::CheckpointOptions& ckpt = flags.ckpt;
   std::string out_path = "REPORT.md";
-  std::string faults_spec;
-  if (const char* env = std::getenv("BBA_FAULTS")) faults_spec = env;
-  obs::ObsOptions obs_opts = obs::ObsOptions::from_env();
-  exp::CheckpointOptions ckpt = exp::CheckpointOptions::from_env();
 
   for (int i = 1; i < argc; ++i) {
-    if (obs_opts.consume_arg(argc, argv, i)) continue;
+    if (flags.consume_arg(argc, argv, i)) continue;
     const std::string arg = argv[i];
-    auto next = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s needs a value\n", flag);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    auto parsed = [&](const char* flag, bool ok, const char* value,
-                      const char* detail) {
-      if (!ok) {
-        std::fprintf(stderr, "%s: expects %s, got '%s'\n", flag, detail,
-                     value);
-        std::exit(2);
-      }
-    };
-    if (arg == "--sessions") {
-      const char* v = next("--sessions");
-      parsed("--sessions", tools::parse_count(v, &cfg.sessions_per_window),
-             v, "a positive session count");
-    } else if (arg == "--days") {
-      const char* v = next("--days");
-      parsed("--days", tools::parse_count(v, &cfg.days), v,
-             "a positive day count");
-    } else if (arg == "--seed") {
-      const char* v = next("--seed");
-      parsed("--seed", util::parse_u64(v, &cfg.seed), v,
-             "an unsigned integer");
-    } else if (arg == "--threads") {
-      const char* v = next("--threads");
-      parsed("--threads", tools::parse_count0(v, &cfg.threads), v,
-             "a thread count >= 0 (0 = hardware)");
-    } else if (arg == "--out") {
-      out_path = next("--out");
-    } else if (arg == "--faults") {
-      faults_spec = next("--faults");
-    } else if (arg == "--checkpoint-out") {
-      ckpt.out = next("--checkpoint-out");
-    } else if (arg == "--checkpoint-every") {
-      const char* v = next("--checkpoint-every");
-      parsed("--checkpoint-every", tools::parse_count(v, &ckpt.every), v,
-             "a positive key count");
-    } else if (arg == "--resume") {
-      ckpt.resume = next("--resume");
-    } else if (arg == "--shard") {
-      const char* v = next("--shard");
-      parsed("--shard", ckpt.parse_shard(v), v,
-             "K/M with 1 <= K <= M");
-    } else if (arg == "--checkpoint-kill") {
-      // Test hook: exit(3) after the Nth checkpoint save.
-      const char* v = next("--checkpoint-kill");
-      parsed("--checkpoint-kill", tools::parse_count(v, &ckpt.kill_after),
-             v, "a positive save count");
+    if (arg == "--out") {
+      out_path = util::flag_value_or_exit(argc, argv, i);
     } else {
       std::fprintf(stderr,
-                   "usage: %s [--sessions N] [--days N] [--seed S] "
-                   "[--threads N] [--out REPORT.md] [--faults SPEC]\n"
-                   "       [--checkpoint-out FILE] [--checkpoint-every N] "
-                   "[--resume FILE] [--shard K/M]\n"
-                   "%s"
-                   "  --threads 0 (default) uses all hardware threads; "
-                   "the report is bit-identical for every thread count\n"
-                   "  --faults injects a fault plan into every session's "
-                   "trace (docs/faults.md; default $BBA_FAULTS, else off)\n"
-                   "  --checkpoint-out + --checkpoint-every save resumable "
-                   "state every N keys (docs/checkpoint.md)\n"
-                   "  --resume continues a run from a checkpoint file; the "
-                   "finished report is byte-identical\n"
-                   "  --shard K/M runs shard K of M and writes a partial "
-                   "checkpoint (merge with bba_merge); no report is "
-                   "rendered\n",
-                   argv[0], obs::ObsOptions::usage());
+                   "usage: %s [--out REPORT.md]\n%s"
+                   "--shard K/M writes a partial checkpoint and no report;\n"
+                   "  merge the partials with bba_merge and render the\n"
+                   "  report via --resume\n",
+                   argv[0], tools::HarnessFlags::usage().c_str());
       return arg == "--help" || arg == "-h" ? 0 : 2;
     }
   }
-  if (ckpt.sharded() && ckpt.out.empty() && !ckpt.resuming()) {
-    std::fprintf(stderr, "--shard needs --checkpoint-out\n");
-    return 2;
-  }
-  std::string faults_error;
-  if (!net::parse_fault_plan(faults_spec, &cfg.population.faults,
-                             &faults_error)) {
-    std::fprintf(stderr, "--faults: %s\n", faults_error.c_str());
-    return 2;
-  }
+  flags.finish();
 
   std::vector<exp::Group> groups;
   for (const char* name :
@@ -172,8 +95,7 @@ int main(int argc, char** argv) {
                "running 6 groups x %zu sessions/window x %zu days...\n",
                cfg.sessions_per_window, cfg.days);
   const media::VideoLibrary library = media::VideoLibrary::standard(11);
-  obs_opts.trace_resume = ckpt.resuming();
-  obs::ObsScope obs_scope(obs_opts, cfg.threads);
+  obs::ObsScope obs_scope(flags.obs, cfg.threads);
   if (!obs_scope.ok()) return 1;
   exp::AbTestResult result;
   std::string ckpt_error;
