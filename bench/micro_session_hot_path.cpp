@@ -12,8 +12,9 @@
 // CapacityTrace::assign + a reused Bba2 reading its title's decision
 // table) feeding a StreamingMetricsSink. Both produce bit-identical
 // SessionMetrics, which this binary also checks.
-// Allocations are counted by interposing global operator new in this
-// binary; the strict single-thread pass checks the MAXIMUM allocations of
+// Allocations are counted by the tests' armable operator new
+// (tests/alloc_budget.hpp, an unbounded budget around each measured
+// loop); the strict single-thread pass checks the MAXIMUM allocations of
 // any one steady-state session, which must be exactly zero. Observability
 // is compiled into the instrumented libraries (obs::count in the player /
 // cursor / reservoir paths), so the streaming rows double as proof that the
@@ -32,17 +33,16 @@
 // offender tracking; docs/monitoring.md) under a quiet spec, with the
 // same two hard exits (monitor_overhead_frac).
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <memory>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <new>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "alloc_budget.hpp"
 #include "bench_common.hpp"
 #include "core/bba2.hpp"
 #include "core/reservoir.hpp"
@@ -67,55 +67,10 @@
 #include "sim/simulate.hpp"
 
 // ---------------------------------------------------------------------------
-// Allocation counter: every operator new in this binary bumps the counter
-// while counting is enabled. delete is left uncounted (frees are the
-// mirror of the allocations we already count).
-namespace {
-std::atomic<long long> g_allocs{0};
-std::atomic<bool> g_counting{false};
-
-inline void count_alloc() {
-  if (g_counting.load(std::memory_order_relaxed)) {
-    g_allocs.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-}  // namespace
-
-void* operator new(std::size_t size) {
-  count_alloc();
-  void* p = std::malloc(size == 0 ? 1 : size);
-  if (p == nullptr) throw std::bad_alloc();
-  return p;
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void* operator new(std::size_t size, std::align_val_t align) {
-  count_alloc();
-  void* p = std::aligned_alloc(static_cast<std::size_t>(align),
-                               (size + static_cast<std::size_t>(align) - 1) &
-                                   ~(static_cast<std::size_t>(align) - 1));
-  if (p == nullptr) throw std::bad_alloc();
-  return p;
-}
-void* operator new[](std::size_t size, std::align_val_t align) {
-  return ::operator new(size, align);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-
-// ---------------------------------------------------------------------------
 namespace {
 
 using namespace bba;
+using testing_support::AllocationBudget;
 
 struct BenchSetup {
   exp::Population population;
@@ -354,27 +309,24 @@ int main(int argc, char** argv) {
 
   long long max_session_allocs = 0;
   {
-    g_counting.store(true);
+    const AllocationBudget counting(AllocationBudget::kUnbounded);
     for (std::size_t i = 0; i < setup.sessions; ++i) {
-      const long long before = g_allocs.load();
+      const std::size_t before = counting.count();
       run_streaming(setup, i, scratch, &streamed[i]);
       max_session_allocs =
-          std::max(max_session_allocs, g_allocs.load() - before);
+          std::max<long long>(max_session_allocs, counting.count() - before);
     }
-    g_counting.store(false);
   }
 
   auto time_direct = [&](const char* mode, auto&& body) {
     double best = 1e100;
     long long allocs = 0;
     for (std::size_t p = 0; p < passes; ++p) {
-      g_allocs.store(0);
-      g_counting.store(true);
+      const AllocationBudget counting(AllocationBudget::kUnbounded);
       const auto start = std::chrono::steady_clock::now();
       for (std::size_t i = 0; i < setup.sessions; ++i) body(i);
       const double s = seconds_since(start);
-      g_counting.store(false);
-      allocs = g_allocs.load();
+      allocs = counting.count();
       best = std::min(best, s);
     }
     rows.push_back({mode, 1, best,
@@ -457,14 +409,13 @@ int main(int argc, char** argv) {
     };
     for (std::size_t i = 0; i < setup.sessions; ++i) run_one(i);  // warmup
     {
-      g_counting.store(true);
+      const AllocationBudget counting(AllocationBudget::kUnbounded);
       for (std::size_t i = 0; i < setup.sessions; ++i) {
-        const long long before = g_allocs.load();
+        const std::size_t before = counting.count();
         run_one(i);
-        max_timeline_allocs =
-            std::max(max_timeline_allocs, g_allocs.load() - before);
+        max_timeline_allocs = std::max<long long>(max_timeline_allocs,
+                                                  counting.count() - before);
       }
-      g_counting.store(false);
     }
     time_direct("streaming_timeline", run_one);
     for (std::size_t i = 0; i < setup.sessions; ++i) {
@@ -509,14 +460,13 @@ int main(int argc, char** argv) {
     };
     for (std::size_t i = 0; i < setup.sessions; ++i) run_one(i);  // warmup
     {
-      g_counting.store(true);
+      const AllocationBudget counting(AllocationBudget::kUnbounded);
       for (std::size_t i = 0; i < setup.sessions; ++i) {
-        const long long before = g_allocs.load();
+        const std::size_t before = counting.count();
         run_one(i);
-        max_monitor_allocs =
-            std::max(max_monitor_allocs, g_allocs.load() - before);
+        max_monitor_allocs = std::max<long long>(max_monitor_allocs,
+                                                 counting.count() - before);
       }
-      g_counting.store(false);
     }
     time_direct("streaming_monitor", run_one);
     for (std::size_t i = 0; i < setup.sessions; ++i) {
@@ -592,8 +542,7 @@ int main(int argc, char** argv) {
             [](std::size_t) {});
       }
       for (std::size_t p = 0; p < passes; ++p) {
-        g_allocs.store(0);
-        g_counting.store(true);
+        const AllocationBudget counting(AllocationBudget::kUnbounded);
         const auto start = std::chrono::steady_clock::now();
         if (streaming) {
           executor.execute_slotted(
@@ -609,8 +558,7 @@ int main(int argc, char** argv) {
               [](std::size_t) {});
         }
         const double s = seconds_since(start);
-        g_counting.store(false);
-        allocs = g_allocs.load();
+        allocs = counting.count();
         best = std::min(best, s);
       }
       rows.push_back({mode, hw, best,

@@ -58,6 +58,16 @@ std::size_t AbTestResult::group_index(const std::string& name) const {
   return 0;
 }
 
+AbTestResult AbTestResult::select(
+    const std::vector<std::string>& names) const {
+  AbTestResult out;
+  for (const auto& name : names) {
+    out.group_names.push_back(name);
+    out.cells.push_back(cells[group_index(name)]);
+  }
+  return out;
+}
+
 WindowMetrics AbTestResult::merged(std::size_t group,
                                    std::size_t window) const {
   BBA_ASSERT(group < cells.size(), "group out of range");

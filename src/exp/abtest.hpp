@@ -94,6 +94,11 @@ struct AbTestResult {
   /// Index of a group by name; aborts if absent.
   std::size_t group_index(const std::string& name) const;
 
+  /// The named groups alone, in the order given (aborts on an unknown
+  /// name). A group's cells do not depend on which groups ran beside it,
+  /// so this equals a run of just those groups.
+  AbTestResult select(const std::vector<std::string>& names) const;
+
   /// Metric cell merged over all days for (group, window).
   WindowMetrics merged(std::size_t group, std::size_t window) const;
 

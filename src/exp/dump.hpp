@@ -1,7 +1,7 @@
 // Plot-ready CSV export of A/B results.
 //
-// Each figure bench prints human-readable rows; this writes the same data
-// as machine-readable CSV (one row per two-hour window, one column per
+// bba_paper_report prints each A/B figure's human-readable rows; this
+// writes the same data as machine-readable CSV (one row per two-hour window, one column per
 // group, plus per-day values for error bars) so the paper's plots can be
 // regenerated with any plotting tool.
 #pragma once

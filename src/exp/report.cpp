@@ -36,8 +36,8 @@ MetricDef switches_per_hour_metric() {
           [](const WindowMetrics& m) { return m.switches_per_hour(); }};
 }
 
-void print_absolute_by_window(const AbTestResult& result,
-                              const MetricDef& metric) {
+std::string absolute_by_window(const AbTestResult& result,
+                               const MetricDef& metric) {
   std::vector<std::string> header{"window(GMT)", "peak"};
   for (const auto& name : result.group_names) header.push_back(name);
   util::Table table(std::move(header));
@@ -52,14 +52,14 @@ void print_absolute_by_window(const AbTestResult& result,
     }
     table.add_row(std::move(row));
   }
-  std::printf("%s by two-hour window (merged over days, +/- day stddev):\n",
-              metric.name.c_str());
-  table.print();
+  return metric.name +
+         " by two-hour window (merged over days, +/- day stddev):\n" +
+         table.to_string();
 }
 
-void print_normalized_by_window(const AbTestResult& result,
-                                const MetricDef& metric,
-                                const std::string& baseline_group) {
+std::string normalized_by_window(const AbTestResult& result,
+                                 const MetricDef& metric,
+                                 const std::string& baseline_group) {
   const std::size_t base = result.group_index(baseline_group);
   std::vector<std::string> header{"window(GMT)", "peak"};
   for (const auto& name : result.group_names) {
@@ -78,14 +78,13 @@ void print_normalized_by_window(const AbTestResult& result,
     }
     table.add_row(std::move(row));
   }
-  std::printf("%s normalized to %s per window:\n", metric.name.c_str(),
-              baseline_group.c_str());
-  table.print();
+  return metric.name + " normalized to " + baseline_group +
+         " per window:\n" + table.to_string();
 }
 
-void print_delta_by_window(const AbTestResult& result,
-                           const MetricDef& metric,
-                           const std::string& baseline_group) {
+std::string delta_by_window(const AbTestResult& result,
+                            const MetricDef& metric,
+                            const std::string& baseline_group) {
   const std::size_t base = result.group_index(baseline_group);
   std::vector<std::string> header{"window(GMT)", "peak"};
   for (std::size_t g = 0; g < result.num_groups(); ++g) {
@@ -104,9 +103,8 @@ void print_delta_by_window(const AbTestResult& result,
     }
     table.add_row(std::move(row));
   }
-  std::printf("%s: %s minus each group, per window:\n", metric.name.c_str(),
-              baseline_group.c_str());
-  table.print();
+  return metric.name + ": " + baseline_group +
+         " minus each group, per window:\n" + table.to_string();
 }
 
 namespace {

@@ -6,9 +6,9 @@
 //   * metric normalized to the Control group's window average (Figs. 7b,
 //     9, 14b, 19b, 24b);
 //   * video-rate delta vs Control in kb/s (Figs. 8, 15, 17, 18, 23).
-// These helpers print each shape as aligned rows (with day-to-day standard
-// deviation as the error bar) and expose scalar summaries for the benches'
-// shape checks.
+// These helpers render each shape as aligned rows (with day-to-day standard
+// deviation as the error bar) and expose the scalar summaries the paper's
+// claims are judged on (exp/claims.hpp).
 #pragma once
 
 #include <functional>
@@ -31,25 +31,25 @@ MetricDef startup_rate_kbps_metric();
 MetricDef steady_rate_kbps_metric();
 MetricDef switches_per_hour_metric();
 
-/// Prints one row per window: the metric for every group (merged over
-/// days) with +/- day-to-day standard deviation, and a "peak" marker on
-/// the USA peak-viewing windows.
-void print_absolute_by_window(const AbTestResult& result,
-                              const MetricDef& metric);
+/// One row per window: the metric for every group (merged over days)
+/// with +/- day-to-day standard deviation, and a "peak" marker on the USA
+/// peak-viewing windows. Returns the caption line and the aligned table.
+std::string absolute_by_window(const AbTestResult& result,
+                               const MetricDef& metric);
 
-/// Prints one row per window: each group's metric divided by
-/// `baseline_group`'s metric in the same window (the paper's
-/// "normalized to the average of Control in each two-hour period").
-void print_normalized_by_window(const AbTestResult& result,
-                                const MetricDef& metric,
-                                const std::string& baseline_group);
+/// One row per window: each group's metric divided by `baseline_group`'s
+/// metric in the same window (the paper's "normalized to the average of
+/// Control in each two-hour period").
+std::string normalized_by_window(const AbTestResult& result,
+                                 const MetricDef& metric,
+                                 const std::string& baseline_group);
 
-/// Prints one row per window: baseline minus group, in the metric's units
-/// (used with the rate metrics, matching the paper's "difference in the
+/// One row per window: baseline minus group, in the metric's units (used
+/// with the rate metrics, matching the paper's "difference in the
 /// delivered video rate" axes).
-void print_delta_by_window(const AbTestResult& result,
-                           const MetricDef& metric,
-                           const std::string& baseline_group);
+std::string delta_by_window(const AbTestResult& result,
+                            const MetricDef& metric,
+                            const std::string& baseline_group);
 
 /// Play-hours-weighted mean over windows of group/baseline ratios.
 /// `peak_only` restricts to the USA peak windows.

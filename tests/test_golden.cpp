@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
@@ -406,13 +407,14 @@ TEST(GoldenDigest, PaperReportStdout) {
               " 2>/dev/null",
           &status);
   std::remove(report.c_str());
+  std::filesystem::remove_all(temp_path("figure_data"));
   // Digest from the report heading on: the preamble echoes the temp path.
   const std::size_t body = out.find("# BBA reproduction report");
   ASSERT_NE(body, std::string::npos) << out;
   Digest d;
   d.value(status);
   d.text(out.substr(body));
-  expect_digest("paper report", d.h, 0xffd2bc82cceff685ull);
+  expect_digest("paper report", d.h, 0xbdb1a517fc921551ull);
 }
 
 // --- Checkpoint container bytes ---------------------------------------------

@@ -244,7 +244,7 @@ MarkovTraceConfig stream_test_config() {
   return cfg;
 }
 
-TEST(StreamCursor, LazyStreamMatchesTraceCursor) {
+TEST(StreamCursor, LazyStreamMatchesCapacityTrace) {
   const std::vector<Tally> want = {
       {996, 38}, {996, 36}, {996, 42}, {996, 38}, {996, 42}, {996, 41},
       {996, 311}, {996, 309}, {996, 317}, {996, 309}, {996, 321}, {996, 308}};
@@ -263,7 +263,7 @@ TEST(StreamCursor, LazyStreamMatchesTraceCursor) {
   EXPECT_EQ(got, want);
 }
 
-TEST(StreamCursor, AssignedTracesMatchTraceCursor) {
+TEST(StreamCursor, AssignedTracesMatchCapacityTrace) {
   // One line per trace: monotone and rewinding session streams, then the
   // gapped, random and corner streams. Last, the TCP stream over a looping
   // trace and over the same segments ending.

@@ -5,12 +5,16 @@
 // behind every numeric flag (util::parse_u64 plus the tools/cli_parse.hpp
 // bounds and shared flag reader), and the bba.alerts.v1 parser behind
 // `bba_obs health` -- plus the harness tools' exit status when an artifact
-// cannot be written, and the benches' when a flag is malformed.
+// cannot be written, the benches' when a flag is malformed, the figure
+// data bba_paper_report writes, and bba_session's default replay seed.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -494,8 +498,8 @@ TEST(ToolOutputs, FailedArtifactWritesExitOne) {
 // and abort on an assert, or skip an unknown flag.
 TEST(ToolOutputs, MalformedBenchFlagsExitTwo) {
   for (const std::string& cmd : {
-           std::string(BBA_FIG09_BIN) + " --seed pony",
-           std::string(BBA_FIG09_BIN) + " --bogus",
+           std::string(BBA_ABLATION_BBA1_BIN) + " --seed pony",
+           std::string(BBA_ABLATION_BBA1_BIN) + " --bogus",
            std::string(BBA_SEQ_EARLY_STOP_BIN) + " --sessions pony",
            std::string(BBA_PARALLEL_SCALING_BIN) + " --sessions pony",
            std::string(BBA_HOT_PATH_BIN) + " --passes pony",
@@ -505,6 +509,78 @@ TEST(ToolOutputs, MalformedBenchFlagsExitTwo) {
     EXPECT_EQ(run_tool(cmd, &out, " 2>/dev/null"), 2);
     EXPECT_EQ(out, "");
   }
+}
+
+// A bare --repro replays a session of the run the harness tools make by
+// default (seed 2014), and says which seed it replays.
+TEST(ToolOutputs, SessionReproDefaultsToHarnessSeed) {
+  std::string out;
+  EXPECT_EQ(run_tool(std::string(BBA_SESSION_BIN) + " --repro 0,0,0", &out,
+                     " 2>/dev/null"),
+            0);
+  EXPECT_NE(out.find("(repro seed 2014 day 0 window 0 session 0)"),
+            std::string::npos)
+      << out;
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+// bba_paper_report writes every A/B figure's plot data from its one
+// six-group run into figure_data/ beside --out. Each figure's CSV pair is
+// byte-equal to what a run of that figure's groups alone writes: a group's
+// cells do not depend on which groups run beside it.
+TEST(PaperReport, FigureCsvsMatchSubsetRuns) {
+  const std::string dir = testing::TempDir() + "/bba_paper_report_figures";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string size = " --sessions 6 --days 1 --threads 2";
+  std::string log;
+  // A population this small fails some claims (exit 1); the CSVs are
+  // written either way.
+  run_tool(std::string(BBA_PAPER_REPORT_BIN) + size + " --out " + dir +
+               "/REPORT.md",
+           &log);
+  struct FigureRun {
+    const char* csv;
+    const char* groups;
+    const char* metric;
+  };
+  const std::vector<FigureRun> figures = {
+      {"fig07_rebuffers", "control,rmin-always,bba0", "rebuffers"},
+      {"fig08_video_rate", "control,bba0", "rate"},
+      {"fig09_switch_rate", "control,bba0", "switches"},
+      {"fig14_rebuffers", "control,rmin-always,bba0,bba1", "rebuffers"},
+      {"fig15_video_rate", "control,bba0,bba1", "rate"},
+      {"fig17_video_rate", "control,bba1,bba2", "rate"},
+      {"fig18_steady_rate", "control,bba2", "steady"},
+      {"fig19_rebuffers", "control,rmin-always,bba1,bba2", "rebuffers"},
+      {"fig20_switch_rate", "control,bba1,bba2", "switches"},
+      {"fig22_switch_rate", "control,bba2,bba-others", "switches"},
+      {"fig23_video_rate", "control,bba2,bba-others", "rate"},
+      {"fig24_rebuffers", "control,rmin-always,bba-others", "rebuffers"},
+  };
+  for (const FigureRun& fig : figures) {
+    SCOPED_TRACE(fig.csv);
+    const std::string prefix = dir + "/subset";
+    ASSERT_EQ(run_tool(std::string(BBA_ABTEST_BIN) + size + " --groups " +
+                           fig.groups + " --metric " + fig.metric +
+                           " --csv " + prefix,
+                       &log),
+              0)
+        << log;
+    for (const std::string suffix : {".csv", "_per_day.csv"}) {
+      const std::string subset =
+          read_file(prefix + "_" + fig.metric + suffix);
+      EXPECT_NE(subset, "");
+      EXPECT_EQ(read_file(dir + "/figure_data/" + fig.csv + suffix), subset);
+    }
+  }
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -252,14 +252,15 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  exp::print_absolute_by_window(result, metric);
+  std::fputs(exp::absolute_by_window(result, metric).c_str(), stdout);
   std::printf("\n");
   bool has_baseline = false;
   for (const auto& name : result.group_names) {
     if (name == baseline) has_baseline = true;
   }
   if (has_baseline) {
-    exp::print_normalized_by_window(result, metric, baseline);
+    std::fputs(exp::normalized_by_window(result, metric, baseline).c_str(),
+               stdout);
     std::printf("\n");
     for (const auto& name : result.group_names) {
       if (name == baseline) continue;

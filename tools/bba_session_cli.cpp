@@ -11,8 +11,9 @@
 // --repro DAY,WINDOW,SESSION reconstructs the exact environment, capacity
 // trace, title, and watch duration that the A/B harness (bba_abtest with
 // default population/workload and the standard library) gives session
-// (DAY, WINDOW, SESSION) under experiment seed --seed: all streams are
-// pure functions of those coordinates, so the replay is bit-exact.
+// (DAY, WINDOW, SESSION) under experiment seed --seed (default 2014, as in
+// bba_abtest and bba_paper_report): all streams are pure functions of
+// those coordinates, so the replay is bit-exact.
 //
 // --repro-trace FILE reads a session trace written by `bba_abtest
 // --trace-out` -- JSONL or the btrace binary container (sniffed by magic;
@@ -202,9 +203,10 @@ int main(int argc, char** argv) {
   double watch_min = 30.0;
   double median_kbps = 3000.0;
   double sigma = 0.8;
-  // The experiment flags this tool takes: --seed (default 1) and --faults.
+  // The experiment flags this tool takes: --seed (default 2014, the
+  // harness tools' default, so a bare --repro replays their run) and
+  // --faults.
   exp::AbTestConfig run;
-  run.seed = 1;
   std::uint64_t& seed = run.seed;
   const net::FaultPlan& faults_plan = run.population.faults;
   bool repro = false;
@@ -286,7 +288,8 @@ int main(int argc, char** argv) {
           "          [--timeline]\n"
           "%s%s"
           "--repro replays the exact session the A/B harness runs at those\n"
-          "grid coordinates for --seed (default population and library).\n"
+          "grid coordinates for --seed (default 2014, as in bba_abtest;\n"
+          "default population and library).\n"
           "--repro-trace replays the first anomalous session of a\n"
           "  bba_abtest --trace-out file (or the Nth header with\n"
           "  --repro-pick) and prints its Fig. 4-style chunk timeline.\n"
@@ -359,8 +362,10 @@ int main(int argc, char** argv) {
         exp::session_for(library, exp::WorkloadConfig{}, key);
     video = library.at(spec.video_index);
     watch_s = spec.watch_duration_s;
-    source_label = util::format("(repro day %llu window %llu session %llu)",
-                                repro_day, repro_window, repro_session);
+    source_label = util::format(
+        "(repro seed %llu day %llu window %llu session %llu)",
+        static_cast<unsigned long long>(seed), repro_day, repro_window,
+        repro_session);
   }
 
   if (!trace) {

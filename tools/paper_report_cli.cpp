@@ -4,18 +4,20 @@
 //                    [the harness flags: tools::HarnessFlags]
 //
 // Runs a single A/B experiment with all six groups (Control, R_min-Always,
-// BBA-0/1/2/Others) and renders every A/B-based figure of the paper from
-// it -- the same numbers the individual fig* benches produce, computed
-// from one shared run and written as a Markdown report with bootstrap
-// confidence intervals.
-#include <cmath>
+// BBA-0/1/2/Others), renders every A/B figure of the paper from it (each
+// from the subset of groups the figure shows, exp/claims.hpp) and checks
+// every paper claim on it. Writes a Markdown report with bootstrap
+// confidence intervals to --out and each figure's plot data to
+// figure_data/ beside it; exits 1 if a claim does not hold.
 #include <cstdio>
+#include <filesystem>
 #include <string>
 #include <vector>
 
 #include "cli_parse.hpp"
 #include "exp/abtest.hpp"
 #include "exp/checkpoint.hpp"
+#include "exp/claims.hpp"
 #include "exp/dump.hpp"
 #include "exp/report.hpp"
 #include "media/video.hpp"
@@ -35,6 +37,13 @@ class Report {
     std::printf("%s\n", s.c_str());
   }
   void blank() { line(""); }
+  /// A fenced block of preformatted text (which ends in a newline).
+  void preformatted(const std::string& text) {
+    line("```");
+    text_ += text;
+    std::fputs(text.c_str(), stdout);
+    line("```");
+  }
   bool write(const std::string& path) const {
     std::FILE* f = std::fopen(path.c_str(), "w");
     if (f == nullptr) return false;
@@ -171,36 +180,37 @@ int main(int argc, char** argv) {
 
   report.line("## Paper claims checked against this run");
   report.blank();
-  struct Claim {
-    const char* text;
-    bool ok;
-  };
-  const double bba2_rebuf =
-      exp::mean_normalized(result, rebuf, "bba2", "control", false);
-  const double bba2_rate =
-      exp::mean_delta(result, rate, "bba2", "control", false);
-  const double bba2_steady =
-      exp::mean_delta(result, steady, "bba2", "control", false);
-  const double bba0_sw =
-      exp::mean_normalized(result, switches, "bba0", "control", false);
-  const double others_sw =
-      exp::mean_normalized(result, switches, "bba-others", "control", false);
-  const std::vector<Claim> claims = {
-      {"BBA-2 rebuffers less than Control (abstract: 10-20%)",
-       bba2_rebuf < 1.0},
-      {"BBA-2's average rate within 100 kb/s of Control's",
-       std::abs(bba2_rate) < 100.0},
-      {"BBA-2's steady-state rate above Control's", bba2_steady < 0.0},
-      {"BBA-0 switches roughly half as often as Control",
-       bba0_sw > 0.25 && bba0_sw < 0.85},
-      {"BBA-Others' switching comparable to Control's",
-       others_sw > 0.5 && others_sw < 1.35},
-  };
-  bool all_ok = true;
-  for (const auto& claim : claims) {
-    all_ok &= claim.ok;
-    report.line(util::format("- [%s] %s", claim.ok ? "x" : " ",
-                             claim.text));
+  const std::vector<exp::Claim>& claims = exp::paper_claims();
+  std::size_t held = 0;
+  for (const exp::Claim& claim : claims) {
+    const double value = claim.value(result);
+    const bool ok = claim.holds(result, value);
+    held += ok ? 1 : 0;
+    report.line(util::format("- [%s] %s: %s (", ok ? "x" : " ", claim.figure,
+                             claim.text) +
+                util::format(claim.format, value) + ")");
+  }
+  report.blank();
+  report.line(util::format("%zu of %zu claims hold.", held, claims.size()));
+  report.blank();
+
+  report.line("## Figures");
+  report.blank();
+  report.line("Each figure's groups, as in a run of those groups alone. Plot "
+              "data: `figure_data/<name>.csv` (merged over days) and "
+              "`figure_data/<name>_per_day.csv` beside the report.");
+  for (const exp::Figure& fig : exp::paper_figures()) {
+    const exp::AbTestResult view = result.select(fig.groups);
+    report.blank();
+    report.line(util::format("### %s: %s", fig.id, fig.title));
+    report.blank();
+    report.line(util::format("%s Plot data: `figure_data/%s.csv`.",
+                             fig.shape, fig.csv));
+    report.blank();
+    report.preformatted(
+        exp::absolute_by_window(view, fig.metric) + "\n" +
+        (fig.delta ? exp::delta_by_window(view, fig.metric, "control")
+                   : exp::normalized_by_window(view, fig.metric, "control")));
   }
   report.blank();
 
@@ -209,5 +219,19 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::fprintf(stderr, "report written to %s\n", out_path.c_str());
-  return obs_scope.finish() && all_ok ? 0 : 1;
+  const std::filesystem::path data_dir =
+      std::filesystem::path(out_path).parent_path() / "figure_data";
+  std::error_code ec;
+  std::filesystem::create_directories(data_dir, ec);
+  for (const exp::Figure& fig : exp::paper_figures()) {
+    const exp::AbTestResult view = result.select(fig.groups);
+    const std::string base = (data_dir / fig.csv).string();
+    if (!exp::dump_metric_csv(base + ".csv", view, fig.metric) ||
+        !exp::dump_metric_per_day_csv(base + "_per_day.csv", view,
+                                      fig.metric)) {
+      std::fprintf(stderr, "could not write %s.csv\n", base.c_str());
+      return 1;
+    }
+  }
+  return obs_scope.finish() && held == claims.size() ? 0 : 1;
 }
