@@ -248,6 +248,36 @@ TEST(GoldenDigest, SeeksWithGiveUp) {
   expect_digest("seeks", d.h, 0xe3415ccb7fbea2cfull);
 }
 
+TEST(GoldenDigest, BolaRmin560TightThresholds) {
+  // BOLA on a second ladder (R_min raised to 560 kb/s) and non-default
+  // thresholds, so its decisions are pinned beyond the standard titles
+  // and BolaConfig the harness digests above use.
+  const media::VideoLibrary library = media::VideoLibrary::standard(
+      2014, media::EncodingLadder::netflix_2013_rmin560());
+  exp::PopulationConfig pop_cfg;
+  pop_cfg.outage_session_fraction = 0.3;
+  const exp::Population population(pop_cfg);
+  const exp::WorkloadConfig workload;
+  abr::BolaConfig bola_cfg;
+  bola_cfg.min_threshold_s = 6.0;
+  bola_cfg.max_threshold_s = 120.0;
+  abr::BolaAbr bola(bola_cfg);
+  net::TraceScratch scratch;
+  net::CapacityTrace trace = net::CapacityTrace::constant(1.0);
+  Digest d;
+  for (std::size_t s = 0; s < 24; ++s) {
+    const exp::SessionKey key{2014, 0, s % exp::kWindowsPerDay, s};
+    const exp::UserEnvironment env = population.environment_for(key);
+    const exp::SessionSpec spec = exp::session_for(library, workload, key);
+    population.trace_for_into(env, key, scratch, trace);
+    sim::PlayerConfig cfg;
+    cfg.watch_duration_s = spec.watch_duration_s;
+    mix(d, sim::simulate_session(library.at(spec.video_index), trace, bola,
+                                 cfg));
+  }
+  expect_digest("bola rmin560", d.h, 0x5fbcd13da2f010efull);
+}
+
 // --- Tool output bytes -----------------------------------------------------
 
 std::string slurp(const std::string& path) {

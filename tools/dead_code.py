@@ -6,7 +6,9 @@ The tree is built in Release with -ffunction-sections -fdata-sections and
 something reaches. A function that a src/ library defines out of line
 (nm type T or t) but that appears in none of the tool, bench and example
 binaries is unlinked. Tests do not count as users: code only a test calls
-is exactly what this finds.
+is exactly what this finds. Only executables of targets the build tree
+currently defines are audited: a stale binary that a deleted target left
+in a reused tree is reported and skipped.
 
 Not every unlinked function is dead. Each one must be listed in the
 allowlist (tools/dead_code_allowlist.txt) under one of three reasons:
@@ -78,13 +80,34 @@ def libraries(build_dir):
                 yield os.path.join(root, f)
 
 
+def targets(build_dir):
+    """Names of the targets the build tree's generator defines, as its
+    `help` target lists them: "... name" (Makefiles) or "name: rule"
+    (Ninja)."""
+    out = subprocess.run(["cmake", "--build", build_dir, "--target", "help"],
+                         check=True, capture_output=True, text=True).stdout
+    names = set()
+    for line in out.splitlines():
+        line = line.strip()
+        if line.startswith("... "):
+            names.add(line[4:].split(" ")[0])
+        elif ": " in line:
+            names.add(line.split(": ", 1)[0])
+    return names
+
+
 def binaries(build_dir):
+    """(current, stale): the executables in the tool, bench and example
+    directories, split by whether a target of the build still makes them."""
+    defined = targets(build_dir)
+    current, stale = [], []
     for sub in BINARY_DIRS:
         d = os.path.join(build_dir, sub)
         for f in sorted(os.listdir(d)):
             path = os.path.join(d, f)
             if os.path.isfile(path) and os.access(path, os.X_OK):
-                yield path
+                (current if f in defined else stale).append(path)
+    return current, stale
 
 
 def read_allowlist(path):
@@ -122,7 +145,10 @@ def main():
     defined = set()
     for lib in libraries(args.build_dir):
         defined |= functions(lib, {"T", "t"})
-    bins = list(binaries(args.build_dir))
+    bins, stale_bins = binaries(args.build_dir)
+    for b in stale_bins:
+        print(f"skipped stale binary (no target builds it): "
+              f"{os.path.relpath(b, args.build_dir)}")
     if not defined or not bins:
         sys.exit(f"{args.build_dir}: no libraries or binaries to audit")
     linked = set()
